@@ -1,16 +1,14 @@
 // Sharded-driver sweep: runs the same pinned workload at several shard
-// counts — in thread mode, process mode AND persistent-worker mode —
-// reports total and per-shard wall time plus the merged phase-4 time,
-// and verifies the bit-identical-output contract by checksumming every
-// run (all modes) against thread-mode S=1.
+// counts — in thread mode AND persistent-worker mode — reports total and
+// per-shard wall time plus the merged phase-4 time, and verifies the
+// bit-identical-output contract by checksumming every run (all modes)
+// against thread-mode S=1.
 //
 // Usage: bench_shards [--users=N] [--k=N] [--iters=N] [--agents=N] [--json]
 // With --json the table is replaced by one JSON object on stdout (the CI
-// perf-tracking job parses it; see tools/bench_to_json.py). On
-// multi-iteration runs (--iters > 1) the persistent column shows the
-// spawn-amortisation story: process mode pays fork+execv + plan +
-// snapshot + store-open per shard per wave per iteration, persistent
-// mode pays the spawn once and ships G(t) deltas after that.
+// perf-tracking job parses it; see tools/bench_to_json.py). Persistent
+// mode pays the worker spawn once per run and ships G(t) deltas after
+// that, so multi-iteration runs (--iters > 1) show its steady state.
 // --agents=N adds a distributed column: the persistent sweep re-run with
 // the workers behind N in-process loopback-TCP worker agents, measuring
 // the coordinator/sync overhead against local persistent mode and
@@ -76,7 +74,7 @@ struct LoopbackAgent {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Process-mode rows re-execute this binary as shard workers.
+  // Persistent-mode rows re-execute this binary as shard workers.
   if (const auto worker_exit = maybe_run_shard_worker(argc, argv)) {
     return *worker_exit;
   }
@@ -99,12 +97,11 @@ int main(int argc, char** argv) {
   if (!json) {
     std::printf("Sharded driver sweep (n=%u, k=%u, m=16, %u iteration%s)\n",
                 n, k, iters, iters == 1 ? "" : "s");
-    std::printf("%8s | %10s %10s %12s %10s %9s | %10s %9s | %10s %9s | %s\n",
+    std::printf("%8s | %10s %10s %12s %10s %9s | %10s %9s | %s\n",
                 "shards", "wall s", "cpu s", "max shard s", "speedup",
-                "identical", "proc s", "proc id", "persist s", "pers id",
-                "per-shard wall s");
+                "identical", "persist s", "pers id", "per-shard wall s");
     std::printf("----------------------------------------------------------"
-                "--------------------------------------------------------\n");
+                "--------------------------------------------\n");
   }
 
   struct Row {
@@ -115,12 +112,9 @@ int main(int argc, char** argv) {
     double wall_s = 0.0;
     double cpu_s = 0.0;
     double phase4_s = 0.0;
-    /// Same workload through out-of-process workers: the spawn/plan/
-    /// sidecar overhead is process_wall_s - wall_s.
-    double process_wall_s = 0.0;
-    /// And through persistent workers: one spawn for the whole run, then
-    /// framed commands with G(t) deltas. On multi-iteration runs this
-    /// should beat process_wall_s — the amortisation the mode exists for.
+    /// Same workload through persistent workers: one spawn for the whole
+    /// run, then framed commands with G(t) deltas; the process and IPC
+    /// overhead is persistent_wall_s - wall_s.
     double persistent_wall_s = 0.0;
     /// Persistent-mode round-trip accounting. round_trips is the MAX
     /// heavy commands any worker saw in any one iteration — the fused
@@ -143,11 +137,9 @@ int main(int argc, char** argv) {
     std::uint64_t distributed_sync_bytes_skipped = 0;
     std::vector<double> shard_wall_s;
     std::uint64_t checksum = 0;
-    std::uint64_t process_checksum = 0;
     std::uint64_t persistent_checksum = 0;
     std::uint64_t distributed_checksum = 0;
     bool identical = false;
-    bool process_identical = false;
     bool persistent_identical = false;
     bool distributed_identical = true;  // vacuously when --agents=0
   };
@@ -177,16 +169,6 @@ int main(int argc, char** argv) {
       }
       row.wall_s = wall.elapsed_seconds();
       row.checksum = knn_graph_checksum(driver.graph());
-    }
-    {
-      shard_config.worker_mode = ShardWorkerMode::Process;
-      ShardedKnnEngine driver(config, shard_config, pinned_profiles(n));
-      Timer wall;
-      for (std::uint32_t i = 0; i < iters; ++i) {
-        (void)driver.run_iteration();
-      }
-      row.process_wall_s = wall.elapsed_seconds();
-      row.process_checksum = knn_graph_checksum(driver.graph());
     }
     {
       shard_config.worker_mode = ShardWorkerMode::Persistent;
@@ -236,7 +218,6 @@ int main(int argc, char** argv) {
       reference_checksum = row.checksum;
     }
     row.identical = row.checksum == reference_checksum;
-    row.process_identical = row.process_checksum == reference_checksum;
     row.persistent_identical = row.persistent_checksum == reference_checksum;
     if (agents > 0) {
       row.distributed_identical =
@@ -246,12 +227,9 @@ int main(int argc, char** argv) {
     if (!json) {
       double max_wall = 0.0;
       for (double w : row.shard_wall_s) max_wall = std::max(max_wall, w);
-      std::printf("%8u | %10.3f %10.3f %12.3f %9.2fx %9s | %10.3f %9s "
-                  "| %10.3f %9s | ",
+      std::printf("%8u | %10.3f %10.3f %12.3f %9.2fx %9s | %10.3f %9s | ",
                   shards, row.wall_s, row.cpu_s, max_wall,
                   baseline / row.wall_s, row.identical ? "yes" : "NO",
-                  row.process_wall_s,
-                  row.process_identical ? "yes" : "NO",
                   row.persistent_wall_s,
                   row.persistent_identical ? "yes" : "NO");
       if (agents > 0) {
@@ -272,9 +250,7 @@ int main(int argc, char** argv) {
       std::printf("%s{\"shards\":%u,\"threads_per_shard\":%u,"
                   "\"wall_s\":%.6f,\"cpu_s\":%.6f,\"phase4_s\":%.6f,"
                   "\"speedup\":%.4f,\"checksum\":\"%016llx\","
-                  "\"identical\":%s,\"process_wall_s\":%.6f,"
-                  "\"process_checksum\":\"%016llx\","
-                  "\"process_identical\":%s,"
+                  "\"identical\":%s,"
                   "\"persistent_wall_s\":%.6f,"
                   "\"persistent_checksum\":\"%016llx\","
                   "\"persistent_identical\":%s,"
@@ -286,9 +262,7 @@ int main(int argc, char** argv) {
                   row.wall_s, row.cpu_s, row.phase4_s,
                   baseline / row.wall_s,
                   static_cast<unsigned long long>(row.checksum),
-                  row.identical ? "true" : "false", row.process_wall_s,
-                  static_cast<unsigned long long>(row.process_checksum),
-                  row.process_identical ? "true" : "false",
+                  row.identical ? "true" : "false",
                   row.persistent_wall_s,
                   static_cast<unsigned long long>(row.persistent_checksum),
                   row.persistent_identical ? "true" : "false",
@@ -326,21 +300,19 @@ int main(int argc, char** argv) {
     std::printf("]}\n");
   } else {
     std::printf(
-        "\nExpected shape: every row says identical=yes, proc id=yes and "
-        "pers id=yes\n(the determinism contract, all execution modes). "
-        "Wall time falls with shards\nonce scoring dominates partition "
-        "I/O; cpu s grows with S because each shard\npays fixed costs "
-        "(its own PI pass, spool read-back, partition loads for its\n"
-        "schedule) — the gap between the two columns is the sharding "
-        "overhead. proc s\nadditionally pays one spawn + plan/sidecar "
-        "round-trip per worker per wave;\npersist s pays the spawn once "
-        "per run and ships deltas, so on multi-iteration\nruns "
-        "(--iters > 1) it should undercut proc s.\n");
+        "\nExpected shape: every row says identical=yes and pers id=yes\n"
+        "(the determinism contract, all execution modes). Wall time falls "
+        "with shards\nonce scoring dominates partition I/O; cpu s grows "
+        "with S because each shard\npays fixed costs (its own PI pass, "
+        "spool read-back, partition loads for its\nschedule) — the gap "
+        "between the two columns is the sharding overhead.\npersist s "
+        "additionally pays the worker spawn once per run and one framed\n"
+        "command round-trip per worker per iteration.\n");
   }
   const bool all_identical =
       std::all_of(rows.begin(), rows.end(), [](const Row& r) {
-        return r.identical && r.process_identical &&
-               r.persistent_identical && r.distributed_identical;
+        return r.identical && r.persistent_identical &&
+               r.distributed_identical;
       });
   // The one-round-trip contract: a clean persistent run sends exactly one
   // heavy command per worker per iteration (the GO barrier is payload-

@@ -1,10 +1,9 @@
 // Workload-zoo differential sweep: every registered scenario
-// (src/workloads/workload.h) replayed through all five execution modes —
-// serial, thread-pool, sharded thread / process / persistent workers —
-// plus a grid over shards x threads x partitioner x heuristic in
-// thread-mode sharding. Checksums gate the determinism contract: the
-// binary exits non-zero if any workload's graph diverges across the five
-// modes, or if any grid cell drifts from the serial baseline (placement
+// (src/workloads/workload.h) replayed through all four execution modes —
+// serial, thread-pool, sharded thread / persistent workers — plus a grid
+// over shards x threads x partitioner x heuristic in thread-mode
+// sharding. Checksums gate the determinism contract: the binary exits
+// non-zero if any workload's graph diverges across the four modes, or if any grid cell drifts from the serial baseline (placement
 // and order are pure I/O concerns — see integration_test's ComboTest).
 //
 // Usage: bench_workloads [--users=N] [--iters=N] [--workloads=a,b] [--json]
@@ -110,7 +109,7 @@ std::vector<std::string> split_csv(const std::string& csv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Process/persistent cells re-execute this binary as shard workers.
+  // Persistent cells re-execute this binary as shard workers.
   if (const auto worker_exit = maybe_run_shard_worker(argc, argv)) {
     return *worker_exit;
   }
@@ -152,11 +151,11 @@ int main(int argc, char** argv) {
                 "m=%u, %u iters)\n",
                 params.users, params.items, config.k, config.num_partitions,
                 iters);
-    std::printf("%-20s | %9s %9s %9s %9s %9s | %9s | %s\n", "workload",
-                "serial s", "thread s", "shard s", "proc s", "persist s",
+    std::printf("%-20s | %9s %9s %9s %9s | %9s | %s\n", "workload",
+                "serial s", "thread s", "shard s", "persist s",
                 "identical", grid ? "grid" : "");
     std::printf("--------------------------------------------------------"
-                "----------------------------------------\n");
+                "------------------------------\n");
   }
 
   const std::vector<std::string> grid_partitioners = {"range", "hash",
@@ -170,7 +169,7 @@ int main(int argc, char** argv) {
     WorkloadRow row;
     row.name = name;
 
-    // The five execution modes, replaying the identical scenario.
+    // The four execution modes, replaying the identical scenario.
     row.modes.push_back(
         {"serial", run_serial(name, params, config, iters), false});
     {
@@ -182,10 +181,6 @@ int main(int argc, char** argv) {
     row.modes.push_back({"shard-thread",
                          run_sharded(name, params, config, 2,
                                      ShardWorkerMode::Thread, iters),
-                         false});
-    row.modes.push_back({"shard-process",
-                         run_sharded(name, params, config, 2,
-                                     ShardWorkerMode::Process, iters),
                          false});
     row.modes.push_back({"shard-persistent",
                          run_sharded(name, params, config, 3,
@@ -227,11 +222,10 @@ int main(int argc, char** argv) {
     }
 
     if (!json) {
-      std::printf("%-20s | %9.3f %9.3f %9.3f %9.3f %9.3f | %9s |",
+      std::printf("%-20s | %9.3f %9.3f %9.3f %9.3f | %9s |",
                   row.name.c_str(), row.modes[0].run.wall_s,
                   row.modes[1].run.wall_s, row.modes[2].run.wall_s,
-                  row.modes[3].run.wall_s, row.modes[4].run.wall_s,
-                  row.identical ? "yes" : "NO");
+                  row.modes[3].run.wall_s, row.identical ? "yes" : "NO");
       if (grid) {
         std::size_t drifted = 0;
         for (const GridCell& cell : row.grid) {
@@ -284,7 +278,7 @@ int main(int argc, char** argv) {
   } else {
     std::printf(
         "\nExpected shape: every workload says identical=yes and 0 grid "
-        "cells drifted —\nthe five-mode determinism contract checked "
+        "cells drifted —\nthe four-mode determinism contract checked "
         "across the whole zoo, and the\nplacement/order-invariance "
         "contract (partitioner, heuristic, S, threads are\npure I/O "
         "concerns) checked per workload. Any NO is a released-determinism"

@@ -20,7 +20,6 @@
 #include <utility>
 
 #include "core/convergence.h"
-#include "core/stats_io.h"
 #include "core/worker_agent.h"
 #include "core/topk.h"
 #include "core/tuple_generation.h"
@@ -67,32 +66,21 @@ std::uint32_t resolve_shard_count(std::uint32_t requested,
 
 ShardWorkerMode parse_worker_mode(std::string_view name) {
   if (name == "thread") return ShardWorkerMode::Thread;
-  if (name == "process") return ShardWorkerMode::Process;
   if (name == "persistent") return ShardWorkerMode::Persistent;
   throw std::invalid_argument("parse_worker_mode: unknown mode '" +
-                              std::string(name) +
-                              "' (thread | process | persistent)");
+                              std::string(name) + "' (thread | persistent)");
 }
 
 const char* worker_mode_name(ShardWorkerMode mode) noexcept {
-  switch (mode) {
-    case ShardWorkerMode::Process:
-      return "process";
-    case ShardWorkerMode::Persistent:
-      return "persistent";
-    case ShardWorkerMode::Thread:
-      break;
-  }
-  return "thread";
+  return mode == ShardWorkerMode::Persistent ? "persistent" : "thread";
 }
 
 namespace {
 
 // ------------------------------------------------ work-directory layout --
 // Everything the two waves exchange lives under the driver's work dir;
-// process mode adds the plan, the G(t) snapshot, and per-worker
-// results/stats. Paths are defined here once — the driver and the
-// re-executed workers must agree byte-for-byte.
+// persistent mode adds the static plan. Paths are defined here once — the
+// driver and the re-executed workers must agree byte-for-byte.
 
 constexpr const char* kSpoolStem = "tuples";
 
@@ -104,19 +92,6 @@ fs::path consumer_scratch_dir(const fs::path& work_dir, std::uint32_t c) {
 
 fs::path plan_file_path(const fs::path& work_dir) {
   return work_dir / "plan.bin";
-}
-
-fs::path prev_graph_path(const fs::path& work_dir) {
-  return work_dir / "graph_t.knng";
-}
-
-fs::path sidecar_path(const fs::path& work_dir, const std::string& wave,
-                      std::uint32_t shard) {
-  return work_dir / "stats" / (wave + "_" + std::to_string(shard) + ".stats");
-}
-
-fs::path result_file_path(const fs::path& work_dir, std::uint32_t shard) {
-  return work_dir / "results" / ("shard_" + std::to_string(shard) + ".res");
 }
 
 // --------------------------------------------------------- fault points --
@@ -174,9 +149,9 @@ void maybe_inject_fault(const char* wave, std::uint32_t shard,
 
 // ---------------------------------------------------- shared wave bodies --
 // The producer and consumer bodies are mode-agnostic: thread mode calls
-// them on one thread per shard inside the driver, process mode calls them
-// from shard_worker_main in a child process. Keeping one body per wave is
-// what makes the two modes bit-identical by construction.
+// them on one thread per shard inside the driver, persistent mode from
+// persistent_worker_main in a long-lived child process. Keeping one body
+// per wave is what makes the modes bit-identical by construction.
 
 struct WaveContext {
   const EngineConfig& config;
@@ -191,7 +166,7 @@ struct WaveContext {
 /// Phase 2, producer wave for shard `w`: generate candidates, route by
 /// owner of the source user into `sink` (= spool files (w, *)). The
 /// caller flushes the sink (thread mode: RoutedShardWriter::finish after
-/// all producers join; process mode: the worker before its sidecar).
+/// all producers join; persistent mode: the worker before PRODUCED).
 void produce_candidates(const WaveContext& ctx, std::uint32_t w,
                         std::span<const VertexId> members,
                         const PartitionStore& store,
@@ -463,39 +438,39 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
   return {std::move(next), changed};
 }
 
-// ---------------------------------------------------- process-mode plan --
-// The plan file ("KPLN") carries everything a worker process needs that
-// is not already on disk: the wave-relevant EngineConfig fields, the
-// resolved shard/thread budget, and both ownership maps. Same-build
+// ------------------------------------------------------------ the plan --
+// The plan file ("KPLN") carries everything a persistent worker needs that
+// does not travel over its command channel: the wave-relevant EngineConfig
+// fields and the resolved shard/thread budget. Written once per run;
+// ownership maps, G(t) and P(t) ride RUN_ITERATION commands. Same-build
 // producer and consumer (the worker IS the driver's binary).
 
 constexpr char kPlanMagic[4] = {'K', 'P', 'L', 'N'};
 // v2: adds the phase-4 kernel backend string and the quantize_profiles
-// flag (both read by the wave bodies, so process-mode workers must see
-// the configured values, not the defaults).
-constexpr std::uint32_t kPlanVersion = 2;
+// flag (both read by the wave bodies, so workers must see the configured
+// values, not the defaults).
+// v3: drops the iteration number and the ownership maps, which no
+// persistent worker read.
+constexpr std::uint32_t kPlanVersion = 3;
 
 // Tripwire: the plan file hand-serialises the wave-relevant subset of
 // EngineConfig. A field added to EngineConfig that the wave bodies read
-// but the plan omits would make process-mode workers silently run on the
+// but the plan omits would make worker processes silently run on the
 // default while thread mode uses the configured value — a plausible but
 // wrong graph. Growing EngineConfig therefore fails here on the CI
 // platform until save_plan_file/load_plan_file (below) were reviewed and
 // this constant is bumped.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
 static_assert(sizeof(EngineConfig) == 288,
-              "EngineConfig changed: review the process-mode plan "
+              "EngineConfig changed: review the worker plan "
               "serialisation (save_plan_file/load_plan_file) before "
               "bumping this size");
 #endif
 
-struct ProcessPlan {
+struct WorkerPlan {
   EngineConfig config;
-  std::uint32_t iteration = 0;
   std::uint32_t shards = 1;
   std::uint32_t threads_per_shard = 1;
-  std::vector<PartitionId> partition_owner;  // user -> partition
-  std::vector<PartitionId> shard_owner;      // user -> shard
 };
 
 void append_string(std::vector<std::byte>& out, const std::string& s) {
@@ -503,13 +478,12 @@ void append_string(std::vector<std::byte>& out, const std::string& s) {
   for (const char c : s) append_record(out, c);
 }
 
-void save_plan_file(const fs::path& path, const ProcessPlan& plan) {
+void save_plan_file(const fs::path& path, const WorkerPlan& plan) {
   const EngineConfig& config = plan.config;
   std::vector<std::byte> bytes;
-  bytes.reserve(128 + plan.partition_owner.size() * 2 * sizeof(PartitionId));
+  bytes.reserve(128);
   for (const char c : kPlanMagic) append_record(bytes, c);
   append_record(bytes, kPlanVersion);
-  append_record(bytes, plan.iteration);
   append_record(bytes, plan.shards);
   append_record(bytes, plan.threads_per_shard);
   append_record(bytes, config.k);
@@ -529,15 +503,11 @@ void save_plan_file(const fs::path& path, const ProcessPlan& plan) {
   append_string(bytes, config.io_model.name);
   append_record(bytes, config.io_model.seek_us);
   append_record(bytes, config.io_model.bytes_per_us);
-  append_record(bytes,
-                static_cast<std::uint32_t>(plan.partition_owner.size()));
-  for (const PartitionId p : plan.partition_owner) append_record(bytes, p);
-  for (const PartitionId p : plan.shard_owner) append_record(bytes, p);
   IoCounters counters;
   write_file(path, bytes, counters);
 }
 
-ProcessPlan load_plan_file(const fs::path& path) {
+WorkerPlan load_plan_file(const fs::path& path) {
   IoCounters counters;
   const std::vector<std::byte> bytes = read_file(path, counters);
   std::size_t offset = 0;
@@ -566,9 +536,8 @@ ProcessPlan load_plan_file(const fs::path& path) {
   if (version != kPlanVersion) {
     throw fail("unsupported version " + std::to_string(version));
   }
-  ProcessPlan plan;
+  WorkerPlan plan;
   EngineConfig& config = plan.config;
-  read(plan.iteration);
   read(plan.shards);
   read(plan.threads_per_shard);
   read(config.k);
@@ -602,17 +571,6 @@ ProcessPlan load_plan_file(const fs::path& path) {
   read_string(config.io_model.name);
   read(config.io_model.seek_us);
   read(config.io_model.bytes_per_us);
-  std::uint32_t n = 0;
-  read(n);
-  // Both ownership maps must actually fit in the remaining bytes before
-  // n drives any allocation (corrupt-header protection).
-  if (n > (bytes.size() - offset) / (2 * sizeof(PartitionId))) {
-    throw fail("vertex count exceeds file size");
-  }
-  plan.partition_owner.resize(n);
-  for (PartitionId& p : plan.partition_owner) read(p);
-  plan.shard_owner.resize(n);
-  for (PartitionId& p : plan.shard_owner) read(p);
   if (offset != bytes.size()) throw fail("trailing bytes");
   if (plan.shards == 0 || config.num_partitions == 0) {
     throw fail("degenerate shard/partition count");
@@ -620,88 +578,11 @@ ProcessPlan load_plan_file(const fs::path& path) {
   return plan;
 }
 
-/// Flattens an assignment into its owner vector for the plan file.
+/// Flattens an assignment into the owner vector RUN_ITERATION carries.
 std::vector<PartitionId> owner_vector(const PartitionAssignment& a) {
   std::vector<PartitionId> owners(a.num_vertices());
   for (VertexId v = 0; v < a.num_vertices(); ++v) owners[v] = a.owner(v);
   return owners;
-}
-
-// ------------------------------------------------------ wave supervision --
-
-/// Spawns one worker process per pending shard for `wave`, waits with the
-/// configured deadline, verifies completion markers, retries failed
-/// shards exactly once, and throws with a per-worker diagnostic when a
-/// shard fails twice. Guarantees on exit: either every shard's outputs
-/// are complete on disk, or an exception — never a hang, never a merge
-/// of a failed worker's partial output (stale outputs of the pending
-/// shards are deleted before each attempt, and the atomically-written
-/// sidecar is the completion marker).
-void supervise_wave(const WaveContext& ctx, const ShardConfig& shard_config,
-                    const std::string& wave) {
-  const fs::path& work_dir = ctx.work_dir;
-  const bool consume = wave == "consume";
-  const std::string exe = shard_config.worker_exe.empty()
-                              ? current_executable().string()
-                              : shard_config.worker_exe;
-  std::vector<std::uint32_t> pending(ctx.shards);
-  for (std::uint32_t s = 0; s < ctx.shards; ++s) pending[s] = s;
-  std::vector<std::string> history(ctx.shards);
-
-  for (std::uint32_t attempt = 0; attempt < 2; ++attempt) {
-    // A stale file from a failed attempt must never masquerade as this
-    // attempt's output.
-    for (const std::uint32_t s : pending) {
-      std::error_code ec;
-      fs::remove(sidecar_path(work_dir, wave, s), ec);
-      if (consume) fs::remove(result_file_path(work_dir, s), ec);
-    }
-    std::vector<Subprocess> procs;
-    procs.reserve(pending.size());
-    for (const std::uint32_t s : pending) {
-      procs.emplace_back(std::vector<std::string>{
-          exe, "--shard-worker",
-          "--plan=" + plan_file_path(work_dir).string(), "--wave=" + wave,
-          "--shard=" + std::to_string(s),
-          "--attempt=" + std::to_string(attempt)});
-    }
-    const std::vector<SubprocessStatus> statuses =
-        wait_all(procs, shard_config.worker_timeout_s);
-
-    std::vector<std::uint32_t> failed;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const std::uint32_t s = pending[i];
-      std::string why;
-      if (!statuses[i].success()) {
-        why = statuses[i].describe();
-      } else if (!fs::exists(sidecar_path(work_dir, wave, s))) {
-        why = "exited 0 without writing its stats sidecar";
-      } else if (consume && !fs::exists(result_file_path(work_dir, s))) {
-        why = "exited 0 without writing its ShardResult";
-      }
-      if (!why.empty()) {
-        failed.push_back(s);
-        if (!history[s].empty()) history[s] += "; ";
-        history[s] += "attempt " + std::to_string(attempt) + ": " + why;
-      }
-    }
-    if (failed.empty()) return;
-    if (attempt == 0) {
-      for (const std::uint32_t s : failed) {
-        KNNPC_LOG(Warn) << "shard " << s << " " << wave
-                        << " worker failed (" << history[s]
-                        << "); re-executing once";
-      }
-      pending = std::move(failed);
-      continue;
-    }
-    std::string message =
-        "sharded " + wave + " wave failed after one retry:";
-    for (const std::uint32_t s : failed) {
-      message += "\n  shard " + std::to_string(s) + ": " + history[s];
-    }
-    throw std::runtime_error(message);
-  }
 }
 
 // ---------------------------------------------- persistent-worker protocol --
@@ -878,7 +759,7 @@ void spawn_persistent_worker(PersistentRuntime& rt,
     worker.proc = Subprocess(
         std::vector<std::string>{
             exe, "--shard-worker",
-            "--plan=" + plan_file_path(work_dir).string(), "--wave=serve",
+            "--plan=" + plan_file_path(work_dir).string(),
             "--shard=" + std::to_string(shard)},
         pair.child_read_fd, pair.child_write_fd);
     worker.channel = std::move(pair.parent);
@@ -987,21 +868,129 @@ struct PersistentIterationReply {
   std::uint64_t profile_rows_rx = 0;
 };
 
+/// Kills persistent worker `s` NOW and reports how it died: locally
+/// SIGKILL + reap, remotely the agent's KillWorker round-trip (whose OK
+/// payload is the describe string). "still running" when even the control
+/// link failed — the agent kills its orphans itself once the link drops.
+std::string kill_worker_now(PersistentRuntime& rt,
+                            const ShardConfig& shard_config,
+                            std::uint32_t s) {
+  PersistentWorker& worker = rt.workers[s];
+  if (worker.remote) {
+    try {
+      return agent_kill_worker(rt.agents[worker.endpoint].control, s,
+                               shard_config.agent_timeout_s);
+    } catch (const std::exception&) {
+      return "still running";
+    }
+  }
+  worker.proc.kill_now();
+  return worker.proc.wait().describe();
+}
+
+/// The fleet's one retry-once policy, run once per phase of an iteration.
+/// `send(s, attempt)` issues shard s's command and `collect(s)` reads and
+/// applies its reply; both throw on failure. A worker whose send or reply
+/// fails — it died, replied garbage, or missed the per-command deadline —
+/// is killed and reaped (kill_worker_now, so the diagnostic says how it
+/// died), respawned exactly once, and replayed; the respawn's next command
+/// carries a full graph + profile resync. A second failure throws the
+/// failed shards' two-attempt history. On return every shard's reply was
+/// collected.
+void supervise_phase(
+    PersistentRuntime& rt, const ShardConfig& shard_config,
+    const fs::path& work_dir, const std::string& phase,
+    const std::function<void(std::uint32_t, std::uint32_t)>& send,
+    const std::function<void(std::uint32_t)>& collect) {
+  const auto S = static_cast<std::uint32_t>(rt.workers.size());
+  std::vector<std::uint32_t> pending(S);
+  for (std::uint32_t s = 0; s < S; ++s) pending[s] = s;
+  std::vector<std::string> history(S);
+  for (std::uint32_t attempt = 0; attempt < 2; ++attempt) {
+    std::vector<std::uint32_t> failed;
+    // The worker is dead by now; dropping its channel lets the respawn
+    // (or the diagnostic) start clean.
+    auto fail = [&](std::uint32_t s, const std::string& why) {
+      failed.push_back(s);
+      if (!history[s].empty()) history[s] += "; ";
+      history[s] += "attempt " + std::to_string(attempt) + ": " + why;
+      rt.workers[s].channel = IpcChannel();
+    };
+
+    // Send: a dead peer surfaces as an EPIPE SysError, a socket peer that
+    // stops draining as the send deadline — never a hang.
+    std::vector<std::uint32_t> sent;
+    for (const std::uint32_t s : pending) {
+      try {
+        send(s, attempt);
+        sent.push_back(s);
+      } catch (const IpcError& e) {
+        // An OversizedFrame is the DRIVER refusing its own payload —
+        // deterministic, so a respawn would only replay the refusal
+        // against a healthy worker. Abort with the real cause.
+        if (e.kind() == IpcErrorKind::OversizedFrame) {
+          throw std::runtime_error(
+              "sharded " + phase + " wave: command for shard " +
+              std::to_string(s) + " exceeds the IPC frame bound (" +
+              e.what() + "); use thread mode for workloads of this size");
+        }
+        fail(s, std::string("command send failed (") + e.what() +
+                    "; worker " + kill_worker_now(rt, shard_config, s) +
+                    ")");
+      }
+    }
+
+    for (const std::uint32_t s : sent) {
+      try {
+        collect(s);
+      } catch (const IpcError& e) {
+        const std::string died = kill_worker_now(rt, shard_config, s);
+        if (e.kind() == IpcErrorKind::Timeout) {
+          fail(s, "command timed out after " +
+                      std::to_string(shard_config.worker_timeout_s) +
+                      "s (killed with SIGKILL)");
+        } else {
+          // EOF / truncation / garbage: the reaped status says how the
+          // process actually died.
+          fail(s, std::string(e.what()) + " (worker " + died + ")");
+        }
+      } catch (const std::exception& e) {
+        (void)kill_worker_now(rt, shard_config, s);
+        fail(s, e.what());
+      }
+    }
+
+    if (failed.empty()) return;
+    if (attempt == 0) {
+      for (const std::uint32_t s : failed) {
+        KNNPC_LOG(Warn) << "persistent shard " << s << " " << phase
+                        << " worker failed (" << history[s]
+                        << "); respawning once with a full resync";
+        spawn_persistent_worker(rt, shard_config, work_dir, s);
+        rt.workers[s].needs_resync = true;
+      }
+      pending = std::move(failed);
+      continue;
+    }
+    std::string message = "sharded " + phase + " wave failed after one retry:";
+    for (const std::uint32_t s : failed) {
+      message += "\n  shard " + std::to_string(s) + ": " + history[s];
+    }
+    throw std::runtime_error(message);
+  }
+}
+
 /// Drives ONE full iteration across the persistent fleet: one heavy
 /// RUN_ITERATION command per worker carrying maps + G(t) + P(t) deltas,
 /// a PRODUCED reply per worker, one payload-free GO barrier, and an
-/// ITERATION_DONE reply per worker. Failure containment mirrors
-/// supervise_wave, per phase: a worker that dies, replies garbage, or
-/// misses the deadline during the produce phase is SIGKILLed and
-/// respawned exactly once with a full graph + profile resync, and its
-/// command replays verbatim (safe: no shard consumes before GO, so the
-/// respawn may rewrite its spools). During the consume phase the
-/// respawned worker gets a skip-produce command instead and re-runs only
-/// the consume wave against the dead incarnation's intact spools
+/// ITERATION_DONE reply per worker, each phase under supervise_phase. A
+/// produce-phase respawn replays its command verbatim (safe: no shard
+/// consumes before GO, so the respawn may rewrite its spools). A
+/// consume-phase respawn gets a skip-produce command instead and re-runs
+/// only the consume wave against the dead incarnation's intact spools
 /// (PRODUCED is sent only after the spool sink flushed, so they are
-/// complete by construction). A second failure in the same phase throws
-/// with the per-worker diagnostic history. On return every shard's reply
-/// is complete; partial output can never be observed by the caller.
+/// complete by construction). On return every shard's reply is complete;
+/// partial output can never be observed by the caller.
 std::vector<PersistentIterationReply> run_persistent_iteration(
     PersistentRuntime& rt, const ShardConfig& shard_config,
     const fs::path& work_dir, const PersistentIterationInput& in,
@@ -1101,26 +1090,7 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
   // wedged worker early in the collection order must not eat the budget
   // of a healthy one whose reply is still streaming), consuming the
   // leading READY of a fresh (re)spawn first. Throws IpcError /
-  // runtime_error; the per-phase fail path takes over.
-  // Kills worker s NOW and reports how it died: locally SIGKILL + reap,
-  // remotely the agent's KillWorker round-trip (whose OK payload is the
-  // describe string). "still running" when even the control link failed
-  // — the agent kills its orphans itself once the link drops.
-  auto kill_worker_now = [&](std::uint32_t s) -> std::string {
-    PersistentWorker& worker = rt.workers[s];
-    if (worker.remote) {
-      try {
-        return agent_kill_worker(rt.agents[worker.endpoint].control, s,
-                                 shard_config.agent_timeout_s);
-      } catch (const std::exception&) {
-        return "still running";
-      }
-    }
-    worker.proc.kill_now();
-    worker.proc.wait();
-    return worker.proc.status().describe();
-  };
-
+  // runtime_error; supervise_phase takes over.
   auto collect_reply = [&](std::uint32_t s, std::uint32_t expected_reply)
       -> IpcFrame {
     PersistentWorker& worker = rt.workers[s];
@@ -1158,117 +1128,40 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
     return frame;
   };
 
+  auto send_command = [&](std::uint32_t s, std::uint32_t attempt,
+                          bool skip_produce) {
+    const std::vector<std::byte> payload =
+        build_command(s, attempt, skip_produce);
+    ++replies[s].round_trips;
+    rt.workers[s].channel.send(kCmdRunIteration, payload, timeout_s);
+    replies[s].bytes_tx += frame_wire_bytes(payload.size());
+  };
+  // Both replies prove the worker holds what the command carried (it
+  // applies every delta before its produce wave starts; a skip-produce
+  // replay applied fresh deltas too).
+  auto mark_synced = [&](std::uint32_t s) {
+    PersistentWorker& worker = rt.workers[s];
+    worker.has_maps = true;
+    worker.graph_version = in.graph_new_version;
+    worker.profile_version = in.profile_new_version;
+  };
+
   // ---- Produce phase: RUN_ITERATION out, PRODUCED back. ----------------
-  {
-    std::vector<std::uint32_t> pending(S);
-    for (std::uint32_t s = 0; s < S; ++s) pending[s] = s;
-    std::vector<std::string> history(S);
-    for (std::uint32_t attempt = 0; attempt < 2; ++attempt) {
-      std::vector<std::uint32_t> failed;
-      std::vector<bool> send_ok(S, true);
-      // Record a failure for this attempt; the worker is killed (unless
-      // the caller already did, to describe the corpse) so the next step
-      // (respawn or diagnostic) starts clean.
-      auto fail_worker = [&](std::uint32_t s, const std::string& why,
-                             bool kill = true) {
-        failed.push_back(s);
-        if (!history[s].empty()) history[s] += "; ";
-        history[s] += "attempt " + std::to_string(attempt) + ": " + why;
-        if (kill) (void)kill_worker_now(s);
-        rt.workers[s].channel = IpcChannel();
-      };
-
-      // Send phase: every pending worker gets its command (a dead peer
-      // surfaces as an EPIPE SysError here and is handled like any other
-      // failure — no hang, no partial wave; a socket peer that stops
-      // draining hits the send deadline instead of wedging the driver).
-      for (const std::uint32_t s : pending) {
-        PersistentWorker& worker = rt.workers[s];
-        const std::vector<std::byte> payload =
-            build_command(s, attempt, /*skip_produce=*/false);
-        ++replies[s].round_trips;
-        try {
-          worker.channel.send(kCmdRunIteration, payload, timeout_s);
-          replies[s].bytes_tx += frame_wire_bytes(payload.size());
-        } catch (const IpcError& e) {
-          // An OversizedFrame here is the DRIVER refusing its own
-          // payload (workload too large for the frame cap) —
-          // deterministic, so a kill/respawn would only replay the
-          // refusal against a healthy worker. Abort with the real cause.
-          if (e.kind() == IpcErrorKind::OversizedFrame) {
-            throw std::runtime_error(
-                "sharded produce wave: command for shard " +
-                std::to_string(s) + " exceeds the IPC frame bound (" +
-                e.what() + "); use process mode for workloads of this "
-                "size");
-          }
-          send_ok[s] = false;
-          // Local: describe the (unreaped) process as-is, then kill.
-          // Remote: the kill round-trip is the only way to learn how the
-          // worker died, so it doubles as the describe.
-          const std::string describe = worker.remote
-                                           ? kill_worker_now(s)
-                                           : worker.proc.status().describe();
-          fail_worker(s, std::string("command send failed (") + e.what() +
-                             "; worker " + describe + ")",
-                      /*kill=*/!worker.remote);
+  supervise_phase(
+      rt, shard_config, work_dir, "produce",
+      [&](std::uint32_t s, std::uint32_t attempt) {
+        send_command(s, attempt, /*skip_produce=*/false);
+      },
+      [&](std::uint32_t s) {
+        const IpcFrame frame = collect_reply(s, kRspProduced);
+        const std::span<const std::byte> payload(frame.payload);
+        std::size_t offset = 0;
+        if (!read_record(payload, offset, replies[s].produced) ||
+            offset != payload.size()) {
+          throw std::runtime_error("malformed PRODUCED payload");
         }
-      }
-
-      for (const std::uint32_t s : pending) {
-        if (!send_ok[s]) continue;
-        PersistentWorker& worker = rt.workers[s];
-        try {
-          const IpcFrame frame = collect_reply(s, kRspProduced);
-          const std::span<const std::byte> payload(frame.payload);
-          std::size_t offset = 0;
-          ShardWorkerStats stats;
-          if (!read_record(payload, offset, stats) ||
-              offset != payload.size()) {
-            throw std::runtime_error("malformed PRODUCED payload");
-          }
-          replies[s].produced = stats;
-          // The worker observably holds what the command carried (it
-          // applies every delta before its produce wave starts).
-          worker.has_maps = true;
-          worker.graph_version = in.graph_new_version;
-          worker.profile_version = in.profile_new_version;
-        } catch (const IpcError& e) {
-          if (e.kind() == IpcErrorKind::Timeout) {
-            fail_worker(s, "command timed out after " +
-                               std::to_string(timeout_s) +
-                               "s (killed with SIGKILL)");
-          } else {
-            // EOF / truncation / garbage: kill and reap first so the
-            // description carries how the process actually died.
-            fail_worker(s, std::string(e.what()) + " (worker " +
-                               kill_worker_now(s) + ")",
-                        /*kill=*/false);
-          }
-        } catch (const std::exception& e) {
-          fail_worker(s, e.what());
-        }
-      }
-
-      if (failed.empty()) break;
-      if (attempt == 0) {
-        for (const std::uint32_t s : failed) {
-          KNNPC_LOG(Warn) << "persistent shard " << s << " produce"
-                          << " worker failed (" << history[s]
-                          << "); respawning once with a full resync";
-          spawn_persistent_worker(rt, shard_config, work_dir, s);
-          rt.workers[s].needs_resync = true;
-        }
-        pending = std::move(failed);
-        continue;
-      }
-      std::string message = "sharded produce wave failed after one retry:";
-      for (const std::uint32_t s : failed) {
-        message += "\n  shard " + std::to_string(s) + ": " + history[s];
-      }
-      throw std::runtime_error(message);
-    }
-  }
+        mark_synced(s);
+      });
 
   // ---- Spool relay (distributed, several agents): spool (p, c) was
   // written on p's machine but c consumes it on its own. Between the
@@ -1303,111 +1196,31 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
 
   // ---- Consume phase: GO out (the barrier — every shard has spooled by
   // now), ITERATION_DONE back. A respawn replays with skip_produce
-  // instead of GO. -------------------------------------------------------
-  {
-    std::vector<std::uint32_t> pending(S);
-    for (std::uint32_t s = 0; s < S; ++s) pending[s] = s;
-    std::vector<std::string> history(S);
-    for (std::uint32_t attempt = 0; attempt < 2; ++attempt) {
-      std::vector<std::uint32_t> failed;
-      std::vector<bool> send_ok(S, true);
-      auto fail_worker = [&](std::uint32_t s, const std::string& why,
-                             bool kill = true) {
-        failed.push_back(s);
-        if (!history[s].empty()) history[s] += "; ";
-        history[s] += "attempt " + std::to_string(attempt) + ": " + why;
-        if (kill) (void)kill_worker_now(s);
-        rt.workers[s].channel = IpcChannel();
-      };
-
-      for (const std::uint32_t s : pending) {
-        PersistentWorker& worker = rt.workers[s];
-        try {
-          if (attempt == 0) {
-            worker.channel.send(kCmdGo, std::vector<std::byte>{}, timeout_s);
-            replies[s].bytes_tx += frame_wire_bytes(0);
-          } else {
-            // The respawned worker re-runs only the consume wave: the
-            // dead incarnation's spools are complete on disk, so
-            // re-producing would be wasted (and, with other shards
-            // mid-consume, unsafe).
-            const std::vector<std::byte> payload =
-                build_command(s, attempt, /*skip_produce=*/true);
-            ++replies[s].round_trips;
-            worker.channel.send(kCmdRunIteration, payload, timeout_s);
-            replies[s].bytes_tx += frame_wire_bytes(payload.size());
-          }
-        } catch (const IpcError& e) {
-          if (e.kind() == IpcErrorKind::OversizedFrame) {
-            throw std::runtime_error(
-                "sharded consume wave: command for shard " +
-                std::to_string(s) + " exceeds the IPC frame bound (" +
-                e.what() + "); use process mode for workloads of this "
-                "size");
-          }
-          send_ok[s] = false;
-          const std::string describe = worker.remote
-                                           ? kill_worker_now(s)
-                                           : worker.proc.status().describe();
-          fail_worker(s, std::string("command send failed (") + e.what() +
-                             "; worker " + describe + ")",
-                      /*kill=*/!worker.remote);
+  // instead of GO: the dead incarnation's spools are complete on disk, so
+  // re-producing would be wasted (and, with other shards mid-consume,
+  // unsafe). -------------------------------------------------------------
+  supervise_phase(
+      rt, shard_config, work_dir, "consume",
+      [&](std::uint32_t s, std::uint32_t attempt) {
+        if (attempt > 0) {
+          send_command(s, attempt, /*skip_produce=*/true);
+          return;
         }
-      }
-
-      for (const std::uint32_t s : pending) {
-        if (!send_ok[s]) continue;
-        PersistentWorker& worker = rt.workers[s];
-        try {
-          const IpcFrame frame = collect_reply(s, kRspIterationDone);
-          const std::span<const std::byte> payload(frame.payload);
-          std::size_t offset = 0;
-          ShardWorkerStats stats;
-          if (!read_record(payload, offset, stats)) {
-            throw std::runtime_error("malformed ITERATION_DONE payload");
-          }
-          replies[s].consumed = stats;
-          replies[s].result_bytes.assign(payload.begin() + offset,
-                                         payload.end());
-          // A skip-produce replay applied fresh deltas; recording the
-          // versions again for the steady path is harmless.
-          worker.has_maps = true;
-          worker.graph_version = in.graph_new_version;
-          worker.profile_version = in.profile_new_version;
-        } catch (const IpcError& e) {
-          if (e.kind() == IpcErrorKind::Timeout) {
-            fail_worker(s, "command timed out after " +
-                               std::to_string(timeout_s) +
-                               "s (killed with SIGKILL)");
-          } else {
-            fail_worker(s, std::string(e.what()) + " (worker " +
-                               kill_worker_now(s) + ")",
-                        /*kill=*/false);
-          }
-        } catch (const std::exception& e) {
-          fail_worker(s, e.what());
+        rt.workers[s].channel.send(kCmdGo, std::vector<std::byte>{},
+                                   timeout_s);
+        replies[s].bytes_tx += frame_wire_bytes(0);
+      },
+      [&](std::uint32_t s) {
+        const IpcFrame frame = collect_reply(s, kRspIterationDone);
+        const std::span<const std::byte> payload(frame.payload);
+        std::size_t offset = 0;
+        if (!read_record(payload, offset, replies[s].consumed)) {
+          throw std::runtime_error("malformed ITERATION_DONE payload");
         }
-      }
-
-      if (failed.empty()) break;
-      if (attempt == 0) {
-        for (const std::uint32_t s : failed) {
-          KNNPC_LOG(Warn) << "persistent shard " << s << " consume"
-                          << " worker failed (" << history[s]
-                          << "); respawning once with a full resync";
-          spawn_persistent_worker(rt, shard_config, work_dir, s);
-          rt.workers[s].needs_resync = true;
-        }
-        pending = std::move(failed);
-        continue;
-      }
-      std::string message = "sharded consume wave failed after one retry:";
-      for (const std::uint32_t s : failed) {
-        message += "\n  shard " + std::to_string(s) + ": " + history[s];
-      }
-      throw std::runtime_error(message);
-    }
-  }
+        replies[s].result_bytes.assign(payload.begin() + offset,
+                                       payload.end());
+        mark_synced(s);
+      });
   return replies;
 }
 
@@ -1415,94 +1228,10 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
 
 // ------------------------------------------------------ the worker role --
 
-int shard_worker_main(const fs::path& plan_file, const std::string& wave,
-                      std::uint32_t shard, std::uint32_t attempt) try {
+int persistent_worker_main(const fs::path& plan_file,
+                           std::uint32_t shard) try {
   const fs::path work_dir = plan_file.parent_path();
-  const ProcessPlan plan = load_plan_file(plan_file);
-  if (shard >= plan.shards) {
-    throw std::invalid_argument("shard " + std::to_string(shard) +
-                                " out of range (S=" +
-                                std::to_string(plan.shards) + ")");
-  }
-  const EngineConfig& config = plan.config;
-  const PartitionAssignment assignment(plan.partition_owner,
-                                       config.num_partitions);
-  const PartitionAssignment shard_owner(plan.shard_owner, plan.shards);
-  const WaveContext ctx{config,     plan.iteration,
-                        plan.shards, plan.threads_per_shard,
-                        assignment, shard_owner,
-                        work_dir};
-  const std::vector<VertexId> members = shard_owner.members(shard);
-  const PartitionStore store(work_dir / "partitions", config.io_model,
-                             config.storage_mode);
-  IoAccountant io(config.io_model);
-
-  ShardWorkerStats worker;
-  worker.shard = shard;
-  worker.users = static_cast<VertexId>(members.size());
-  worker.stats.iteration = plan.iteration;
-  worker.stats.threads_used = plan.threads_per_shard;
-  const auto fault_hook = [&] {
-    maybe_inject_fault(wave.c_str(), shard, attempt, plan.iteration);
-  };
-
-  if (wave == "produce") {
-    RecordShardWriter<Tuple> sink(
-        spools_dir(work_dir), routed_producer_stem(kSpoolStem, shard),
-        plan.shards,
-        std::max<std::size_t>(config.shard_buffer_bytes / plan.shards,
-                              sizeof(Tuple)),
-        &io);
-    produce_candidates(ctx, shard, members, store, sink, worker, fault_hook);
-    sink.finish();
-  } else if (wave == "consume") {
-    std::unique_ptr<ThreadPool> pool;
-    if (plan.threads_per_shard > 1) {
-      // The worker's main thread participates (same rule as everywhere).
-      pool = std::make_unique<ThreadPool>(plan.threads_per_shard - 1);
-    }
-    const KnnGraph prev = load_knn_graph_file(prev_graph_path(work_dir));
-    if (prev.num_vertices() != assignment.num_vertices()) {
-      throw std::runtime_error("shard_worker: G(t) snapshot vertex count "
-                               "does not match the plan");
-    }
-    ConsumerOutput out =
-        consume_candidates(ctx, shard, members, store, prev, pool.get(), &io,
-                           /*local_profiles=*/nullptr, worker, fault_hook);
-    ShardResult result;
-    result.shard = shard;
-    result.num_vertices = assignment.num_vertices();
-    result.k = config.k;
-    result.changed = out.changed;
-    result.entries.reserve(members.size());
-    for (const VertexId user : members) {
-      const auto list = out.next.neighbors(user);
-      result.entries.emplace_back(
-          user, std::vector<Neighbor>(list.begin(), list.end()));
-    }
-    save_shard_result_file(result_file_path(work_dir, shard), result);
-  } else {
-    std::fprintf(stderr, "shard_worker: unknown wave '%s'\n", wave.c_str());
-    return 2;
-  }
-
-  worker.stats.io = io.counters();
-  worker.stats.io += store.io().counters();
-  worker.stats.modeled_io_us = io.modeled_us() + store.io().modeled_us();
-  // Last write: the atomic sidecar is the completion marker the driver
-  // requires, so everything above must already be on disk.
-  save_worker_stats_file(sidecar_path(work_dir, wave, shard), worker);
-  return 0;
-} catch (const std::exception& e) {
-  std::fprintf(stderr, "shard_worker (%s wave, shard %u): %s\n",
-               wave.c_str(), shard, e.what());
-  return 12;
-}
-
-int persistent_shard_worker_main(const fs::path& plan_file,
-                                 std::uint32_t shard) try {
-  const fs::path work_dir = plan_file.parent_path();
-  const ProcessPlan plan = load_plan_file(plan_file);
+  const WorkerPlan plan = load_plan_file(plan_file);
   if (shard >= plan.shards) {
     throw std::invalid_argument("shard " + std::to_string(shard) +
                                 " out of range (S=" +
@@ -1751,9 +1480,7 @@ int persistent_shard_worker_main(const fs::path& plan_file,
 std::optional<int> maybe_run_shard_worker(int argc, char** argv) {
   bool is_worker = false;
   std::string plan;
-  std::string wave;
   std::uint32_t shard = 0;
-  std::uint32_t attempt = 0;
   bool have_shard = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
@@ -1766,25 +1493,17 @@ std::optional<int> maybe_run_shard_worker(int argc, char** argv) {
       return std::nullopt;
     };
     std::string parse_error;
-    auto parse_u32 = [&](const std::string& value, const char* flag,
-                         std::uint32_t& out) {
-      try {
-        out = static_cast<std::uint32_t>(std::stoul(value));
-      } catch (const std::exception&) {
-        parse_error = std::string("bad ") + flag + " value '" + value + "'";
-      }
-    };
     if (arg == "--shard-worker") {
       is_worker = true;
     } else if (auto v = value_of("--plan=")) {
       plan = *v;
-    } else if (auto v = value_of("--wave=")) {
-      wave = *v;
     } else if (auto v = value_of("--shard=")) {
-      parse_u32(*v, "--shard", shard);
-      have_shard = parse_error.empty();
-    } else if (auto v = value_of("--attempt=")) {
-      parse_u32(*v, "--attempt", attempt);
+      try {
+        shard = static_cast<std::uint32_t>(std::stoul(*v));
+        have_shard = true;
+      } catch (const std::exception&) {
+        parse_error = "bad --shard value '" + *v + "'";
+      }
     }
     // A parse failure only matters in the worker role; a normal binary
     // invocation must fall through to its own argv handling untouched.
@@ -1794,15 +1513,11 @@ std::optional<int> maybe_run_shard_worker(int argc, char** argv) {
     }
   }
   if (!is_worker) return std::nullopt;
-  if (plan.empty() || wave.empty() || !have_shard) {
-    std::fprintf(stderr,
-                 "--shard-worker requires --plan= --wave= --shard=\n");
+  if (plan.empty() || !have_shard) {
+    std::fprintf(stderr, "--shard-worker requires --plan= --shard=\n");
     return 2;
   }
-  if (wave == "serve") {
-    return persistent_shard_worker_main(plan, shard);
-  }
-  return shard_worker_main(plan, wave, shard, attempt);
+  return persistent_worker_main(plan, shard);
 }
 
 // ----------------------------------------------------------- the driver --
@@ -1816,7 +1531,7 @@ struct ShardedKnnEngine::Impl {
   /// (resolve_thread_count, as in the serial engine) divided by S.
   std::uint32_t threads_per_shard = 1;
   /// One pool per worker (nullptr when threads_per_shard == 1: the worker
-  /// thread itself is the one thread). Process mode leaves all slots
+  /// thread itself is the one thread). Persistent mode leaves all slots
   /// empty — each worker process builds its own pool.
   std::vector<std::unique_ptr<ThreadPool>> pools;
   /// Previous phase-1 assignment (reused when repartition_every > 1).
@@ -2018,15 +1733,14 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
   ShardedKnnGraph output(shard_owner, config_.k);
   std::vector<std::uint64_t> change_counts(S, 0);
   // I/O of the cross-shard exchange not already inside a worker's stats
-  // (thread mode: the shared spool accountant; process mode: nothing —
-  // workers account their own spool traffic in their sidecars).
+  // (thread mode: the shared spool accountant; persistent mode: nothing —
+  // workers account their own spool traffic in their replies).
   IoCounters exchange_io;
   double exchange_io_us = 0.0;
 
-  // Validates and folds one worker's ShardResult into the merged output —
-  // shared by the process (file handoff) and persistent (inline reply)
-  // paths; a worker can never smuggle a wrong-shaped or foreign-user
-  // result past this.
+  // Validates and folds one persistent worker's ShardResult into the
+  // merged output; a worker can never smuggle a wrong-shaped or
+  // foreign-user result past this.
   auto fold_result = [&](std::uint32_t s, ShardResult result) {
     if (result.shard != s || result.num_vertices != n ||
         result.k != config_.k) {
@@ -2054,63 +1768,14 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
     change_counts[s] = result.changed;
   };
 
-  if (shard_config_.worker_mode == ShardWorkerMode::Process) {
-    // ---- Process mode: persist the plan + G(t), then supervise one
-    // child process per shard per wave.
-    ProcessPlan plan;
-    plan.config = config_;
-    plan.iteration = iteration_;
-    plan.shards = S;
-    plan.threads_per_shard = impl_->threads_per_shard;
-    plan.partition_owner = owner_vector(assignment);
-    plan.shard_owner = owner_vector(shard_owner);
-    save_plan_file(plan_file_path(impl_->work_dir), plan);
-    save_knn_graph_file(prev_graph_path(impl_->work_dir), graph_);
-    fs::create_directories(impl_->work_dir / "stats");
-    fs::create_directories(impl_->work_dir / "results");
-
-    supervise_wave(ctx, shard_config_, "produce");
-    supervise_wave(ctx, shard_config_, "consume");
-
-    // Process-mode "wire" traffic is the file handoff: the plan and the
-    // G(t) snapshot in, the sidecars and result out; the two process
-    // spawns per shard play the role of heavy round trips.
-    const std::uint64_t handoff_in =
-        fs::file_size(plan_file_path(impl_->work_dir)) +
-        fs::file_size(prev_graph_path(impl_->work_dir));
-    for (std::uint32_t s = 0; s < S; ++s) {
-      const ShardWorkerStats produced =
-          load_worker_stats_file(sidecar_path(impl_->work_dir, "produce", s));
-      const ShardWorkerStats consumed =
-          load_worker_stats_file(sidecar_path(impl_->work_dir, "consume", s));
-      ShardWorkerStats& worker = out.workers[s];
-      worker.stats = sum_iteration_stats({produced.stats, consumed.stats});
-      worker.stats.iteration = iteration_;
-      worker.stats.threads_used = impl_->threads_per_shard;
-      worker.produce_s = produced.produce_s;
-      worker.consume_s = consumed.consume_s;
-      worker.spooled_tuples = consumed.spooled_tuples;
-      worker.round_trips = 2;
-      worker.bytes_tx = handoff_in;
-      worker.bytes_rx =
-          fs::file_size(sidecar_path(impl_->work_dir, "produce", s)) +
-          fs::file_size(sidecar_path(impl_->work_dir, "consume", s)) +
-          fs::file_size(result_file_path(impl_->work_dir, s));
-      worker.partitions_touched = consumed.partitions_touched;
-      worker.profile_reads = consumed.profile_reads;
-
-      fold_result(s,
-                  load_shard_result_file(result_file_path(impl_->work_dir, s)));
-    }
-  } else if (shard_config_.worker_mode == ShardWorkerMode::Persistent) {
+  if (persistent) {
     // ---- Persistent mode: spawn the fleet once, then drive both waves
     // through framed commands carrying only deltas.
     PersistentRuntime& rt = impl_->persistent;
     if (!rt.plan_written) {
-      // The static plan: config + resolved budgets. Ownership maps and
-      // G(t) travel over the channel, so the maps here stay empty and
-      // plan.iteration is meaningless to a persistent worker.
-      ProcessPlan plan;
+      // The static plan: config + resolved budgets. Ownership maps, G(t)
+      // and P(t) travel over the channel.
+      WorkerPlan plan;
       plan.config = config_;
       plan.shards = S;
       plan.threads_per_shard = impl_->threads_per_shard;
@@ -2302,9 +1967,9 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
     save_knn_graph_file(impl_->work_dir / "checkpoint_latest.knng", graph_);
   }
   if (config_.recall_samples > 0) {
-    // Thread mode reuses shard 0's pool; process mode has no driver-side
-    // pools, so spin one up for the estimator (it is O(samples * n) —
-    // the pool spawn is noise next to it).
+    // Thread mode reuses shard 0's pool; persistent mode has no
+    // driver-side pools, so spin one up for the estimator (it is
+    // O(samples * n) — the pool spawn is noise next to it).
     ThreadPool* pool = impl_->pools[0].get();
     std::unique_ptr<ThreadPool> recall_pool;
     if (pool == nullptr && impl_->threads_per_shard > 1) {

@@ -67,21 +67,14 @@ std::uint32_t resolve_shard_count(std::uint32_t requested,
 
 /// How the S workers execute one iteration's two waves.
 enum class ShardWorkerMode {
-  /// One thread per worker inside the driver's process (the PR 3 mode).
+  /// One thread per worker inside the driver's process — the in-process
+  /// reference the other mode is checked against.
   Thread,
-  /// One OS process per worker per wave: the driver re-executes
-  /// `ShardConfig::worker_exe` in the hidden --shard-worker role, with
-  /// all cross-worker state carried by files (plan, partition store,
-  /// spools, ShardResult, stats sidecar — see ARCHITECTURE.md
-  /// "Process-mode execution"). Crash containment per worker: a dead,
-  /// non-zero or wedged worker is re-executed once; a second failure
-  /// fails the iteration with a per-worker diagnostic. The merged graph
-  /// stays bit-identical to thread mode and to the serial engine.
-  Process,
   /// S worker processes spawned ONCE per run and kept alive across
-  /// iterations: each worker opens the shared partition store once and
-  /// is then driven through a length-prefixed command protocol over
-  /// pipes (util/ipc_channel.h). One heavy RUN_ITERATION command per
+  /// iterations: the driver re-executes `ShardConfig::worker_exe` in the
+  /// hidden --shard-worker role, each worker opens the shared partition
+  /// store once and is then driven through a length-prefixed command
+  /// protocol over pipes (util/ipc_channel.h). One heavy RUN_ITERATION command per
   /// iteration carries every per-iteration delta at once — ownership
   /// maps only when they changed, G(t) as a changed-rows
   /// knn_graph_delta, P(t) as a changed-users profile_delta — the
@@ -91,9 +84,7 @@ enum class ShardWorkerMode {
   /// then replies ITERATION_DONE with stats + ShardResult inline.
   /// Because profiles sync over the channel, persistent workers stream
   /// partitions edges-only: the shared store never writes or serves
-  /// .prof files in this mode. Amortises the per-wave fork+execv, plan
-  /// write, snapshot write and store re-open that Process mode pays.
-  /// Supervision: a worker that dies, replies garbage, or exceeds
+  /// .prof files in this mode. Supervision: a worker that dies, replies garbage, or exceeds
   /// `worker_timeout_s` on one command is SIGKILLed and respawned
   /// exactly once with a full graph + profile resync, and the wave
   /// replays deterministically (a consume-phase respawn re-runs only
@@ -104,8 +95,7 @@ enum class ShardWorkerMode {
   Persistent,
 };
 
-/// Parses "thread" | "process" | "persistent"; throws
-/// std::invalid_argument.
+/// Parses "thread" | "persistent"; throws std::invalid_argument.
 ShardWorkerMode parse_worker_mode(std::string_view name);
 /// Inverse of parse_worker_mode.
 const char* worker_mode_name(ShardWorkerMode mode) noexcept;
@@ -122,21 +112,19 @@ struct ShardConfig {
   /// touches ~m/S partitions instead of all m. The output graph does not
   /// depend on this choice — only load balance and partition reads do.
   std::string shard_partitioner = "range";
-  /// Thread workers (default), per-wave processes, or long-lived
-  /// processes driven over pipes.
+  /// Thread workers (default) or long-lived processes driven over pipes.
   ShardWorkerMode worker_mode = ShardWorkerMode::Thread;
-  /// Process/persistent modes: wall-clock budget for ONE wave of ONE
-  /// worker (persistent mode: for one wave command's reply). A worker
-  /// exceeding it is SIGKILLed, counted as wedged, and retried once like
-  /// any other failure. Follows the uniform timeout contract
+  /// Persistent mode: wall-clock budget for ONE worker's reply to one
+  /// wave command. A worker exceeding it is SIGKILLed, counted as
+  /// wedged, and retried once like any other failure. Follows the uniform timeout contract
   /// (util/ipc_channel.h): < 0 disables the deadline (a truly wedged
   /// worker then hangs the run — keep a bound in production), 0 polls
   /// once and treats any still-pending reply as a timeout.
   double worker_timeout_s = 600.0;
-  /// Process/persistent modes: binary to re-execute as --shard-worker;
-  /// empty = the running executable (/proc/self/exe). The binary must
-  /// dispatch maybe_run_shard_worker() before its own argv parsing —
-  /// knnpc_run, bench_shards and the process-mode test suites all do.
+  /// Persistent mode: binary to re-execute as --shard-worker; empty =
+  /// the running executable (/proc/self/exe). The binary must dispatch
+  /// maybe_run_shard_worker() before its own argv parsing — knnpc_run,
+  /// bench_shards and the worker-spawning test suites all do.
   std::string worker_exe;
   /// Distributed persistent mode: worker-agent endpoints ("host:port",
   /// one `knnpc_run --worker-agent` process each). Non-empty turns the
@@ -176,14 +164,12 @@ struct ShardWorkerStats {
   std::uint32_t spawn_count = 0;
   std::uint32_t resync_count = 0;
   /// Command-channel traffic to / from this worker this iteration,
-  /// including frame headers (persistent mode). Process mode counts the
-  /// file bytes the driver ships to and collects from the worker (plan +
-  /// G(t) snapshot in, sidecars + ShardResult out); zero in thread mode.
+  /// including frame headers (persistent mode); zero in thread mode.
   std::uint64_t bytes_tx = 0;
   std::uint64_t bytes_rx = 0;
   /// Heavy command round-trips this iteration: RUN_ITERATION commands in
   /// persistent mode (1 on the steady path; the payload-free GO barrier
-  /// is not counted), 2 in process mode (one process per wave).
+  /// is not counted).
   std::uint32_t round_trips = 0;
   /// Partitions this worker's phase-4 schedule actually streamed (pair
   /// incidence of its PI graph) — ~m/S under the pair-affinity split.
@@ -233,9 +219,9 @@ struct ShardedIterationStats {
 /// producer and one consumer thread per shard internally (each worker
 /// with its own ThreadPool, the phase-4 thread budget divided across
 /// shards) and joins them before returning. In
-/// ShardWorkerMode::Process the waves run as supervised child processes
-/// instead — same files, same merged output, crash containment per
-/// worker.
+/// ShardWorkerMode::Persistent the waves run in supervised long-lived
+/// child processes instead — same files, same merged output, crash
+/// containment per worker.
 ///
 /// Ownership: owns the profiles, the merged graph, the per-shard pools
 /// and the work directory (scratch unless EngineConfig::work_dir is set).
@@ -290,20 +276,9 @@ class ShardedKnnEngine {
 };
 
 // ---------------------------------------------------------------------------
-// The hidden --shard-worker role (process mode).
+// The hidden --shard-worker role (persistent mode).
 
-/// Entry point of one worker wave in its own process. Loads the driver's
-/// plan file, runs the `wave` ("produce" | "consume") body for `shard`,
-/// writes the wave's outputs (spools / ShardResult) and finally the stats
-/// sidecar — the atomic completion marker the driver requires before it
-/// will merge anything. Returns the process exit code (0 = success);
-/// exceptions are reported on stderr and become a non-zero code.
-int shard_worker_main(const std::filesystem::path& plan_file,
-                      const std::string& wave, std::uint32_t shard,
-                      std::uint32_t attempt);
-
-/// Entry point of one PERSISTENT worker (--wave=serve): loads the static
-/// plan, opens the shared partition store and thread pool once, sends a
+/// Entry point of one persistent worker: loads the static plan, opens the shared partition store and thread pool once, sends a
 /// READY frame on stdout and then serves RUN_ITERATION / SHUTDOWN
 /// commands from stdin until shutdown or EOF (both exit 0). Each
 /// RUN_ITERATION applies the shipped ownership / graph / profile deltas,
@@ -311,12 +286,11 @@ int shard_worker_main(const std::filesystem::path& plan_file,
 /// barrier and runs the consume wave against its worker-local profile
 /// store, replying ITERATION_DONE (a skip-produce command — the
 /// consume-phase respawn path — goes straight to the consume body). Wave
-/// bodies, spool layout and fault injection are shared with the per-wave
-/// worker; only the transport differs. Protocol errors are reported on
-/// stderr and become a non-zero exit — the driver's respawn path takes
-/// over from there.
-int persistent_shard_worker_main(const std::filesystem::path& plan_file,
-                                 std::uint32_t shard);
+/// bodies and spool layout are shared with thread mode; only the
+/// transport differs. Protocol errors are reported on stderr and become a
+/// non-zero exit — the driver's respawn path takes over from there.
+int persistent_worker_main(const std::filesystem::path& plan_file,
+                           std::uint32_t shard);
 
 /// Dispatch helper for binaries that can be re-executed as workers: when
 /// argv contains --shard-worker, runs the worker role and returns its
@@ -325,7 +299,7 @@ int persistent_shard_worker_main(const std::filesystem::path& plan_file,
 /// main() — worker argv is not meant for the normal option parsers.
 std::optional<int> maybe_run_shard_worker(int argc, char** argv);
 
-/// Fault-injection hook for the process/persistent-mode test harness.
+/// Fault-injection hook for the persistent-mode test harness.
 /// When this environment variable is set in a *worker* process
 /// (inherited from the spawning test), the worker injects the named
 /// fault mid-wave:

@@ -1,13 +1,7 @@
 #include "core/stats_io.h"
 
-#include <cstring>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
-#include <type_traits>
-
-#include "storage/block_file.h"
-#include "util/serde.h"
 
 namespace knnpc {
 
@@ -87,67 +81,6 @@ void write_shard_workers_json(
     out << "]}";
   }
   out << "\n]}\n";
-}
-
-namespace {
-
-constexpr char kStatsMagic[4] = {'K', 'W', 'S', 'T'};
-// v2: ShardWorkerStats grew the persistent-mode spawn_count/resync_count
-// counters. The version gate (not just the size check) is what turns a
-// stale sidecar from an older binary into a typed error.
-// v3: round-trip accounting — bytes_tx/bytes_rx/round_trips plus the
-// partitions_touched/profile_reads/profile_rows_rx data-movement counters.
-// v4: distributed-mode content-addressed sync accounting —
-// sync_files_tx/sync_bytes_tx/sync_files_skipped/sync_bytes_skipped.
-constexpr std::uint32_t kStatsVersion = 4;
-
-// The raw-record sidecar only works while the stats structs stay
-// trivially copyable; a std::string member added later must come with a
-// real serialiser.
-static_assert(std::is_trivially_copyable_v<IterationStats>);
-static_assert(std::is_trivially_copyable_v<ShardWorkerStats>);
-
-}  // namespace
-
-void save_worker_stats_file(const std::filesystem::path& path,
-                            const ShardWorkerStats& stats) {
-  std::vector<std::byte> bytes;
-  bytes.reserve(sizeof(kStatsMagic) + sizeof(kStatsVersion) +
-                sizeof(ShardWorkerStats));
-  for (const char c : kStatsMagic) append_record(bytes, c);
-  append_record(bytes, kStatsVersion);
-  append_record(bytes, stats);
-  IoCounters counters;  // write_file = atomic tmp + rename
-  write_file(path, bytes, counters);
-}
-
-ShardWorkerStats load_worker_stats_file(const std::filesystem::path& path) {
-  IoCounters counters;
-  const std::vector<std::byte> bytes = read_file(path, counters);
-  std::size_t offset = 0;
-  char magic[4];
-  for (char& c : magic) {
-    if (!read_record(bytes, offset, c)) {
-      throw std::runtime_error("load_worker_stats_file: truncated " +
-                               path.string());
-    }
-  }
-  if (std::memcmp(magic, kStatsMagic, sizeof(kStatsMagic)) != 0) {
-    throw std::runtime_error("load_worker_stats_file: bad magic in " +
-                             path.string());
-  }
-  std::uint32_t version = 0;
-  ShardWorkerStats stats;
-  if (!read_record(bytes, offset, version) ||
-      !read_record(bytes, offset, stats) || offset != bytes.size()) {
-    throw std::runtime_error("load_worker_stats_file: truncated or oversized "
-                             + path.string());
-  }
-  if (version != kStatsVersion) {
-    throw std::runtime_error("load_worker_stats_file: unsupported version " +
-                             std::to_string(version));
-  }
-  return stats;
 }
 
 }  // namespace knnpc

@@ -1,13 +1,8 @@
 // JSON export of engine run statistics — the machine-readable face of
 // EXPERIMENTS.md. No external JSON dependency: the schema is flat enough
 // to emit directly.
-//
-// Also home to the process-mode stats sidecar: the binary file a shard
-// worker process writes next to its outputs so the driver can fold the
-// worker's ShardWorkerStats into the merged iteration stats.
 #pragma once
 
-#include <filesystem>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -35,17 +30,5 @@ std::string run_to_json(const RunStats& run);
 /// store re-transfers zero bytes").
 void write_shard_workers_json(
     std::ostream& out, const std::vector<ShardedIterationStats>& iterations);
-
-/// Stats sidecar ("KWST"): magic, u32 version, then the raw
-/// ShardWorkerStats record. Same-build producer and consumer only (the
-/// driver and its re-executed workers are by construction the same
-/// binary), which is why the raw trivially-copyable layout is acceptable.
-/// Written atomically (tmp + rename) — the sidecar doubles as the
-/// worker's completion marker, so it must never exist half-written.
-void save_worker_stats_file(const std::filesystem::path& path,
-                            const ShardWorkerStats& stats);
-
-/// Throws std::runtime_error on bad magic, version, or size.
-ShardWorkerStats load_worker_stats_file(const std::filesystem::path& path);
 
 }  // namespace knnpc

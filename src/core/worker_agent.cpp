@@ -199,7 +199,7 @@ void WorkerAgent::run() {
             std::vector<std::string>{
                 exe, "--shard-worker",
                 "--plan=" + (run.run_dir / "plan.bin").string(),
-                "--wave=serve", "--shard=" + std::to_string(shard)},
+                "--shard=" + std::to_string(shard)},
             read_fd, child_stdout);
         KNNPC_LOG(Info) << "worker agent: spawned shard " << shard
                         << " for run '" << token << "'";

@@ -13,7 +13,7 @@
 //     files between agents, and kills remote workers by shard id when
 //     supervision demands it.
 //   * One WORKER connection per shard. After a short hello the agent
-//     spawns `<worker_exe> --shard-worker --wave=serve` with the
+//     spawns `<worker_exe> --shard-worker` with the
 //     accepted socket as the child's stdin AND stdout — the persistent
 //     worker's existing stdio protocol then runs driver <-> worker over
 //     TCP unchanged, byte for byte. The agent keeps only the process

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "storage/block_file.h"
 #include "util/fnv.h"
 #include "util/serde.h"
 
@@ -124,12 +123,6 @@ std::vector<std::byte> shard_result_to_bytes(const ShardResult& result) {
   return bytes;
 }
 
-void save_shard_result_file(const std::filesystem::path& path,
-                            const ShardResult& result) {
-  IoCounters counters;  // write_file is the atomic (tmp + rename) primitive
-  write_file(path, shard_result_to_bytes(result), counters);
-}
-
 ShardResult shard_result_from_bytes(std::span<const std::byte> bytes,
                                     const std::string& context) {
   std::size_t offset = 0;
@@ -186,12 +179,6 @@ ShardResult shard_result_from_bytes(std::span<const std::byte> bytes,
   }
   if (offset != bytes.size()) throw fail("trailing bytes");
   return result;
-}
-
-ShardResult load_shard_result_file(const std::filesystem::path& path) {
-  IoCounters counters;
-  const std::vector<std::byte> bytes = read_file(path, counters);
-  return shard_result_from_bytes(bytes, path.string());
 }
 
 std::uint64_t knn_graph_checksum(const KnnGraph& graph) {

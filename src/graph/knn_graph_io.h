@@ -8,13 +8,11 @@
 // so a long run can resume after a crash — part of the "commodity PC"
 // operational story.
 //
-// Shard-result format ("KSHR", the process-mode worker -> driver handoff):
+// Shard-result format ("KSHR", the persistent worker -> driver handoff,
+// carried inline by ITERATION_DONE replies):
 //   magic "KSHR" (4 bytes), u32 version, u32 shard, u32 n, u32 k,
 //   u64 changed, u64 entry count,
 //   then per owned user: u32 id, u32 count, count x {u32 id, f32 score}.
-// Written atomically (tmp + rename) so the driver either sees a complete
-// result or no file at all — a worker that dies mid-write leaves nothing
-// to merge (core/shard_driver.h's no-partial-merge contract).
 #pragma once
 
 #include <cstddef>
@@ -52,23 +50,13 @@ struct ShardResult {
   std::vector<std::pair<VertexId, std::vector<Neighbor>>> entries;
 };
 
-/// Writes the result atomically (tmp file + rename): the file is either
-/// absent or complete, never partial.
-void save_shard_result_file(const std::filesystem::path& path,
-                            const ShardResult& result);
-
-/// Throws std::runtime_error on bad magic, version, truncation, or
-/// out-of-range user / neighbour ids (a worker must never smuggle a
-/// corrupt result past the driver).
-ShardResult load_shard_result_file(const std::filesystem::path& path);
-
-/// The "KSHR" serialisation as bytes — the persistent-worker protocol
-/// ships ShardResults inline over the IPC channel instead of through
-/// result files; both carry exactly these bytes.
+/// The "KSHR" serialisation as bytes.
 std::vector<std::byte> shard_result_to_bytes(const ShardResult& result);
 
-/// Parses "KSHR" bytes with the same validation as the file loader;
-/// `context` names the source in error messages (a path, a worker id).
+/// Parses "KSHR" bytes; throws std::runtime_error on bad magic, version,
+/// truncation, trailing bytes, or out-of-range user / neighbour ids (a
+/// worker must never smuggle a corrupt result past the driver).
+/// `context` names the source in error messages (e.g. a worker id).
 ShardResult shard_result_from_bytes(std::span<const std::byte> bytes,
                                     const std::string& context);
 

@@ -147,7 +147,7 @@ std::vector<T> read_record_shard(const std::filesystem::path& path,
 using TupleShardWriter = RecordShardWriter<Tuple>;
 
 /// Stem of producer `p`'s private writer inside a routed spool: spool
-/// (p, c) lives at <dir>/<stem>_p<p>_<c>.bin. Exposed so a process-mode
+/// (p, c) lives at <dir>/<stem>_p<p>_<c>.bin. Exposed so a persistent
 /// shard worker (core/shard_driver.h) can reconstruct its producer sink
 /// in its own process with the exact on-disk layout RoutedShardWriter
 /// uses — the layout is defined here and nowhere else.

@@ -92,10 +92,9 @@ struct IpcFrame {
 /// Construction ignores SIGPIPE process-wide (once): a peer that died
 /// must surface as an EPIPE SysError from send(), not kill the driver.
 ///
-/// Timeout contract (uniform across send, recv and subprocess.h's
-/// wait_all): `timeout_s < 0` blocks forever, `timeout_s == 0` polls
-/// exactly once and then throws Timeout, `timeout_s > 0` is a deadline
-/// for the whole operation. The zero case still makes progress on data
+/// Timeout contract (uniform across send and recv): `timeout_s < 0`
+/// blocks forever, `timeout_s == 0` polls exactly once and then throws
+/// Timeout, `timeout_s > 0` is a deadline for the whole operation. The zero case still makes progress on data
 /// the kernel already buffered — a frame that fully arrived is drained,
 /// not reported as a timeout.
 class IpcChannel {

@@ -8,9 +8,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 namespace knnpc {
@@ -23,7 +21,6 @@ std::string SubprocessStatus::describe() const {
       return exit_code == 0 ? "exited 0"
                             : "exited with code " + std::to_string(exit_code);
     case State::Signaled: {
-      if (timed_out) return "timed out (killed with SIGKILL)";
       const char* name = strsignal(signal);
       return "killed by signal " + std::to_string(signal) + " (" +
              (name != nullptr ? name : "?") + ")";
@@ -31,9 +28,6 @@ std::string SubprocessStatus::describe() const {
   }
   return "unknown";
 }
-
-Subprocess::Subprocess(std::vector<std::string> argv)
-    : Subprocess(std::move(argv), -1, -1) {}
 
 Subprocess::Subprocess(std::vector<std::string> argv, int child_stdin_fd,
                        int child_stdout_fd)
@@ -194,49 +188,6 @@ void Subprocess::kill_now() noexcept {
     ::kill(-pid_, SIGKILL);
     ::kill(pid_, SIGKILL);  // belt-and-braces if the group is already gone
   }
-}
-
-std::vector<SubprocessStatus> wait_all(std::span<Subprocess> procs,
-                                       double timeout_s) {
-  using Clock = std::chrono::steady_clock;
-  // Uniform timeout contract (matches IpcChannel): negative waits
-  // forever, zero polls each child once and kills the stragglers.
-  const bool bounded = timeout_s >= 0.0;
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(bounded ? timeout_s
-                                                              : 0.0));
-  std::vector<bool> killed(procs.size(), false);
-  for (;;) {
-    bool all_done = true;
-    for (Subprocess& p : procs) {
-      if (p.valid() && !p.poll().finished()) all_done = false;
-    }
-    if (all_done) break;
-    if (bounded && Clock::now() >= deadline) {
-      for (std::size_t i = 0; i < procs.size(); ++i) {
-        if (procs[i].valid() && !procs[i].status().finished()) {
-          killed[i] = true;
-          procs[i].kill_now();
-        }
-      }
-      for (Subprocess& p : procs) {
-        if (p.valid()) p.wait();
-      }
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  std::vector<SubprocessStatus> out(procs.size());
-  for (std::size_t i = 0; i < procs.size(); ++i) {
-    out[i] = procs[i].status();
-    // Only a deadline kill that actually took the child down counts as a
-    // timeout — a child that finished normally in the race keeps its
-    // genuine status.
-    out[i].timed_out =
-        killed[i] && out[i].state == SubprocessStatus::State::Signaled;
-  }
-  return out;
 }
 
 std::filesystem::path current_executable() {

@@ -1,32 +1,29 @@
-// Minimal child-process plumbing for the process-mode shard driver.
+// Minimal child-process plumbing for the persistent shard workers.
 //
-// The driver re-executes its own binary in the hidden --shard-worker role
-// (core/shard_driver.h), one process per shard per wave, and needs exactly
-// four primitives: spawn an argv without a shell, poll/wait for the exit
-// status, kill a wedged child, and tell "exited N" from "died on signal S"
-// from "missed its deadline". This wraps that POSIX surface; nothing here
-// knows about shards.
+// The driver (and a worker agent) re-executes its own binary in the hidden
+// --shard-worker role (core/shard_driver.h), one long-lived process per
+// shard, and needs exactly four primitives: spawn an argv without a shell
+// (optionally with stdin/stdout wired to a channel), poll/wait for the
+// exit status, kill a wedged child, and tell "exited N" from "died on
+// signal S". This wraps that POSIX surface; nothing here knows about
+// shards.
 #pragma once
 
 #include <sys/types.h>
 
 #include <filesystem>
-#include <span>
 #include <string>
 #include <vector>
 
 namespace knnpc {
 
-/// Observed state of a child process. `timed_out` is set by wait_all()
-/// when the supervisor killed the child for exceeding its deadline — a
-/// plain signal death (e.g. fault-injected SIGKILL) leaves it false.
+/// Observed state of a child process.
 struct SubprocessStatus {
   enum class State { Running, Exited, Signaled };
 
   State state = State::Running;
   int exit_code = 0;  // valid when state == Exited
   int signal = 0;     // valid when state == Signaled
-  bool timed_out = false;
 
   [[nodiscard]] bool finished() const noexcept {
     return state != State::Running;
@@ -35,7 +32,7 @@ struct SubprocessStatus {
     return state == State::Exited && exit_code == 0;
   }
   /// Human-readable diagnosis: "exited 0", "exited with code 3",
-  /// "killed by signal 9 (Killed)", "timed out (killed with SIGKILL)".
+  /// "killed by signal 9 (Killed)".
   [[nodiscard]] std::string describe() const;
 };
 
@@ -58,16 +55,15 @@ class Subprocess {
   /// spawning thread instead of leaking as an orphan when the supervisor
   /// is killed. Throws std::runtime_error when the spawn fails (e.g. the
   /// executable does not exist).
-  explicit Subprocess(std::vector<std::string> argv);
-
-  /// Same, with the child's stdin/stdout redirected: `child_stdin_fd` is
-  /// dup2()'d onto fd 0 and `child_stdout_fd` onto fd 1 before exec (-1
-  /// leaves that stream inherited). Both fds are owned by this call and
-  /// closed in the parent on every path — pass the child ends of pipes
-  /// (e.g. IpcChannelPair's) and keep the parent ends. stderr is always
-  /// inherited so worker diagnostics reach the supervisor's log.
-  Subprocess(std::vector<std::string> argv, int child_stdin_fd,
-             int child_stdout_fd);
+  ///
+  /// `child_stdin_fd` is dup2()'d onto the child's fd 0 and
+  /// `child_stdout_fd` onto fd 1 before exec (-1 leaves that stream
+  /// inherited). Both fds are owned by this call and closed in the parent
+  /// on every path — pass the child ends of pipes (e.g. IpcChannelPair's)
+  /// and keep the parent ends. stderr is always inherited so worker
+  /// diagnostics reach the supervisor's log.
+  explicit Subprocess(std::vector<std::string> argv, int child_stdin_fd = -1,
+                      int child_stdout_fd = -1);
 
   Subprocess(Subprocess&& other) noexcept;
   Subprocess& operator=(Subprocess&& other) noexcept;
@@ -107,17 +103,6 @@ class Subprocess {
   SubprocessStatus status_;
   std::vector<std::string> argv_;
 };
-
-/// Waits for every process with one shared deadline, following the same
-/// timeout contract as IpcChannel: `timeout_s < 0` waits forever,
-/// `timeout_s == 0` polls each child exactly once, and `timeout_s > 0`
-/// is a bounded deadline. Children still running when the deadline
-/// expires (immediately, for a zero timeout) are SIGKILLed, reaped, and
-/// reported with `timed_out = true` (a child that beat the kill to a
-/// normal exit keeps its real status). Never hangs and never leaves a
-/// zombie: every child is reaped.
-std::vector<SubprocessStatus> wait_all(std::span<Subprocess> procs,
-                                       double timeout_s);
 
 /// Absolute path of the running executable (/proc/self/exe). Throws
 /// std::runtime_error if the link cannot be resolved.

@@ -1,8 +1,8 @@
 // Golden-checksum regression corpus: pinned KNN-graph checksums for fixed
 // (seed, workload) pairs, asserted against the live engine so any silent
 // determinism drift — in the serial pipeline, the thread pool, the
-// sharded driver, or process-mode execution — fails tier-1 instead of
-// shipping a plausible-looking different graph.
+// sharded driver, or persistent / distributed execution — fails tier-1
+// instead of shipping a plausible-looking different graph.
 //
 // The table lives in tests/golden/checksums.tsv (whitespace-separated:
 // name users items clusters k partitions seed iters checksum). The
@@ -12,13 +12,14 @@
 //
 //   KNNPC_UPDATE_GOLDEN=1 ./golden_test && ./golden_test
 //
-// This binary carries a custom main(): the process-mode rows re-execute
-// it as shard workers.
+// This binary carries a custom main(): the persistent and distributed
+// rows re-execute it as shard workers.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -206,6 +207,43 @@ std::uint64_t run_sharded(const GoldenRow& row, std::uint32_t shards,
   return knn_graph_checksum(engine.graph());
 }
 
+/// In-process loopback worker agents, one background thread and work
+/// root each, spawning this binary as their workers — stand-ins for
+/// remote hosts. Stopped (their workers with them) at scope exit.
+class LoopbackAgents {
+ public:
+  LoopbackAgents(const std::string& name, std::size_t count)
+      : scratch_(name) {
+    for (std::size_t a = 0; a < count; ++a) {
+      WorkerAgentConfig config;
+      config.port = 0;
+      config.work_root = scratch_.path() / ("agent_" + std::to_string(a));
+      agents_.push_back(std::make_unique<WorkerAgent>(config));
+      endpoints_.push_back("127.0.0.1:" +
+                           std::to_string(agents_.back()->port()));
+    }
+    for (const auto& agent : agents_) {
+      threads_.emplace_back([a = agent.get()] { a->run(); });
+    }
+  }
+  ~LoopbackAgents() {
+    for (const auto& agent : agents_) agent->stop();
+    for (std::thread& thread : threads_) thread.join();
+  }
+  LoopbackAgents(const LoopbackAgents&) = delete;
+  LoopbackAgents& operator=(const LoopbackAgents&) = delete;
+
+  [[nodiscard]] const std::vector<std::string>& endpoints() const {
+    return endpoints_;
+  }
+
+ private:
+  ScratchDir scratch_;
+  std::vector<std::unique_ptr<WorkerAgent>> agents_;
+  std::vector<std::thread> threads_;
+  std::vector<std::string> endpoints_;
+};
+
 std::string hex(std::uint64_t value) {
   char buffer[17];
   std::snprintf(buffer, sizeof(buffer), "%016llx",
@@ -254,9 +292,6 @@ TEST(GoldenTest, EveryExecutionModeReproducesTheGoldenGraph) {
   EXPECT_EQ(hex(run_sharded(row, 3, ShardWorkerMode::Thread)),
             hex(row.checksum))
       << "thread-mode sharded execution drifted from the golden graph";
-  EXPECT_EQ(hex(run_sharded(row, 2, ShardWorkerMode::Process)),
-            hex(row.checksum))
-      << "process-mode sharded execution drifted from the golden graph";
   EXPECT_EQ(hex(run_sharded(row, 3, ShardWorkerMode::Persistent)),
             hex(row.checksum))
       << "persistent-mode sharded execution drifted from the golden graph";
@@ -266,7 +301,9 @@ TEST(GoldenTest, ChurnWorkloadReplaysThroughEveryMode) {
   // The multi-iteration churn row exercises the regime the persistent
   // workers were built for: every mode must land on the pinned checksum
   // after >= 5 iterations of profile updates, and persistent mode must do
-  // so for several shard counts (its delta-sync path differs per S).
+  // so for several shard counts (its delta-sync path differs per S). The
+  // distributed column puts each of two shards behind its own loopback
+  // agent, so the cross-agent spool relay runs every iteration.
   const std::vector<GoldenRow> rows = load_rows();
   ASSERT_FALSE(rows.empty());
   if (std::getenv("KNNPC_UPDATE_GOLDEN") != nullptr) {
@@ -278,6 +315,7 @@ TEST(GoldenTest, ChurnWorkloadReplaysThroughEveryMode) {
   }
   ASSERT_FALSE(churn_rows.empty()) << "golden corpus lost its churn rows";
 
+  const LoopbackAgents agents("golden_churn_agents", 2);
   for (const GoldenRow* churn_row : churn_rows) {
     const GoldenRow& row = *churn_row;
     ASSERT_GE(row.iters, 5u) << row.name;
@@ -289,9 +327,10 @@ TEST(GoldenTest, ChurnWorkloadReplaysThroughEveryMode) {
               hex(row.checksum))
         << "thread-mode sharding drifted on churn workload '" << row.name
         << "'";
-    EXPECT_EQ(hex(run_sharded(row, 2, ShardWorkerMode::Process)),
+    EXPECT_EQ(hex(run_sharded(row, 2, ShardWorkerMode::Persistent,
+                              agents.endpoints())),
               hex(row.checksum))
-        << "process-mode sharding drifted on churn workload '" << row.name
+        << "distributed execution drifted on churn workload '" << row.name
         << "'";
     for (const std::uint32_t shards : {1u, 2u, 3u, 5u}) {
       EXPECT_EQ(hex(run_sharded(row, shards, ShardWorkerMode::Persistent)),
@@ -315,14 +354,8 @@ TEST(GoldenTest, DistributedLoopbackReproducesTheGoldenGraph) {
     GTEST_SKIP() << "corpus being regenerated; modes covered on rerun";
   }
 
-  ScratchDir scratch("golden_distributed_agent");
-  WorkerAgentConfig agent_config;
-  agent_config.port = 0;
-  agent_config.work_root = scratch.path();
-  WorkerAgent agent(agent_config);  // spawns this binary as its workers
-  std::thread agent_thread([&] { agent.run(); });
-  const std::vector<std::string> endpoints = {
-      "127.0.0.1:" + std::to_string(agent.port())};
+  const LoopbackAgents agent("golden_distributed_agent", 1);
+  const std::vector<std::string>& endpoints = agent.endpoints();
 
   const GoldenRow& base = rows.front();
   EXPECT_EQ(hex(run_sharded(base, 3, ShardWorkerMode::Persistent, endpoints)),
@@ -337,16 +370,14 @@ TEST(GoldenTest, DistributedLoopbackReproducesTheGoldenGraph) {
         << "'";
     break;  // one churn row keeps the replay inside the suite's budget
   }
-
-  agent.stop();
-  agent_thread.join();
 }
 
 TEST(GoldenTest, WorkloadZooReplaysThroughEveryMode) {
   // One pinned row per registered zoo scenario (wl-<name>), replayed
   // through every execution mode — the cross-mode differential harness in
   // regression form. Persistent mode again sweeps shard counts, since its
-  // delta-sync path differs per S.
+  // delta-sync path differs per S; the distributed column relays spools
+  // between two loopback agents on every scenario.
   const std::vector<GoldenRow> rows = load_rows();
   ASSERT_FALSE(rows.empty());
   if (std::getenv("KNNPC_UPDATE_GOLDEN") != nullptr) {
@@ -359,6 +390,7 @@ TEST(GoldenTest, WorkloadZooReplaysThroughEveryMode) {
   ASSERT_EQ(wl_rows.size(), workload_names().size())
       << "every workload-zoo scenario needs a pinned wl- golden row";
 
+  const LoopbackAgents agents("golden_zoo_agents", 2);
   for (const GoldenRow* wl_row : wl_rows) {
     const GoldenRow& row = *wl_row;
     EXPECT_EQ(hex(run_serial(row, 2)), hex(row.checksum))
@@ -366,9 +398,10 @@ TEST(GoldenTest, WorkloadZooReplaysThroughEveryMode) {
     EXPECT_EQ(hex(run_sharded(row, 3, ShardWorkerMode::Thread)),
               hex(row.checksum))
         << "thread-mode sharding drifted on '" << row.name << "'";
-    EXPECT_EQ(hex(run_sharded(row, 2, ShardWorkerMode::Process)),
+    EXPECT_EQ(hex(run_sharded(row, 2, ShardWorkerMode::Persistent,
+                              agents.endpoints())),
               hex(row.checksum))
-        << "process-mode sharding drifted on '" << row.name << "'";
+        << "distributed execution drifted on '" << row.name << "'";
     for (const std::uint32_t shards : {1u, 2u, 3u, 5u}) {
       EXPECT_EQ(hex(run_sharded(row, shards, ShardWorkerMode::Persistent)),
                 hex(row.checksum))
@@ -382,7 +415,7 @@ TEST(GoldenTest, WorkloadZooReplaysThroughEveryMode) {
 }  // namespace knnpc
 
 int main(int argc, char** argv) {
-  // Process-mode rows re-execute this binary as shard workers.
+  // Persistent and distributed rows re-execute this binary as workers.
   if (const auto worker_exit = knnpc::maybe_run_shard_worker(argc, argv)) {
     return *worker_exit;
   }

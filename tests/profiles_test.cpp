@@ -64,6 +64,35 @@ TEST(SparseProfileTest, NormIsL2AndTracksMutation) {
   EXPECT_DOUBLE_EQ(p.norm(), 3.0);
 }
 
+// norm() is precomputed by every mutation (so concurrent readers never
+// write); it must stay bit-equal to an in-order double sum of the live
+// entries — the value the scoring kernels were pinned against.
+TEST(SparseProfileTest, NormMatchesInOrderRecomputationAfterEveryMutation) {
+  auto recomputed = [](const SparseProfile& p) {
+    double sq = 0.0;
+    for (const ProfileEntry& e : p.entries()) {
+      sq += static_cast<double>(e.weight) * e.weight;
+    }
+    return std::sqrt(sq);
+  };
+  SparseProfile p({{7, 0.1f}, {3, 1.7f}, {11, 2.3f}, {3, 0.2f}});
+  EXPECT_EQ(p.norm(), recomputed(p)) << "construct";
+  p.set(5, 0.3f);
+  EXPECT_EQ(p.norm(), recomputed(p)) << "set (insert)";
+  p.set(7, 1.9f);
+  EXPECT_EQ(p.norm(), recomputed(p)) << "set (update)";
+  p.add(11, 0.7f);
+  EXPECT_EQ(p.norm(), recomputed(p)) << "add";
+  p.set(3, 0.0f);
+  EXPECT_EQ(p.norm(), recomputed(p)) << "erase";
+  const SparseProfile copy = p;
+  EXPECT_EQ(copy.norm(), recomputed(copy)) << "copy";
+  EXPECT_EQ(copy.norm(), p.norm());
+  p.add(5, -0.3f);
+  EXPECT_EQ(p.norm(), recomputed(p)) << "add to zero";
+  EXPECT_EQ(SparseProfile().norm(), 0.0);
+}
+
 TEST(SparseProfileTest, EqualityComparesEntries) {
   SparseProfile a({{1, 1.0f}});
   SparseProfile b({{1, 1.0f}});

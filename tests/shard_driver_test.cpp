@@ -231,6 +231,16 @@ TEST(ShardDriverTest, InvalidConfigsThrow) {
                std::invalid_argument);
 }
 
+TEST(ShardDriverTest, WorkerModeNamesRoundTripAndRejectUnknown) {
+  for (const ShardWorkerMode mode :
+       {ShardWorkerMode::Thread, ShardWorkerMode::Persistent}) {
+    EXPECT_EQ(parse_worker_mode(worker_mode_name(mode)), mode);
+  }
+  // The per-wave process mode is gone; its name must not parse.
+  EXPECT_THROW((void)parse_worker_mode("process"), std::invalid_argument);
+  EXPECT_THROW((void)parse_worker_mode(""), std::invalid_argument);
+}
+
 // ------------------------------------------------- resolve_shard_count --
 
 TEST(ResolveShardCountTest, ExplicitTakenVerbatimClampedToUsers) {

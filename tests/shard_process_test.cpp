@@ -1,11 +1,9 @@
-// Tests for process-mode AND persistent-mode shard execution
-// (core/shard_driver with ShardWorkerMode::Process / Persistent): the
-// determinism contract across execution modes — serial engine vs
-// thread-mode vs process-mode vs persistent workers, bit-identical for
-// any shard count — plus the fault-injection harness proving both
-// supervision contracts: a killed, non-zero-exiting or wedged worker is
-// deterministically re-executed (process mode) or respawned with a
-// full-snapshot resync (persistent mode) exactly once; a second failure
+// Tests for persistent-mode shard execution (core/shard_driver with
+// ShardWorkerMode::Persistent): the determinism contract across execution
+// modes — serial engine vs thread-mode vs persistent workers, bit-identical
+// for any shard count — plus the fault-injection harness proving the
+// supervision contract: a killed, non-zero-exiting or wedged worker is
+// respawned with a full-snapshot resync exactly once; a second failure
 // fails the run with a per-worker diagnostic; the driver never hangs and
 // never merges a failed worker's partial output.
 //
@@ -14,18 +12,25 @@
 // role before gtest sees argv.
 #include <gtest/gtest.h>
 
+#include <sys/types.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <csignal>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/churn.h"
 #include "core/engine.h"
 #include "core/shard_driver.h"
-#include "core/stats_io.h"
 #include "graph/knn_graph_io.h"
 #include "profiles/generators.h"
-#include "storage/block_file.h"
 #include "util/rng.h"
 #include "workloads/workload.h"
 
@@ -53,11 +58,11 @@ EngineConfig base_config() {
   return config;
 }
 
-ShardConfig process_config(std::uint32_t shards,
-                           double timeout_s = 120.0) {
+ShardConfig persistent_config(std::uint32_t shards,
+                              double timeout_s = 120.0) {
   ShardConfig shard_config;
   shard_config.shards = shards;
-  shard_config.worker_mode = ShardWorkerMode::Process;
+  shard_config.worker_mode = ShardWorkerMode::Persistent;
   shard_config.worker_timeout_s = timeout_s;
   return shard_config;
 }
@@ -88,220 +93,12 @@ class FaultGuard {
   FaultGuard& operator=(const FaultGuard&) = delete;
 };
 
-// ------------------------------------------------ determinism contract --
-
-class ProcessShardCountTest
-    : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(ProcessShardCountTest, ProcessModeBitIdenticalToSerialAndThread) {
-  const EngineConfig config = base_config();
-  const std::vector<std::uint64_t> serial =
-      serial_checksums(config, 80, 4, 2);
-
-  ShardConfig thread_config;
-  thread_config.shards = GetParam();
-  ShardedKnnEngine threaded(config, thread_config, clustered(80, 4));
-  ShardedKnnEngine processed(config, process_config(GetParam()),
-                             clustered(80, 4));
-  EXPECT_EQ(processed.num_shards(), GetParam());
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    const ShardedIterationStats thread_stats = threaded.run_iteration();
-    const ShardedIterationStats process_stats = processed.run_iteration();
-    EXPECT_EQ(knn_graph_checksum(threaded.graph()), serial[i])
-        << "thread mode, S=" << GetParam() << " iteration " << i;
-    EXPECT_EQ(knn_graph_checksum(processed.graph()), serial[i])
-        << "process mode, S=" << GetParam() << " iteration " << i;
-    // The shard-count/mode-invariant merged counters agree too.
-    EXPECT_EQ(process_stats.merged.candidate_tuples,
-              thread_stats.merged.candidate_tuples);
-    EXPECT_EQ(process_stats.merged.unique_tuples,
-              thread_stats.merged.unique_tuples);
-    EXPECT_DOUBLE_EQ(process_stats.merged.change_rate,
-                     thread_stats.merged.change_rate);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ShardCounts, ProcessShardCountTest,
-                         ::testing::Values(1u, 2u, 3u, 5u));
-
-TEST(ShardProcessTest, SpillScoresPathBitIdentical) {
-  EngineConfig config = base_config();
-  config.spill_scores = true;
-  const std::vector<std::uint64_t> serial =
-      serial_checksums(config, 80, 4, 2);
-  ShardedKnnEngine processed(config, process_config(3), clustered(80, 4));
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    processed.run_iteration();
-    EXPECT_EQ(knn_graph_checksum(processed.graph()), serial[i])
-        << "iteration " << i;
-  }
-}
-
-TEST(ShardProcessTest, SamplingAndReverseCandidatesBitIdentical) {
-  EngineConfig config = base_config();
-  config.sample_rate = 0.5;
-  config.include_reverse = true;
-  const std::vector<std::uint64_t> serial =
-      serial_checksums(config, 90, 5, 2);
-  ShardedKnnEngine processed(config, process_config(3), clustered(90, 5));
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    processed.run_iteration();
-    EXPECT_EQ(knn_graph_checksum(processed.graph()), serial[i])
-        << "iteration " << i;
-  }
-}
-
-TEST(ShardProcessTest, WorkerStatsArriveThroughSidecars) {
-  const EngineConfig config = base_config();
-  ShardedKnnEngine processed(config, process_config(3), clustered(80, 4));
-  const ShardedIterationStats stats = processed.run_iteration();
-
-  ASSERT_EQ(stats.workers.size(), 3u);
-  VertexId users = 0;
-  std::uint64_t unique = 0;
-  for (const ShardWorkerStats& w : stats.workers) {
-    users += w.users;
-    unique += w.stats.unique_tuples;
-    EXPECT_EQ(w.stats.threads_used, processed.threads_per_shard());
-    EXPECT_GT(w.spooled_tuples, 0u);
-    EXPECT_GE(w.spooled_tuples, w.stats.unique_tuples);
-    EXPECT_GT(w.produce_s, 0.0);
-    EXPECT_GT(w.consume_s, 0.0);
-    EXPECT_GT(w.stats.io.bytes_read, 0u);
-  }
-  EXPECT_EQ(users, 80u);
-  EXPECT_EQ(unique, stats.merged.unique_tuples);
-}
-
-// ------------------------------------------------------ fault injection --
-
-TEST(ShardFaultTest, ProducerKilledMidWaveIsRetriedOnceAndRecovers) {
-  EngineConfig config = base_config();
-  // A tiny spool buffer forces flushes mid-generation, so the killed
-  // attempt leaves genuinely partial spool files on disk — the retry
-  // must discard them, not merge them.
-  config.shard_buffer_bytes = 64;
-  const std::vector<std::uint64_t> serial =
-      serial_checksums(config, 80, 4, 1);
-
-  FaultGuard fault("produce:1:kill:0");  // attempt 0 only
-  ShardedKnnEngine processed(config, process_config(3), clustered(80, 4));
-  processed.run_iteration();
-  EXPECT_EQ(knn_graph_checksum(processed.graph()), serial[0]);
-}
-
-TEST(ShardFaultTest, ConsumerExitingNonZeroMidWaveIsRetriedOnce) {
-  const EngineConfig config = base_config();
-  const std::vector<std::uint64_t> serial =
-      serial_checksums(config, 80, 4, 1);
-
-  FaultGuard fault("consume:0:exit:0");
-  ShardedKnnEngine processed(config, process_config(3), clustered(80, 4));
-  processed.run_iteration();
-  EXPECT_EQ(knn_graph_checksum(processed.graph()), serial[0]);
-}
-
-TEST(ShardFaultTest, WedgedConsumerHitsTimeoutAndRetrySucceeds) {
-  const EngineConfig config = base_config();
-  const std::vector<std::uint64_t> serial =
-      serial_checksums(config, 80, 4, 1);
-
-  FaultGuard fault("consume:1:wedge:0");
-  ShardedKnnEngine processed(config,
-                             process_config(3, /*timeout_s=*/2.0),
-                             clustered(80, 4));
-  processed.run_iteration();  // must not hang: deadline kill + retry
-  EXPECT_EQ(knn_graph_checksum(processed.graph()), serial[0]);
-}
-
-TEST(ShardFaultTest, PersistentlyKilledProducerFailsAfterOneRetry) {
-  const EngineConfig config = base_config();
-  FaultGuard fault("produce:2:kill");  // every attempt
-  ShardedKnnEngine processed(config, process_config(3), clustered(80, 4));
-  const std::uint64_t before = knn_graph_checksum(processed.graph());
-  try {
-    processed.run_iteration();
-    FAIL() << "expected the produce wave to fail after one retry";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("produce wave failed after one retry"),
-              std::string::npos)
-        << what;
-    EXPECT_NE(what.find("shard 2"), std::string::npos) << what;
-    EXPECT_NE(what.find("killed by signal 9"), std::string::npos) << what;
-    EXPECT_NE(what.find("attempt 1"), std::string::npos) << what;
-  }
-  // No partial merge: G(t) is untouched by the failed iteration.
-  EXPECT_EQ(knn_graph_checksum(processed.graph()), before);
-}
-
-TEST(ShardFaultTest, PersistentNonZeroExitReportsPerWorkerDiagnostic) {
-  const EngineConfig config = base_config();
-  FaultGuard fault("consume:1:exit");
-  ShardedKnnEngine processed(config, process_config(3), clustered(80, 4));
-  const std::uint64_t before = knn_graph_checksum(processed.graph());
-  try {
-    processed.run_iteration();
-    FAIL() << "expected the consume wave to fail after one retry";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("consume wave failed after one retry"),
-              std::string::npos)
-        << what;
-    EXPECT_NE(what.find("shard 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("exited with code 3"), std::string::npos) << what;
-  }
-  EXPECT_EQ(knn_graph_checksum(processed.graph()), before);
-}
-
-TEST(ShardFaultTest, PersistentWedgeTimesOutTwiceAndFails) {
-  const EngineConfig config = base_config();
-  FaultGuard fault("produce:0:wedge");
-  ShardedKnnEngine processed(config,
-                             process_config(2, /*timeout_s=*/1.0),
-                             clustered(60, 3));
-  const std::uint64_t before = knn_graph_checksum(processed.graph());
-  try {
-    processed.run_iteration();  // two bounded attempts, then throw
-    FAIL() << "expected the wedged worker to fail the run";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("timed out"), std::string::npos) << what;
-    EXPECT_NE(what.find("shard 0"), std::string::npos) << what;
-  }
-  EXPECT_EQ(knn_graph_checksum(processed.graph()), before);
-}
-
-TEST(ShardFaultTest, RecoveredRunKeepsIteratingNormally) {
-  const EngineConfig config = base_config();
-  const std::vector<std::uint64_t> serial =
-      serial_checksums(config, 80, 4, 2);
-  ShardedKnnEngine processed(config, process_config(3), clustered(80, 4));
-  {
-    FaultGuard fault("consume:2:kill:0");
-    processed.run_iteration();
-  }
-  EXPECT_EQ(knn_graph_checksum(processed.graph()), serial[0]);
-  processed.run_iteration();  // fault cleared; second iteration clean
-  EXPECT_EQ(knn_graph_checksum(processed.graph()), serial[1]);
-}
-
 // --------------------------------------------------- persistent workers --
-// Persistent mode re-runs the same contracts over a genuinely
-// multi-iteration, profile-churning workload: that is the regime the
-// long-lived workers (and their G(t) delta sync) exist for, and it makes
-// iteration-targeted fault injection meaningful (kill a worker that has
-// already served iterations, prove the respawn + full resync replays the
-// wave bit-identically).
-
-ShardConfig persistent_config(std::uint32_t shards,
-                              double timeout_s = 120.0) {
-  ShardConfig shard_config;
-  shard_config.shards = shards;
-  shard_config.worker_mode = ShardWorkerMode::Persistent;
-  shard_config.worker_timeout_s = timeout_s;
-  return shard_config;
-}
+// Most cases run a genuinely multi-iteration, profile-churning workload:
+// that is the regime the long-lived workers (and their G(t) delta sync)
+// exist for, and it makes iteration-targeted fault injection meaningful
+// (kill a worker that has already served iterations, prove the respawn +
+// full resync replays the wave bit-identically).
 
 /// Churn matching the clustered() workload generator, so drift targets
 /// land in real clusters. Same config => same update stream, whichever
@@ -359,8 +156,8 @@ TEST_P(PersistentShardCountTest, ChurnWorkloadBitIdenticalToSerial) {
   EXPECT_EQ(engine.num_shards(), GetParam());
   const ShardedIterationStats last =
       run_persistent_churn(engine, 80, 4, serial);
-  // One spawn per worker for the whole 5-iteration run — the amortisation
-  // process mode cannot offer — and no resyncs without faults.
+  // One spawn per worker for the whole 5-iteration run and no resyncs
+  // without faults.
   ASSERT_EQ(last.workers.size(), GetParam());
   for (const ShardWorkerStats& w : last.workers) {
     EXPECT_EQ(w.spawn_count, 1u) << "shard " << w.shard;
@@ -404,6 +201,42 @@ TEST(PersistentShardTest, SpillScoresPathBitIdentical) {
       serial_churn_checksums(config, 80, 4, 3);
   ShardedKnnEngine engine(config, persistent_config(3), clustered(80, 4));
   run_persistent_churn(engine, 80, 4, serial);
+}
+
+TEST(PersistentShardTest, SamplingAndReverseCandidatesBitIdentical) {
+  EngineConfig config = base_config();
+  config.sample_rate = 0.5;
+  config.include_reverse = true;
+  const std::vector<std::uint64_t> serial =
+      serial_checksums(config, 90, 5, 2);
+  ShardedKnnEngine engine(config, persistent_config(3), clustered(90, 5));
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    engine.run_iteration();
+    EXPECT_EQ(knn_graph_checksum(engine.graph()), serial[i])
+        << "iteration " << i;
+  }
+}
+
+TEST(PersistentShardTest, WorkerStatsArriveThroughReplies) {
+  const EngineConfig config = base_config();
+  ShardedKnnEngine engine(config, persistent_config(3), clustered(80, 4));
+  const ShardedIterationStats stats = engine.run_iteration();
+
+  ASSERT_EQ(stats.workers.size(), 3u);
+  VertexId users = 0;
+  std::uint64_t unique = 0;
+  for (const ShardWorkerStats& w : stats.workers) {
+    users += w.users;
+    unique += w.stats.unique_tuples;
+    EXPECT_EQ(w.stats.threads_used, engine.threads_per_shard());
+    EXPECT_GT(w.spooled_tuples, 0u);
+    EXPECT_GE(w.spooled_tuples, w.stats.unique_tuples);
+    EXPECT_GT(w.produce_s, 0.0);
+    EXPECT_GT(w.consume_s, 0.0);
+    EXPECT_GT(w.stats.io.bytes_read, 0u);
+  }
+  EXPECT_EQ(users, 80u);
+  EXPECT_EQ(unique, stats.merged.unique_tuples);
 }
 
 // ------------------------------------- persistent-mode fault injection --
@@ -533,10 +366,123 @@ TEST(PersistentFaultTest, RunContinuesNormallyAfterRecovery) {
   }
 }
 
-// ---------------------------------------- on-disk format round-trips --
+TEST(PersistentFaultTest, ConsumerExitingOnBothAttemptsFailsWithDiagnostic) {
+  const EngineConfig config = base_config();
+  FaultGuard fault("consume:1:exit");  // every attempt
+  ShardedKnnEngine engine(config, persistent_config(3), clustered(80, 4));
+  const std::uint64_t before = knn_graph_checksum(engine.graph());
+  try {
+    engine.run_iteration();
+    FAIL() << "expected the consume wave to fail after one retry";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("consume wave failed after one retry"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("shard 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("exited with code 3"), std::string::npos) << what;
+  }
+  EXPECT_EQ(knn_graph_checksum(engine.graph()), before);
+}
 
-TEST(ShardResultIoTest, RoundTripsThroughDisk) {
-  ScratchDir scratch("shard_result_io");
+TEST(PersistentFaultTest, WedgedOnBothAttemptsTimesOutAndFails) {
+  const EngineConfig config = base_config();
+  FaultGuard fault("produce:0:wedge");  // every attempt
+  ShardedKnnEngine engine(config, persistent_config(2, /*timeout_s=*/2.0),
+                          clustered(60, 3));
+  const std::uint64_t before = knn_graph_checksum(engine.graph());
+  try {
+    engine.run_iteration();  // two bounded attempts, then throw
+    FAIL() << "expected the wedged worker to fail the run";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("timed out"), std::string::npos) << what;
+    EXPECT_NE(what.find("shard 0"), std::string::npos) << what;
+  }
+  EXPECT_EQ(knn_graph_checksum(engine.graph()), before);
+}
+
+/// The pid of this process's child whose argv carries `arg` exactly, or
+/// -1 — how a test reaches one persistent worker from outside the driver.
+pid_t find_child_with_arg(const std::string& arg) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  for (const fs::directory_entry& entry : fs::directory_iterator("/proc", ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find_first_not_of("0123456789") != std::string::npos) continue;
+    std::ifstream stat(entry.path() / "stat");
+    std::string line;
+    if (!std::getline(stat, line)) continue;
+    // "pid (comm) state ppid ...": comm may hold spaces, so parse after
+    // the last ')'.
+    const std::size_t close = line.rfind(')');
+    if (close == std::string::npos) continue;
+    std::istringstream fields(line.substr(close + 1));
+    char state = 0;
+    pid_t ppid = 0;
+    if (!(fields >> state >> ppid) || ppid != ::getpid()) continue;
+    std::ifstream cmdline(entry.path() / "cmdline", std::ios::binary);
+    std::string token;
+    while (std::getline(cmdline, token, '\0')) {
+      if (token == arg) return static_cast<pid_t>(std::stol(name));
+    }
+  }
+  return -1;
+}
+
+/// Kernel-side state letter of `pid` ('Z' = exited, awaiting reap).
+char process_state(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  if (!std::getline(stat, line)) return '?';
+  const std::size_t close = line.rfind(')');
+  return close == std::string::npos || close + 2 >= line.size()
+             ? '?'
+             : line[close + 2];
+}
+
+TEST(PersistentFaultTest, SendToDeadWorkerReportsHowItDied) {
+  // A worker that died between iterations surfaces as a failed command
+  // send (EPIPE). The diagnostic must come from the reaped corpse, not
+  // the unpolled handle ("still running").
+  const EngineConfig config = base_config();
+  ShardedKnnEngine engine(config, persistent_config(3), clustered(80, 4));
+  engine.run_iteration();
+  const std::uint64_t before = knn_graph_checksum(engine.graph());
+
+  const pid_t worker = find_child_with_arg("--shard=1");
+  ASSERT_GT(worker, 0) << "no live worker child carries --shard=1";
+  ASSERT_EQ(::kill(worker, SIGKILL), 0);
+  // Wait until the kernel has closed its pipes (zombie, not yet reaped).
+  for (int i = 0; i < 5000 && process_state(worker) != 'Z'; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(process_state(worker), 'Z');
+
+  FaultGuard fault("produce:1:kill:1:1");  // the respawn dies too
+  try {
+    engine.run_iteration();
+    FAIL() << "expected the produce wave to fail after one retry";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("produce wave failed after one retry"),
+              std::string::npos)
+        << what;
+    const std::size_t first = what.find("attempt 0: command send failed");
+    const std::size_t second = what.find("attempt 1:");
+    ASSERT_NE(first, std::string::npos) << what;
+    ASSERT_NE(second, std::string::npos) << what;
+    const std::string attempt0 = what.substr(first, second - first);
+    EXPECT_NE(attempt0.find("killed by signal 9"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("still running"), std::string::npos) << what;
+  }
+  EXPECT_EQ(knn_graph_checksum(engine.graph()), before);
+}
+
+// ------------------------------------------------ KSHR result codec --
+
+TEST(ShardResultIoTest, RoundTripsThroughBytes) {
   ShardResult result;
   result.shard = 2;
   result.num_vertices = 10;
@@ -545,10 +491,9 @@ TEST(ShardResultIoTest, RoundTripsThroughDisk) {
   result.entries.emplace_back(
       1, std::vector<Neighbor>{{4, 0.75f}, {9, 0.5f}});
   result.entries.emplace_back(7, std::vector<Neighbor>{});
-  const auto path = scratch.path() / "shard_2.res";
-  save_shard_result_file(path, result);
 
-  const ShardResult loaded = load_shard_result_file(path);
+  const ShardResult loaded =
+      shard_result_from_bytes(shard_result_to_bytes(result), "round trip");
   EXPECT_EQ(loaded.shard, 2u);
   EXPECT_EQ(loaded.num_vertices, 10u);
   EXPECT_EQ(loaded.k, 3u);
@@ -561,14 +506,12 @@ TEST(ShardResultIoTest, RoundTripsThroughDisk) {
   EXPECT_TRUE(loaded.entries[1].second.empty());
 }
 
-TEST(ShardResultIoTest, RejectsCorruptFiles) {
-  ScratchDir scratch("shard_result_bad");
-  const auto path = scratch.path() / "bad.res";
-  EXPECT_THROW((void)load_shard_result_file(path), std::runtime_error);
-
-  IoCounters counters;
-  write_file(path, std::vector<std::byte>(8, std::byte{0x5a}), counters);
-  EXPECT_THROW((void)load_shard_result_file(path), std::runtime_error);
+TEST(ShardResultIoTest, RejectsCorruptBytes) {
+  EXPECT_THROW((void)shard_result_from_bytes({}, "empty"),
+               std::runtime_error);
+  const std::vector<std::byte> garbage(8, std::byte{0x5a});
+  EXPECT_THROW((void)shard_result_from_bytes(garbage, "garbage"),
+               std::runtime_error);
 
   // A valid header truncated mid-entry must be rejected too.
   ShardResult result;
@@ -576,55 +519,9 @@ TEST(ShardResultIoTest, RejectsCorruptFiles) {
   result.num_vertices = 4;
   result.k = 2;
   result.entries.emplace_back(1, std::vector<Neighbor>{{2, 1.0f}});
-  save_shard_result_file(path, result);
-  IoCounters read_counters;
-  auto bytes = read_file(path, read_counters);
+  std::vector<std::byte> bytes = shard_result_to_bytes(result);
   bytes.resize(bytes.size() - 3);
-  write_file(path, bytes, counters);
-  EXPECT_THROW((void)load_shard_result_file(path), std::runtime_error);
-}
-
-TEST(WorkerStatsIoTest, SidecarRoundTrips) {
-  ScratchDir scratch("worker_stats_io");
-  ShardWorkerStats stats;
-  stats.shard = 3;
-  stats.users = 123;
-  stats.spooled_tuples = 456;
-  stats.produce_s = 0.25;
-  stats.consume_s = 0.5;
-  stats.spawn_count = 2;
-  stats.resync_count = 1;
-  stats.bytes_tx = 7000000000ull;  // must survive as a full u64
-  stats.bytes_rx = 12345;
-  stats.round_trips = 2;
-  stats.partitions_touched = 7;
-  stats.profile_reads = 21;
-  stats.profile_rows_rx = 80;
-  stats.stats.unique_tuples = 99;
-  stats.stats.io.bytes_read = 1024;
-  stats.stats.sampled_recall = 0.875;
-  const auto path = scratch.path() / "produce_3.stats";
-  save_worker_stats_file(path, stats);
-
-  const ShardWorkerStats loaded = load_worker_stats_file(path);
-  EXPECT_EQ(loaded.shard, 3u);
-  EXPECT_EQ(loaded.users, 123u);
-  EXPECT_EQ(loaded.spooled_tuples, 456u);
-  EXPECT_DOUBLE_EQ(loaded.produce_s, 0.25);
-  EXPECT_EQ(loaded.spawn_count, 2u);
-  EXPECT_EQ(loaded.resync_count, 1u);
-  EXPECT_EQ(loaded.bytes_tx, 7000000000ull);
-  EXPECT_EQ(loaded.bytes_rx, 12345u);
-  EXPECT_EQ(loaded.round_trips, 2u);
-  EXPECT_EQ(loaded.partitions_touched, 7u);
-  EXPECT_EQ(loaded.profile_reads, 21u);
-  EXPECT_EQ(loaded.profile_rows_rx, 80u);
-  EXPECT_EQ(loaded.stats.unique_tuples, 99u);
-  EXPECT_EQ(loaded.stats.io.bytes_read, 1024u);
-  ASSERT_TRUE(loaded.stats.sampled_recall.has_value());
-  EXPECT_DOUBLE_EQ(*loaded.stats.sampled_recall, 0.875);
-
-  EXPECT_THROW((void)load_worker_stats_file(scratch.path() / "missing"),
+  EXPECT_THROW((void)shard_result_from_bytes(bytes, "truncated"),
                std::runtime_error);
 }
 

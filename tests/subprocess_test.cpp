@@ -1,6 +1,5 @@
 // Tests for util/subprocess: spawn/poll/wait/kill semantics, exit-code vs
-// signal reporting, the shared-deadline wait_all (the shard driver's wedge
-// detector), and current_executable.
+// signal reporting, and current_executable.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
@@ -45,7 +44,6 @@ TEST(SubprocessTest, SignalDeathIsDistinguishedFromExit) {
   EXPECT_EQ(status.state, SubprocessStatus::State::Signaled);
   EXPECT_EQ(status.signal, SIGKILL);
   EXPECT_FALSE(status.success());
-  EXPECT_FALSE(status.timed_out);
   EXPECT_NE(status.describe().find("killed by signal 9"), std::string::npos);
 }
 
@@ -106,73 +104,6 @@ TEST(SubprocessTest, MoveTransfersOwnership) {
   Subprocess q = std::move(p);
   EXPECT_FALSE(p.valid());  // NOLINT(bugprone-use-after-move): spec'd
   EXPECT_EQ(q.wait().exit_code, 5);
-}
-
-// ------------------------------------------------------------ wait_all --
-
-TEST(WaitAllTest, CollectsMixedStatuses) {
-  std::vector<Subprocess> procs;
-  procs.push_back(shell("exit 0"));
-  procs.push_back(shell("exit 4"));
-  procs.push_back(shell("kill -9 $$"));
-  const auto statuses = wait_all(procs, /*timeout_s=*/30.0);
-  ASSERT_EQ(statuses.size(), 3u);
-  EXPECT_TRUE(statuses[0].success());
-  EXPECT_EQ(statuses[1].exit_code, 4);
-  EXPECT_EQ(statuses[2].signal, SIGKILL);
-  EXPECT_FALSE(statuses[2].timed_out);
-}
-
-TEST(WaitAllTest, DeadlineKillsWedgedChildrenAndMarksThem) {
-  std::vector<Subprocess> procs;
-  procs.push_back(shell("exit 0"));
-  procs.push_back(shell("sleep 60"));
-  Timer timer;
-  const auto statuses = wait_all(procs, /*timeout_s=*/0.3);
-  EXPECT_LT(timer.elapsed_seconds(), 10.0);  // never waits out the sleep
-  ASSERT_EQ(statuses.size(), 2u);
-  EXPECT_TRUE(statuses[0].success());
-  EXPECT_FALSE(statuses[0].timed_out);
-  EXPECT_EQ(statuses[1].state, SubprocessStatus::State::Signaled);
-  EXPECT_TRUE(statuses[1].timed_out);
-  EXPECT_NE(statuses[1].describe().find("timed out"), std::string::npos);
-}
-
-TEST(WaitAllTest, NegativeTimeoutWaitsForCompletion) {
-  std::vector<Subprocess> procs;
-  procs.push_back(shell("exit 0"));
-  procs.push_back(shell("exit 1"));
-  const auto statuses = wait_all(procs, /*timeout_s=*/-1.0);
-  EXPECT_TRUE(statuses[0].success());
-  EXPECT_EQ(statuses[1].exit_code, 1);
-}
-
-// Regression for the zero-timeout unification: `0` used to mean "wait
-// forever" here while IpcChannel::recv(0) meant "poll once" — a computed
-// deadline that reached exactly 0 silently flipped meaning between the
-// two layers. Now both poll once: a still-running child is killed and
-// marked timed out instead of being waited out.
-TEST(WaitAllTest, ZeroTimeoutPollsOnceAndKillsStragglers) {
-  std::vector<Subprocess> procs;
-  procs.push_back(shell("sleep 60"));
-  Timer timer;
-  const auto statuses = wait_all(procs, /*timeout_s=*/0.0);
-  EXPECT_LT(timer.elapsed_seconds(), 10.0);  // never waits out the sleep
-  ASSERT_EQ(statuses.size(), 1u);
-  EXPECT_EQ(statuses[0].state, SubprocessStatus::State::Signaled);
-  EXPECT_TRUE(statuses[0].timed_out);
-}
-
-// ...while a child that already finished keeps its genuine status even at
-// a zero timeout (the poll-once still reaps completed work).
-TEST(WaitAllTest, ZeroTimeoutStillReapsFinishedChildren) {
-  std::vector<Subprocess> procs;
-  procs.push_back(shell("exit 6"));
-  procs[0].wait();  // finished before wait_all even looks
-  const auto statuses = wait_all(procs, /*timeout_s=*/0.0);
-  ASSERT_EQ(statuses.size(), 1u);
-  EXPECT_EQ(statuses[0].exit_code, 6);
-  EXPECT_FALSE(statuses[0].timed_out);
 }
 
 // -------------------------------------------------- current_executable --

@@ -413,7 +413,7 @@ TEST(DistributedFaultTest, RecoveredRunKeepsIteratingNormally) {
 TEST(DistributedConfigTest, EndpointsRequirePersistentMode) {
   ShardConfig shard_config;
   shard_config.shards = 2;
-  shard_config.worker_mode = ShardWorkerMode::Process;
+  shard_config.worker_mode = ShardWorkerMode::Thread;
   shard_config.worker_endpoints = {"127.0.0.1:1"};
   EXPECT_THROW(ShardedKnnEngine(base_config(), shard_config, clustered(40, 2)),
                std::invalid_argument);

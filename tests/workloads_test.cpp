@@ -1,9 +1,9 @@
 // Workload-zoo tests: registry contracts, per-scenario shape assertions
 // (the zoo's value is that each scenario actually has its advertised
 // shape), byte-level determinism of workload instantiation, and a
-// thread-mode cross-mode differential. Process/persistent replays of the
-// zoo live in golden_test (which carries the worker-dispatch main) and
-// bench_workloads; this suite links plain gtest_main.
+// thread-mode cross-mode differential. Persistent/distributed replays of
+// the zoo live in golden_test (which carries the worker-dispatch main)
+// and bench_workloads; this suite links plain gtest_main.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -99,11 +99,11 @@ def summarize_shards(d, out):
         "### bench_shards — sharded-driver sweep "
         f"(n={d.get('users')}, k={d.get('k')}, iters={d.get('iters')})")
     out.append("")
-    out.append("| shards | threads/shard | wall s | process wall s "
+    out.append("| shards | threads/shard | wall s "
                "| persistent wall s | cpu s | speedup | max shard wall s "
-               "| identical | proc identical | persistent identical "
+               "| identical | persistent identical "
                "| round trips | tx MiB | rx MiB | profile reads |")
-    out.append("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:"
+    out.append("|---:|---:|---:|---:|---:|---:|---:|---:|---:"
                "|---:|---:|---:|---:|")
 
     def optional(row, key, fmt="{:.3f}"):
@@ -123,15 +123,13 @@ def summarize_shards(d, out):
         max_wall = max(row.get("per_shard_wall_s", [0.0]) or [0.0])
         out.append(
             "| {shards} | {threads_per_shard} | {wall_s:.3f} "
-            "| {proc_wall} | {pers_wall} | {cpu_s:.3f} | {speedup:.2f}x "
-            "| {max_wall:.3f} | {ident} | {proc_ident} | {pers_ident} "
+            "| {pers_wall} | {cpu_s:.3f} | {speedup:.2f}x "
+            "| {max_wall:.3f} | {ident} | {pers_ident} "
             "| {round_trips} | {tx_mib} | {rx_mib} | {prof_reads} "
             "|".format(
                 max_wall=max_wall,
                 ident="yes" if row.get("identical") else "**NO**",
-                proc_wall=optional(row, "process_wall_s"),
                 pers_wall=optional(row, "persistent_wall_s"),
-                proc_ident=optional_flag(row, "process_identical"),
                 pers_ident=optional_flag(row, "persistent_identical"),
                 round_trips=optional(row, "persistent_round_trips", "{}"),
                 tx_mib=optional_mib(row, "persistent_bytes_tx"),
@@ -173,20 +171,19 @@ def summarize_workloads(d, out):
         f"(n={d.get('users')}, items={d.get('items')}, k={d.get('k')}, "
         f"iters={d.get('iters')})")
     out.append("")
-    out.append("| workload | serial s | threaded s | shard s | process s "
+    out.append("| workload | serial s | threaded s | shard s "
                "| persistent s | modes identical | grid cells | grid identical |")
-    out.append("|---|---:|---:|---:|---:|---:|---:|---:|---:|")
+    out.append("|---|---:|---:|---:|---:|---:|---:|---:|")
     for row in d.get("results", []):
         walls = {m["mode"]: m["wall_s"] for m in row.get("modes", [])}
         out.append(
             "| {name} | {serial:.3f} | {threaded:.3f} | {shard:.3f} "
-            "| {process:.3f} | {persistent:.3f} | {ident} | {cells} "
+            "| {persistent:.3f} | {ident} | {cells} "
             "| {grid_ident} |".format(
                 name=row["workload"],
                 serial=walls.get("serial", 0.0),
                 threaded=walls.get("threaded", 0.0),
                 shard=walls.get("shard-thread", 0.0),
-                process=walls.get("shard-process", 0.0),
                 persistent=walls.get("shard-persistent", 0.0),
                 ident="yes" if row.get("identical") else "**NO**",
                 cells=len(row.get("grid", [])),

@@ -5,7 +5,8 @@ Three classes of drift, all of which have bitten hard-coded docs before:
 
 1. Broken relative links: every `[text](path)` in the checked markdown
    files must point at an existing file or directory (external http(s)
-   links and pure #anchors are skipped; `path#anchor` checks the file).
+   links are skipped). A `#anchor` — alone or as `file.md#anchor` — must
+   match the GitHub slug of a heading in that markdown file.
 2. Doc/test-name drift: every `ctest -R <name>` / `ctest -L <label>`
    selector quoted in the docs must still match a registered test name /
    label. Pass --ctest-list / --ctest-labels with the output of
@@ -40,19 +41,43 @@ TEST_LINE_RE = re.compile(r"Test\s+#\d+:\s+(\S+)")
 FLAG_RE = re.compile(r"--([A-Za-z0-9][A-Za-z0-9-]*)")
 BACKTICK_FLAG_RE = re.compile(r"`--([A-Za-z0-9][A-Za-z0-9-]*)")
 HELP_FLAG_RE = re.compile(r"^\s+--([A-Za-z0-9][A-Za-z0-9-]*)", re.MULTILINE)
+HEADING_RE = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
+
+
+def heading_slugs(doc: pathlib.Path) -> set:
+    """GitHub's anchor for every heading outside fenced code blocks:
+    lowercase, punctuation other than `-` and `_` dropped, spaces turned
+    into `-`; a repeated slug gets a `-1`, `-2`, ... suffix."""
+    slugs, seen = set(), {}
+    in_fence = False
+    for line in doc.read_text().splitlines():
+        if line.strip().startswith("```"):
+            in_fence = not in_fence
+            continue
+        match = None if in_fence else HEADING_RE.match(line)
+        if not match:
+            continue
+        slug = re.sub(r"[^\w\- ]", "", match.group(1).lower()).replace(" ", "-")
+        count = seen.get(slug, 0)
+        seen[slug] = count + 1
+        slugs.add(slug if count == 0 else f"{slug}-{count}")
+    return slugs
 
 
 def check_links(doc: pathlib.Path, errors: list) -> None:
     root = doc.parent
     for lineno, line in enumerate(doc.read_text().splitlines(), 1):
         for target in LINK_RE.findall(line):
-            if target.startswith(("http://", "https://", "mailto:", "#")):
+            if target.startswith(("http://", "https://", "mailto:")):
                 continue
-            path = target.split("#", 1)[0]
-            if not path:
-                continue
-            if not (root / path).exists():
+            path, _, anchor = target.partition("#")
+            file = root / path if path else doc
+            if not file.exists():
                 errors.append(f"{doc}:{lineno}: broken link -> {target}")
+            elif (anchor and file.suffix == ".md"
+                  and anchor not in heading_slugs(file)):
+                errors.append(f"{doc}:{lineno}: no heading for anchor "
+                              f"-> {target}")
 
 
 def collect_cli_flags(doc: pathlib.Path):

@@ -7,7 +7,6 @@
 //   knnpc_run --users=20000 --clusters=50 --heuristic=cost-aware
 //             --partitioner=greedy --threads=8 --device=hdd --csv
 //   knnpc_run --users=50000 --shards=4 --checkpoint --workdir=/tmp/run
-//   knnpc_run --users=50000 --shards=4 --worker-mode=process
 //   knnpc_run --users=50000 --shards=4 --iters=10 --worker-mode=persistent
 //   knnpc_run --worker-agent=127.0.0.1:7070 --agent-workdir=/tmp/agent
 //   knnpc_run --users=50000 --shards=4 --worker-mode=persistent \
@@ -16,12 +15,10 @@
 // With --csv the per-iteration table is machine-readable. --shards=S runs
 // the sharded driver (core/shard_driver.h); the KNN output is
 // bit-identical to --shards=1 for any S (the final checksum on stderr
-// makes that easy to verify). --worker-mode=process promotes the shard
+// makes that easy to verify). --worker-mode=persistent promotes the shard
 // workers from threads to supervised child processes (this same binary,
-// re-executed in the hidden --shard-worker role) — same checksum again.
-// --worker-mode=persistent keeps those processes alive across iterations
-// and drives them over pipes with per-iteration deltas, amortising the
-// spawn cost on multi-iteration runs — same checksum once more.
+// re-executed in the hidden --shard-worker role), spawned once per run and
+// driven over pipes with per-iteration deltas — same checksum again.
 // --worker-endpoint moves those persistent workers behind worker-agent
 // processes (started with --worker-agent on each machine) and the
 // commands ride TCP instead of pipes — same checksum over the network,
@@ -71,7 +68,7 @@ std::vector<std::string> split_csv(const std::string& value) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Process-mode shard workers re-execute this binary; the worker role
+  // Persistent shard workers re-execute this binary; the worker role
   // must win before the option parser sees the hidden flags.
   if (const auto worker_exit = maybe_run_shard_worker(argc, argv)) {
     return *worker_exit;
@@ -107,13 +104,12 @@ int main(int argc, char** argv) {
                   "degree-range | greedy | pair-affinity)",
                   "range");
   opts.add_string("worker-mode",
-                  "how shard workers execute (thread | process | "
-                  "persistent)",
+                  "how shard workers execute (thread | persistent)",
                   "thread");
   opts.add_double("worker-timeout",
-                  "process/persistent modes: seconds one worker wave (or "
-                  "wave command) may run before the worker is killed and "
-                  "retried (< 0 = no deadline)",
+                  "persistent mode: seconds one worker may take to answer "
+                  "a wave command before it is killed and retried "
+                  "(< 0 = no deadline)",
                   600.0);
   opts.add_string("worker-endpoint",
                   "distributed persistent mode: comma-separated worker-"

@@ -1,5 +1,5 @@
 // Abl-1: partitioner ablation on the paper's phase-1 objective
-// min Σ (N_in + N_out). Compares range / hash / greedy / greedy+refine on
+// min Σ (N_in + N_out). Compares range / hash / degree-range / greedy on
 // power-law and clique-structured graphs.
 //
 // Usage: bench_partitioner [--users=N] [--partitions=N]
@@ -8,7 +8,6 @@
 #include "graph/generators.h"
 #include "partition/cost.h"
 #include "partition/partitioner.h"
-#include "partition/refinement.h"
 #include "util/options.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -26,22 +25,12 @@ void report(const char* graph_name, const Digraph& graph, PartitionId m) {
               "-------\n");
   for (const char* name : {"range", "hash", "degree-range", "greedy"}) {
     Timer timer;
-    auto assignment = make_partitioner(name)->assign(graph, m);
+    const auto assignment = make_partitioner(name)->assign(graph, m);
     const double assign_s = timer.elapsed_seconds();
     const auto cost = partition_cost(graph, assignment);
     const auto ext = external_partition_cost(graph, assignment);
     std::printf("%-16s | %12zu %12zu %10zu | %8.3f\n", name, cost.total,
                 ext.total, edge_cut(graph, assignment), assign_s);
-    if (std::string(name) == "greedy") {
-      timer.reset();
-      refine_swaps(graph, assignment, 8, 4096);
-      const double refine_s = timer.elapsed_seconds();
-      const auto refined = partition_cost(graph, assignment);
-      const auto refined_ext = external_partition_cost(graph, assignment);
-      std::printf("%-16s | %12zu %12zu %10zu | %8.3f\n", "greedy+refine",
-                  refined.total, refined_ext.total,
-                  edge_cut(graph, assignment), assign_s + refine_s);
-    }
   }
 }
 
@@ -84,6 +73,6 @@ int main(int argc, char** argv) {
 
   std::printf("\nExpected shape: greedy < range < hash on graphs with "
               "locality; all\nstrategies converge on structure-free ER "
-              "graphs; refinement never worsens.\n");
+              "graphs.\n");
   return 0;
 }

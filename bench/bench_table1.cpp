@@ -14,7 +14,6 @@
 #include "graph/digraph.h"
 #include "pigraph/heuristics.h"
 #include "pigraph/simulator.h"
-#include "profiles/similarity_kernels.h"
 #include "util/options.h"
 #include "util/timer.h"
 
@@ -26,32 +25,20 @@ int main(int argc, char** argv) {
   opts.add_uint("slots", "resident partition slots", 2);
   opts.add_double("gamma", "power-law exponent of the stand-ins", 2.01);
   opts.add_uint("seeds", "stand-in instances to average over", 1);
-  opts.add_flag("json", "emit results as JSON instead of a table");
   if (!opts.parse(argc, argv)) return 0;
   const auto seed = opts.get_uint("seed");
   const auto slots = static_cast<std::size_t>(opts.get_uint("slots"));
   const double gamma = opts.get_double("gamma");
-  const bool json = opts.get_flag("json");
 
-  if (json) {
-    // kernel_backend is informational only — this bench never scores
-    // profiles, but the dashboard groups runs by the host's resolved ISA.
-    std::printf("{\"bench\":\"table1\",\"slots\":%zu,\"seed\":%llu,"
-                "\"kernel_backend\":\"%s\",\"datasets\":[",
-                slots, static_cast<unsigned long long>(seed),
-                kernel_backend_name(resolve_kernel_backend("auto")));
-  } else {
-    std::printf("Table 1: # load/unload operations using PI graph "
-                "(slots=%zu, seed=%llu)\n",
-                slots, static_cast<unsigned long long>(seed));
-    std::printf("%-12s %8s %8s | %10s %10s %10s | %7s %7s | %s\n", "Dataset",
-                "Nodes", "Edges", "Seq.", "High-Low", "Low-High", "HL/Seq",
-                "LH/Seq", "paper Seq/HL/LH");
-    std::printf("-----------------------------------------------------------"
-                "--"
-                "----------------------------------------------\n");
-  }
-  bool first_row = true;
+  std::printf("Table 1: # load/unload operations using PI graph "
+              "(slots=%zu, seed=%llu)\n",
+              slots, static_cast<unsigned long long>(seed));
+  std::printf("%-12s %8s %8s | %10s %10s %10s | %7s %7s | %s\n", "Dataset",
+              "Nodes", "Edges", "Seq.", "High-Low", "Low-High", "HL/Seq",
+              "LH/Seq", "paper Seq/HL/LH");
+  std::printf("-----------------------------------------------------------"
+              "--"
+              "----------------------------------------------\n");
 
   const auto num_seeds =
       std::max<std::uint64_t>(opts.get_uint("seeds"), 1);
@@ -81,42 +68,22 @@ int main(int argc, char** argv) {
     high_low.unloads /= num_seeds;
     low_high.loads /= num_seeds;
     low_high.unloads /= num_seeds;
-    if (json) {
-      std::printf("%s{\"name\":\"%s\",\"nodes\":%u,\"edges\":%zu,"
-                  "\"seq\":%llu,\"high_low\":%llu,\"low_high\":%llu,"
-                  "\"hl_over_seq\":%.5f,\"lh_over_seq\":%.5f}",
-                  first_row ? "" : ",", row.name.c_str(), row.nodes,
-                  row.edges,
-                  static_cast<unsigned long long>(seq.operations()),
-                  static_cast<unsigned long long>(high_low.operations()),
-                  static_cast<unsigned long long>(low_high.operations()),
-                  static_cast<double>(high_low.operations()) /
-                      static_cast<double>(seq.operations()),
-                  static_cast<double>(low_high.operations()) /
-                      static_cast<double>(seq.operations()));
-      first_row = false;
-    } else {
-      std::printf(
-          "%-12s %8u %8zu | %10llu %10llu %10llu | %6.3f%% %6.3f%% | "
-          "%zu/%zu/%zu\n",
-          row.name.c_str(), row.nodes, row.edges,
-          static_cast<unsigned long long>(seq.operations()),
-          static_cast<unsigned long long>(high_low.operations()),
-          static_cast<unsigned long long>(low_high.operations()),
-          100.0 * static_cast<double>(high_low.operations()) /
-              static_cast<double>(seq.operations()),
-          100.0 * static_cast<double>(low_high.operations()) /
-              static_cast<double>(seq.operations()),
-          row.paper_seq, row.paper_high_low, row.paper_low_high);
-    }
-  }
-  if (json) {
-    std::printf("]}\n");
-  } else {
     std::printf(
-        "\nExpected shape (paper): degree-based heuristics need ~5-15%% "
-        "fewer\noperations than Sequential on these degree-skewed "
-        "graphs.\n");
+        "%-12s %8u %8zu | %10llu %10llu %10llu | %6.3f%% %6.3f%% | "
+        "%zu/%zu/%zu\n",
+        row.name.c_str(), row.nodes, row.edges,
+        static_cast<unsigned long long>(seq.operations()),
+        static_cast<unsigned long long>(high_low.operations()),
+        static_cast<unsigned long long>(low_high.operations()),
+        100.0 * static_cast<double>(high_low.operations()) /
+            static_cast<double>(seq.operations()),
+        100.0 * static_cast<double>(low_high.operations()) /
+            static_cast<double>(seq.operations()),
+        row.paper_seq, row.paper_high_low, row.paper_low_high);
   }
+  std::printf(
+      "\nExpected shape (paper): degree-based heuristics need ~5-15%% "
+      "fewer\noperations than Sequential on these degree-skewed "
+      "graphs.\n");
   return 0;
 }

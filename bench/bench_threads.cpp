@@ -3,11 +3,8 @@
 // parallel scoring and top-K merge) and speedup, plus the engine's
 // auto-selected thread count (threads=0).
 //
-// Usage: bench_threads [--users=N] [--k=N] [--json]
-// With --json the table is replaced by one JSON object on stdout (the CI
-// perf-tracking job parses it; see tools/bench_to_json.py).
+// Usage: bench_threads [--users=N] [--k=N]
 #include <cstdio>
-#include <vector>
 
 #include "core/engine.h"
 #include "profiles/generators.h"
@@ -20,28 +17,18 @@ int main(int argc, char** argv) {
   Options opts;
   opts.add_uint("users", "number of users", 20000);
   opts.add_uint("k", "neighbours per user", 10);
-  opts.add_flag("json", "emit results as JSON instead of a table");
   if (!opts.parse(argc, argv)) return 0;
   const auto n = static_cast<VertexId>(opts.get_uint("users"));
   const auto k = static_cast<std::uint32_t>(opts.get_uint("k"));
-  const bool json = opts.get_flag("json");
 
-  if (!json) {
-    std::printf("Ext-D: phase-4 threads sweep (n=%u, k=%u, m=16, one "
-                "iteration)\n",
-                n, k);
-    std::printf("%8s | %10s %10s %10s %10s %10s\n", "threads", "phase4 s",
-                "score s", "merge s", "total s", "speedup");
-    std::printf("----------------------------------------------------------"
-                "--------\n");
-  }
+  std::printf("Ext-D: phase-4 threads sweep (n=%u, k=%u, m=16, one "
+              "iteration)\n",
+              n, k);
+  std::printf("%8s | %10s %10s %10s %10s %10s\n", "threads", "phase4 s",
+              "score s", "merge s", "total s", "speedup");
+  std::printf("----------------------------------------------------------"
+              "--------\n");
 
-  struct Row {
-    std::uint32_t requested;
-    std::uint32_t used;
-    IterationStats stats;
-  };
-  std::vector<Row> rows;
   double baseline = 0;
   // threads=0 last: the auto row shows what large runs pick by default.
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u, 16u, 0u}) {
@@ -59,38 +46,19 @@ int main(int argc, char** argv) {
     KnnEngine engine(config, clustered_profiles(pconfig, rng));
     const IterationStats s = engine.run_iteration();
     if (threads == 1) baseline = s.timings.knn_s;
-    rows.push_back({threads, s.threads_used, s});
-    if (!json) {
-      char label[32];
-      if (threads == 0) {
-        std::snprintf(label, sizeof label, "auto(%u)", s.threads_used);
-      } else {
-        std::snprintf(label, sizeof label, "%u", threads);
-      }
-      std::printf("%8s | %10.3f %10.3f %10.3f %10.3f %9.2fx\n", label,
-                  s.timings.knn_s, s.knn_score_s, s.knn_merge_s,
-                  s.timings.total(), baseline / s.timings.knn_s);
+    char label[32];
+    if (threads == 0) {
+      std::snprintf(label, sizeof label, "auto(%u)", s.threads_used);
+    } else {
+      std::snprintf(label, sizeof label, "%u", threads);
     }
+    std::printf("%8s | %10.3f %10.3f %10.3f %10.3f %9.2fx\n", label,
+                s.timings.knn_s, s.knn_score_s, s.knn_merge_s,
+                s.timings.total(), baseline / s.timings.knn_s);
   }
 
-  if (json) {
-    std::printf("{\"bench\":\"threads\",\"users\":%u,\"k\":%u,"
-                "\"results\":[",
-                n, k);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const IterationStats& s = rows[i].stats;
-      std::printf("%s{\"threads\":%u,\"threads_used\":%u,"
-                  "\"phase4_s\":%.6f,\"score_s\":%.6f,\"merge_s\":%.6f,"
-                  "\"total_s\":%.6f,\"speedup\":%.4f}",
-                  i == 0 ? "" : ",", rows[i].requested, rows[i].used,
-                  s.timings.knn_s, s.knn_score_s, s.knn_merge_s,
-                  s.timings.total(), baseline / s.timings.knn_s);
-    }
-    std::printf("]}\n");
-  } else {
-    std::printf("\nExpected shape: phase-4 time falls with threads until "
-                "the per-pair I/O serial\nsections dominate (Amdahl); the "
-                "score/merge columns show both halves\nparallelising.\n");
-  }
+  std::printf("\nExpected shape: phase-4 time falls with threads until "
+              "the per-pair I/O serial\nsections dominate (Amdahl); the "
+              "score/merge columns show both halves\nparallelising.\n");
   return 0;
 }

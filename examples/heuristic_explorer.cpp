@@ -12,7 +12,6 @@
 #include "graph/generators.h"
 #include "graph/degree_stats.h"
 #include "graph/snap_io.h"
-#include "graph/triangles.h"
 #include "pigraph/heuristics.h"
 #include "pigraph/simulator.h"
 #include "util/options.h"
@@ -65,10 +64,6 @@ int main(int argc, char** argv) {
               "gini %.2f\n",
               degrees.mean_out_degree, degrees.max_total_degree,
               degrees.p99_total_degree, degrees.degree_gini);
-  const TriangleCounts triangles = count_triangles(graph);
-  std::printf("triangles: %llu (clustering coefficient %.4f)\n",
-              static_cast<unsigned long long>(triangles.total),
-              triangles.global_clustering);
 
   const PiGraph pi = PiGraph::from_digraph(graph);
   const auto slots = static_cast<std::size_t>(opts.get_uint("slots"));

@@ -2,8 +2,8 @@
 //
 // Reads a MovieLens-shaped rating file (user,item,rating triples) — or
 // synthesises one if no path is given — builds the KNN user graph out of
-// core, and reports neighbourhood quality diagnostics (component count,
-// reachability, sampled recall with a confidence interval).
+// core, and reports its quality (sampled recall with a confidence
+// interval, mean worst-kept similarity).
 //
 // Usage:
 //   movielens_style                         # synthetic 5k-user log
@@ -12,8 +12,6 @@
 
 #include "core/convergence.h"
 #include "core/engine.h"
-#include "graph/digraph.h"
-#include "graph/traversal.h"
 #include "profiles/ratings_io.h"
 #include "util/options.h"
 #include "util/rng.h"
@@ -54,15 +52,6 @@ int main(int argc, char** argv) {
   const RunStats run = engine.run(12, 0.01);
   std::printf("KNN graph: converged=%s after %zu iterations\n",
               run.converged ? "yes" : "no", run.iterations.size());
-
-  // Structural diagnostics on the result.
-  const Digraph structure(engine.graph().to_edge_list());
-  std::printf("weak components: %zu\n",
-              count_weak_components(structure));
-  const auto reach = sample_reachability(structure, 5);
-  std::printf("reachability (5 BFS samples): %zu vertices, mean hop %.1f, "
-              "max hop %u\n",
-              reach.reached, reach.mean_distance, reach.max_distance);
 
   // Quality estimate without the O(n^2) ground truth.
   const auto recall = sampled_recall(engine.graph(), snapshot,

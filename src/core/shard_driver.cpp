@@ -20,6 +20,7 @@
 #include <utility>
 
 #include "core/convergence.h"
+#include "core/sharded_knn_graph.h"
 #include "core/worker_agent.h"
 #include "core/topk.h"
 #include "core/tuple_generation.h"
@@ -35,7 +36,6 @@
 #include "profiles/flat_profile.h"
 #include "profiles/profile_delta.h"
 #include "profiles/similarity_kernels.h"
-#include "staticgraph/sharded_graph.h"
 #include "storage/block_file.h"
 #include "storage/file_sync.h"
 #include "storage/partition_store.h"

@@ -18,7 +18,7 @@
 //            its own hash table H_c, build its own PI graph + schedule,
 //            stream the shared read-only partition store through a
 //            private 2-slot cache, and keep top-K for its users only.
-//   driver   merge the per-shard graphs (staticgraph/sharded_graph.h's
+//   driver   merge the per-shard graphs (core/sharded_knn_graph.h's
 //            ShardedKnnGraph) and run phase 5 on the shared profiles.
 //
 // Determinism contract (mirrors PR 2's thread-count contract): the merged
@@ -124,7 +124,8 @@ struct ShardConfig {
   /// Persistent mode: binary to re-execute as --shard-worker; empty =
   /// the running executable (/proc/self/exe). The binary must dispatch
   /// maybe_run_shard_worker() before its own argv parsing — knnpc_run,
-  /// bench_shards and the worker-spawning test suites all do.
+  /// the harness's knnpc_bench and the worker-spawning test suites all
+  /// do.
   std::string worker_exe;
   /// Distributed persistent mode: worker-agent endpoints ("host:port",
   /// one `knnpc_run --worker-agent` process each). Non-empty turns the

@@ -63,8 +63,8 @@ ShardResult shard_result_from_bytes(std::span<const std::byte> bytes,
 /// Order-sensitive 64-bit checksum over (n, k, every vertex's neighbour
 /// list: id + score bits). Two graphs have equal checksums iff their
 /// serialised forms match byte-for-byte — the cheap way for the
-/// determinism tests and bench_shards to compare a sharded run against
-/// the serial reference without holding both graphs.
+/// determinism tests and the benchmark harness to compare a sharded run
+/// against the serial reference without holding both graphs.
 std::uint64_t knn_graph_checksum(const KnnGraph& graph);
 
 }  // namespace knnpc

@@ -21,8 +21,9 @@
 //     the partitions whose users look most like the query, expansion over
 //     both edge directions (out-neighbours + the snapshot's precomputed
 //     reverse adjacency). Approximate by construction: recall is a
-//     function of `search_l` (bench_serve gates >= 95% @ k=10 on the
-//     pinned workload), and results are deterministic per snapshot but
+//     function of `search_l` (knn_server_test gates >= 95% @ k=10, and
+//     the benchmark harness's serve-churn workload reports it as
+//     query_recall), and results are deterministic per snapshot but
 //     NOT covered by the engine's bit-identity contract.
 //
 // Thread-safety contract:

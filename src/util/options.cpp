@@ -1,8 +1,10 @@
 #include "util/options.h"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace knnpc {
 namespace {
@@ -63,6 +65,9 @@ bool Options::parse(int argc, const char* const* argv) {
       throw std::invalid_argument("unknown option --" + arg);
     }
     if (it->second.kind == Kind::Flag) {
+      if (has_value) {
+        throw std::invalid_argument("option --" + arg + " takes no value");
+      }
       // Move-assign a temporary: GCC 12's -Wrestrict misfires on the
       // inlined char* assignment path at -O3.
       it->second.value = std::string("1");
@@ -80,23 +85,33 @@ bool Options::parse(int argc, const char* const* argv) {
 }
 
 std::uint64_t Options::get_uint(const std::string& name) const {
-  const Spec& spec = find(name, Kind::Uint);
-  try {
-    return std::stoull(spec.value);
-  } catch (const std::exception&) {
+  const std::string& value = find(name, Kind::Uint).value;
+  // from_chars, not stoull: stoull accepts a sign ("-1" wraps to 2^64-1)
+  // and leading blanks, and stops silently at trailing junk ("5x").
+  std::uint64_t parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (error != std::errc{} || stop != end) {
     throw std::invalid_argument("option --" + name +
-                                ": not an unsigned integer: " + spec.value);
+                                ": not an unsigned integer: " + value);
   }
+  return parsed;
 }
 
 double Options::get_double(const std::string& name) const {
-  const Spec& spec = find(name, Kind::Double);
+  const std::string& value = find(name, Kind::Double).value;
+  std::size_t used = 0;
+  double parsed = 0.0;
   try {
-    return std::stod(spec.value);
+    parsed = std::stod(value, &used);
   } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + name +
-                                ": not a number: " + spec.value);
+    used = 0;
   }
+  if (used == 0 || used != value.size()) {
+    throw std::invalid_argument("option --" + name +
+                                ": not a number: " + value);
+  }
+  return parsed;
 }
 
 const std::string& Options::get_string(const std::string& name) const {

@@ -24,9 +24,10 @@ class Options {
                   const std::string& default_value);
   void add_flag(const std::string& name, const std::string& help);
 
-  /// Parses argv. Throws std::invalid_argument on unknown options or
-  /// malformed values. Recognises --help by printing usage and returning
-  /// false (caller should exit 0).
+  /// Parses argv. Throws std::invalid_argument on unknown options, a
+  /// missing value, or a value given to a flag; numbers are checked by
+  /// the getters. Recognises --help by printing usage and returning false
+  /// (caller should exit 0).
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::uint64_t get_uint(const std::string& name) const;

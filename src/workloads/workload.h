@@ -6,9 +6,9 @@
 // heuristic choice) and its bit-identity contract were only ever
 // exercised on one data shape. A WorkloadSpec packages one *named*
 // scenario — an initial profile set P(0) plus an optional per-iteration
-// update script — behind a registry, so the differential harness
-// (bench_workloads, golden_test's wl-* rows, the workloads test suite)
-// replays the exact same scenario definitions everywhere. Two calls to
+// update script — behind a registry, so the differential tests
+// (golden_test's wl-* rows, the workloads test suite) and the benchmark
+// harness replay the exact same scenario definitions everywhere. Two calls to
 // make_workload() with the same (name, params) produce bit-identical
 // profiles and bit-identical update streams, whichever engine or
 // execution mode consumes them — that is what turns the five-mode

@@ -1,4 +1,4 @@
-// Tests for graph/traversal, core/convergence and profiles/ratings_io.
+// Tests for core/convergence and profiles/ratings_io.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -7,80 +7,12 @@
 #include "core/convergence.h"
 #include "core/engine.h"
 #include "core/metrics.h"
-#include "graph/generators.h"
-#include "graph/traversal.h"
 #include "profiles/generators.h"
 #include "profiles/ratings_io.h"
 #include "util/rng.h"
 
 namespace knnpc {
 namespace {
-
-// -------------------------------------------------------------- traversal
-
-TEST(TraversalTest, BfsDistancesOnRing) {
-  const Digraph g(ring_lattice(10, 1));
-  const auto dist = bfs_distances(g, 0);
-  for (VertexId v = 0; v < 10; ++v) {
-    EXPECT_EQ(dist[v], v);  // directed ring: distance == index
-  }
-}
-
-TEST(TraversalTest, UnreachableVerticesFlagged) {
-  EdgeList list;
-  list.num_vertices = 4;
-  list.edges = {{0, 1}};  // 2 and 3 isolated
-  const Digraph g(list);
-  const auto dist = bfs_distances(g, 0);
-  EXPECT_EQ(dist[1], 1u);
-  EXPECT_EQ(dist[2], kUnreachable);
-  EXPECT_EQ(dist[3], kUnreachable);
-}
-
-TEST(TraversalTest, BfsFromInvalidSource) {
-  const Digraph g(ring_lattice(5, 1));
-  const auto dist = bfs_distances(g, 99);
-  for (auto d : dist) EXPECT_EQ(d, kUnreachable);
-}
-
-TEST(TraversalTest, WeakComponentsIgnoreDirection) {
-  EdgeList list;
-  list.num_vertices = 6;
-  list.edges = {{0, 1}, {2, 1}, {3, 4}};  // {0,1,2}, {3,4}, {5}
-  const Digraph g(list);
-  const auto labels = weakly_connected_components(g);
-  EXPECT_EQ(labels[0], labels[1]);
-  EXPECT_EQ(labels[1], labels[2]);
-  EXPECT_EQ(labels[3], labels[4]);
-  EXPECT_NE(labels[0], labels[3]);
-  EXPECT_NE(labels[3], labels[5]);
-  EXPECT_EQ(count_weak_components(g), 3u);
-}
-
-TEST(TraversalTest, ComponentCountsOnKnownShapes) {
-  EXPECT_EQ(count_weak_components(Digraph(star(7))), 1u);
-  EXPECT_EQ(count_weak_components(Digraph(EdgeList{})), 0u);
-  EdgeList isolated;
-  isolated.num_vertices = 5;
-  EXPECT_EQ(count_weak_components(Digraph(isolated)), 5u);
-}
-
-TEST(TraversalTest, SampleReachabilityOnConnectedGraph) {
-  Rng rng(23);
-  const Digraph g(chung_lu(300, 2000, 2.3, rng));
-  const auto summary = sample_reachability(g, 5);
-  // Chung-Lu at this density has a giant component; most vertices reached.
-  EXPECT_GT(summary.reached, 200u);
-  EXPECT_GT(summary.mean_distance, 0.0);
-  EXPECT_GE(summary.max_distance, 1u);
-}
-
-TEST(TraversalTest, SampleReachabilityEdgeCases) {
-  const Digraph empty{EdgeList{}};
-  EXPECT_EQ(sample_reachability(empty, 3).reached, 0u);
-  const Digraph g(ring_lattice(5, 1));
-  EXPECT_EQ(sample_reachability(g, 0).reached, 0u);
-}
 
 // ------------------------------------------------------------ convergence
 

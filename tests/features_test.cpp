@@ -1,6 +1,6 @@
 // Tests for the second wave of features: graph-seeded initialisation,
-// memory-budget partition sizing, profile compaction, and the
-// ResidencyState/LoadUnloadSimulator equivalence property.
+// memory-budget partition sizing, profile compaction, and the engine
+// under every similarity measure.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,9 +10,6 @@
 #include "core/metrics.h"
 #include "graph/generators.h"
 #include "graph/knn_graph.h"
-#include "pigraph/heuristics.h"
-#include "pigraph/simulator.h"
-#include "pigraph/simulator_state.h"
 #include "profiles/compact.h"
 #include "profiles/generators.h"
 #include "util/rng.h"
@@ -273,40 +270,6 @@ TEST(CompactionTest, CountersAreExactUnderBothSemantics) {
       }
     }
   }
-}
-
-// ----------------------------- ResidencyState == LoadUnloadSimulator ----
-
-TEST(ResidencyStateTest, AgreesWithSimulatorOnRandomSchedules) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed * 3);
-    const PiGraph pi = PiGraph::from_digraph(
-        Digraph(chung_lu_directed(30, 150, 2.3, rng)));
-    const Schedule schedule = RandomHeuristic{seed}.schedule(pi);
-    const auto expected = LoadUnloadSimulator(2).run(pi, schedule);
-    ResidencyState state(2);
-    for (PairIndex idx : schedule) state.step(pi.pair(idx));
-    // loads == unloads after flush, so ops == 2 * loads.
-    EXPECT_EQ(2 * state.loads(), expected.operations()) << "seed=" << seed;
-  }
-}
-
-TEST(ResidencyStateTest, SnapshotRestoreRoundTrips) {
-  PiGraph pi(4);
-  pi.add_edge(0, 1);
-  pi.add_edge(2, 3);
-  pi.finalize();
-  ResidencyState state(2);
-  state.step(pi.pair(0));
-  const auto snap = state.snapshot();
-  const auto loads_before = state.loads();
-  state.step(pi.pair(1));
-  EXPECT_GT(state.loads(), loads_before);
-  state.restore(snap);
-  EXPECT_EQ(state.loads(), loads_before);
-  // Replaying after restore gives the same counts as before.
-  state.step(pi.pair(1));
-  EXPECT_EQ(state.loads(), 4u);
 }
 
 // -------------------------------------------- engine across all measures

@@ -138,8 +138,9 @@ TEST(KnnServerTest, BeamSearchIsExactWithFullBudget) {
 }
 
 TEST(KnnServerTest, BeamRecallOnConvergedWorkload) {
-  // The golden-workload-shaped recall gate (scaled for Debug unit-test
-  // speed; the full 5k gate runs in the CI serve-smoke job).
+  // The golden-workload-shaped recall gate, scaled for Debug unit-test
+  // speed. The benchmark harness's serve-churn workload reports recall
+  // at full size as query_recall.
   const VertexId n = 2000;
   const std::uint32_t k = 10;
   EngineConfig config;

@@ -1,5 +1,5 @@
 // Tests for partition/: assignment, the paper's objective, all
-// partitioners, and the refinement pass.
+// partitioners, and the pair-affinity shard split.
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
@@ -10,7 +10,6 @@
 #include "partition/pair_affinity.h"
 #include "partition/partitioner.h"
 #include "partition/range_partitioner.h"
-#include "partition/refinement.h"
 #include "util/rng.h"
 
 namespace knnpc {
@@ -173,6 +172,33 @@ TEST(GreedyPartitionerTest, BeatsHashOnClusteredGraph) {
             partition_cost(g, hashed).total);
 }
 
+TEST(DegreeRangePartitionerTest, SatisfiesPartitionerContract) {
+  Rng rng(9);
+  const Digraph g(chung_lu(300, 1500, 2.3, rng));
+  const auto partitioner = make_partitioner("degree-range");
+  const auto assignment = partitioner->assign(g, 6);
+  EXPECT_TRUE(assignment.fully_assigned());
+  EXPECT_LE(assignment.imbalance(), 1.0 + 1e-9);
+}
+
+TEST(DegreeRangePartitionerTest, HubsShareTheFirstPartition) {
+  const Digraph g(star(40));
+  const auto assignment = make_partitioner("degree-range")->assign(g, 4);
+  // The hub (vertex 0) has the highest degree: partition 0.
+  EXPECT_EQ(assignment.owner(0), 0u);
+}
+
+TEST(DegreeRangePartitionerTest, GroupsEqualDegreeContiguously) {
+  Rng rng(13);
+  const Digraph g(chung_lu(400, 2400, 2.1, rng));
+  const auto degree_range = make_partitioner("degree-range")->assign(g, 8);
+  const auto hash = make_partitioner("hash")->assign(g, 8);
+  // Degree grouping should beat hash on the paper's objective (hubs'
+  // neighbourhoods overlap heavily).
+  EXPECT_LT(partition_cost(g, degree_range).total,
+            partition_cost(g, hash).total);
+}
+
 // ---------------------------------------------------- pair-affinity split --
 
 TEST(PairAffinityTest, ShardFollowsPartitionGroup) {
@@ -234,54 +260,6 @@ TEST(PairAffinityTest, RejectsInvalidInputs) {
   incomplete.assign(0, 0);
   EXPECT_THROW((void)pair_affinity_shard_split(incomplete, 2),
                std::invalid_argument);
-}
-
-// ------------------------------------------------------------- refinement --
-
-TEST(RefinementTest, NeverWorsensObjective) {
-  Rng rng(89);
-  const Digraph g(chung_lu(300, 1200, 2.3, rng));
-  auto assignment = HashPartitioner{}.assign(g, 4);
-  const std::size_t before = partition_cost(g, assignment).total;
-  const RefinementResult result = refine_swaps(g, assignment, 4, 512);
-  EXPECT_EQ(result.cost_before, before);
-  EXPECT_LE(result.cost_after, result.cost_before);
-  EXPECT_EQ(partition_cost(g, assignment).total, result.cost_after);
-}
-
-TEST(RefinementTest, PreservesPartitionSizes) {
-  Rng rng(97);
-  const Digraph g(erdos_renyi(200, 800, rng));
-  auto assignment = RangePartitioner{}.assign(g, 4);
-  const auto sizes_before = assignment.sizes();
-  refine_swaps(g, assignment, 4, 512);
-  EXPECT_EQ(assignment.sizes(), sizes_before);
-}
-
-TEST(RefinementTest, ImprovesHashPartitionOnCliqueGraph) {
-  EdgeList list;
-  list.num_vertices = 60;
-  for (VertexId c = 0; c < 3; ++c) {
-    const VertexId base = c * 20;
-    for (VertexId i = 0; i < 20; ++i) {
-      for (VertexId j = 0; j < 20; ++j) {
-        if (i != j) list.edges.push_back({base + i, base + j});
-      }
-    }
-  }
-  const Digraph g(list);
-  auto assignment = HashPartitioner{}.assign(g, 3);
-  const RefinementResult result = refine_swaps(g, assignment, 16, 4096);
-  EXPECT_LT(result.cost_after, result.cost_before);
-}
-
-TEST(RefinementTest, TrivialCasesNoop) {
-  Rng rng(101);
-  const Digraph g(erdos_renyi(10, 20, rng));
-  auto single = RangePartitioner{}.assign(g, 1);
-  const auto result = refine_swaps(g, single);
-  EXPECT_EQ(result.swaps_applied, 0u);
-  EXPECT_EQ(result.cost_before, result.cost_after);
 }
 
 }  // namespace

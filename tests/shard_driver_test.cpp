@@ -8,9 +8,9 @@
 
 #include "core/engine.h"
 #include "core/shard_driver.h"
+#include "core/sharded_knn_graph.h"
 #include "graph/knn_graph_io.h"
 #include "profiles/generators.h"
-#include "staticgraph/sharded_graph.h"
 #include "storage/block_file.h"
 #include "storage/shard_writer.h"
 #include "util/rng.h"

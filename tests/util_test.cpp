@@ -209,6 +209,11 @@ TEST(OptionsTest, FlagsAndPositionals) {
   EXPECT_TRUE(opts.get_flag("fast"));
   ASSERT_EQ(opts.positional().size(), 1u);
   EXPECT_EQ(opts.positional()[0], "input.txt");
+  // A flag takes no value: "--fast=0" must not silently turn it on.
+  Options valued;
+  valued.add_flag("fast", "go fast");
+  const char* valued_argv[] = {"prog", "--fast=0"};
+  EXPECT_THROW(valued.parse(2, valued_argv), std::invalid_argument);
 }
 
 TEST(OptionsTest, UnknownOptionThrows) {
@@ -226,11 +231,21 @@ TEST(OptionsTest, TypeMismatchThrows) {
 }
 
 TEST(OptionsTest, MalformedNumberThrows) {
+  // A sign would wrap ("-1" is 2^64-1), a blank or trailing junk would be
+  // skipped ("5x" reads as 5): every one must be rejected outright.
+  for (const char* arg :
+       {"--k=banana", "--k=-1", "--k=+5", "--k= 5", "--k=5x", "--k="}) {
+    Options opts;
+    opts.add_uint("k", "neighbours", 1);
+    const char* argv[] = {"prog", arg};
+    ASSERT_TRUE(opts.parse(2, argv));
+    EXPECT_THROW((void)opts.get_uint("k"), std::invalid_argument) << arg;
+  }
   Options opts;
-  opts.add_uint("k", "neighbours", 1);
-  const char* argv[] = {"prog", "--k=banana"};
+  opts.add_double("rho", "sample rate", 0.5);
+  const char* argv[] = {"prog", "--rho=0.5x"};
   ASSERT_TRUE(opts.parse(2, argv));
-  EXPECT_THROW((void)opts.get_uint("k"), std::invalid_argument);
+  EXPECT_THROW((void)opts.get_double("rho"), std::invalid_argument);
 }
 
 // ---------------------------------------------------------- thread pool --

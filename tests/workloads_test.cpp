@@ -1,9 +1,9 @@
 // Workload-zoo tests: registry contracts, per-scenario shape assertions
 // (the zoo's value is that each scenario actually has its advertised
 // shape), byte-level determinism of workload instantiation, and a
-// thread-mode cross-mode differential. Persistent/distributed replays of
-// the zoo live in golden_test (which carries the worker-dispatch main)
-// and bench_workloads; this suite links plain gtest_main.
+// thread-mode cross-mode differential with a placement/order grid.
+// Persistent/distributed replays of the zoo live in golden_test (which
+// carries the worker-dispatch main); this suite links plain gtest_main.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -366,9 +366,11 @@ std::uint64_t replay_sharded(const std::string& name,
 
 TEST(WorkloadDifferential, ThreadModesAgreeOnEveryScenario) {
   // The in-process slice of the five-mode differential: serial vs
-  // thread-pool vs thread-mode sharding, every zoo scenario. The
-  // process/persistent slice runs in golden_test (worker-dispatch main)
-  // and bench_workloads.
+  // thread-pool vs thread-mode sharding, every zoo scenario, plus a grid
+  // over partitioner x heuristic x shards x threads in thread-mode
+  // sharding (placement and order are pure I/O concerns, so every cell
+  // lands on the serial checksum). The persistent slice runs in
+  // golden_test (worker-dispatch main).
   WorkloadParams p;
   p.users = 96;
   p.items = 150;
@@ -387,6 +389,22 @@ TEST(WorkloadDifferential, ThreadModesAgreeOnEveryScenario) {
         << name << ": thread pool diverged from serial";
     EXPECT_EQ(replay_sharded(name, p, config, 2, iters), serial)
         << name << ": thread-mode sharding diverged from serial";
+    for (const char* partitioner : {"range", "hash", "greedy"}) {
+      for (const char* heuristic : {"low-high", "high-low"}) {
+        for (const std::uint32_t shards : {1u, 2u}) {
+          for (const std::uint32_t threads : {1u, 2u}) {
+            EngineConfig cell = config;
+            cell.partitioner = partitioner;
+            cell.heuristic = heuristic;
+            cell.threads = threads;
+            EXPECT_EQ(replay_sharded(name, p, cell, shards, iters), serial)
+                << name << ": grid cell " << partitioner << "/" << heuristic
+                << " S=" << shards << " threads=" << threads
+                << " diverged from serial";
+          }
+        }
+      }
+    }
   }
 }
 

@@ -34,7 +34,7 @@ SampledRecall sampled_recall(const KnnGraph& graph,
                              std::uint32_t threads = 1);
 
 /// Same estimator, but runs on an existing pool (nullptr = serial) so the
-/// engine can reuse its phase-4 workers instead of spawning a pool per
+/// engine can reuse its own workers instead of spawning a pool per
 /// iteration. The `threads` overload above delegates here.
 SampledRecall sampled_recall(const KnnGraph& graph,
                              const ProfileStore& profiles,

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <stdexcept>
 
@@ -38,6 +39,250 @@ inline std::size_t pair_slot(PartitionId a, PartitionId b, PartitionId m) {
 /// Below this many candidates in a bundle the parallel merge's shard
 /// scans cost more than they save; offer serially.
 constexpr std::size_t kParallelMergeMinTuples = 1024;
+
+/// Phase 2's pair bundles: <work_dir>/tuples_<slot>.bin.
+constexpr const char* kBundleStem = "tuples";
+
+/// Everything phase 2 reads besides G(t) and the bundle sink.
+struct CandidateSource {
+  const EngineConfig& config;
+  std::uint32_t iteration;
+  const PartitionStore& store;
+  const PartitionAssignment& assignment;
+  std::filesystem::path bundle_dir;
+  IoAccountant* io;
+};
+
+/// Phase 2 on one thread, the oracle: one table H over all candidates,
+/// survivors streamed into the pair bundles through a bounded buffer.
+/// Returns the record count of every pair slot.
+std::vector<std::uint64_t> bundle_candidates_serial(const CandidateSource& src,
+                                                    IterationStats& stats) {
+  const EngineConfig& config = src.config;
+  const VertexId n = src.assignment.num_vertices();
+  const PartitionId m = src.assignment.num_partitions();
+  const std::size_t num_slots = pair_slot(m - 1, m - 1, m) + 1;
+  TupleShardWriter shard_writer(src.bundle_dir, kBundleStem, num_slots,
+                                config.shard_buffer_bytes, src.io);
+  TupleTable table(static_cast<std::size_t>(n) * config.k * 2);
+  auto insert = [&](Tuple t) {
+    if (table.insert(t)) {
+      shard_writer.add(pair_slot(src.assignment.owner(t.s),
+                                 src.assignment.owner(t.d), m),
+                       t);
+    }
+  };
+  auto admit = [&](Tuple t) {
+    insert(t);
+    if (config.include_reverse) insert(Tuple{t.d, t.s});
+  };
+  for (PartitionId p = 0; p < m; ++p) {
+    stats.candidate_tuples += partition_candidates(
+        config, src.iteration, src.store.load_edges(p), admit);
+  }
+  for (VertexId s = 0; s < n; ++s) {
+    stats.candidate_tuples +=
+        restart_candidates(config, src.iteration, n, s, admit);
+  }
+  stats.unique_tuples = table.size();
+  shard_writer.finish();
+  std::vector<std::uint64_t> records(num_slots);
+  for (std::size_t slot = 0; slot < num_slots; ++slot) {
+    records[slot] = shard_writer.shard_records(slot);
+  }
+  return records;
+}
+
+/// Source-user shard of `s` among `shards`. Fibonacci hashing spreads the
+/// contiguous id runs of a cluster (and of a range partition) over every
+/// shard, so each shard gets a like share of each partition's candidates.
+inline std::uint32_t source_shard(VertexId s, std::uint32_t shards) {
+  const std::uint32_t mixed = s * 0x9e3779b9u;
+  return static_cast<std::uint32_t>(
+      (static_cast<std::uint64_t>(mixed) * shards) >> 32);
+}
+
+/// Phase 2 on `pool`. Each of T source-user shards owns a TupleTable and
+/// keeps the candidates (s, *) of its own users, so the shards dedup with
+/// no locks and their union is the serial engine's H: every pair slot
+/// gets the same set of unique tuples (in another order, which phase 4
+/// does not depend on — its top-K is offer-order-independent). Partitions
+/// are loaded T at a time; every shard runs the candidate rules over the
+/// loaded batch and keeps its share, so no candidate is buffered.
+///
+/// The tables and the bundle staging are sized here, on the calling
+/// thread, from G(t)'s degrees; pool threads only fill them. Each table
+/// is sized for an upper bound of its shard's candidates, so it never
+/// grows. (Pool threads allocating these transient buffers left them
+/// cached in glibc's per-thread arenas and raised peak RSS by a quarter.)
+std::vector<std::uint64_t> bundle_candidates_threaded(
+    const CandidateSource& src, const KnnGraph& graph, ThreadPool& pool,
+    IterationStats& stats) {
+  const EngineConfig& config = src.config;
+  const PartitionAssignment& owners = src.assignment;
+  const VertexId n = owners.num_vertices();
+  const PartitionId m = owners.num_partitions();
+  const std::size_t num_slots = pair_slot(m - 1, m - 1, m) + 1;
+  const auto shards = static_cast<std::uint32_t>(pool.size() + 1);
+  const bool reverse = config.include_reverse;
+
+  // Upper bound of each shard's candidates. Edge (u, w) of G(t) bridges
+  // (u, x) for every out-edge (w, x), and is itself a direct candidate;
+  // with reverse, w also receives (w, y) for every in-edge (y, u).
+  std::vector<std::uint64_t> bound(shards, 0);
+  {
+    std::vector<std::uint32_t> in_degree(n, 0);
+    for (VertexId u = 0; u < n; ++u) {
+      for (const Neighbor& e : graph.neighbors(u)) ++in_degree[e.id];
+    }
+    for (VertexId u = 0; u < n; ++u) {
+      for (const Neighbor& e : graph.neighbors(u)) {
+        bound[source_shard(u, shards)] += graph.neighbors(e.id).size() + 1;
+        if (reverse) bound[source_shard(e.id, shards)] += in_degree[u] + 1;
+      }
+      bound[source_shard(u, shards)] += config.random_candidates;
+    }
+    if (reverse) {  // a restart (s, d) reverses into any shard
+      for (std::uint64_t& b : bound) {
+        b += static_cast<std::uint64_t>(n) * config.random_candidates;
+      }
+    }
+  }
+  std::vector<TupleTable> tables;
+  tables.reserve(shards);
+  for (std::uint32_t w = 0; w < shards; ++w) tables.emplace_back(bound[w]);
+  // survivors[w * num_slots + slot]: shard w's unique tuples in that slot.
+  std::vector<std::uint64_t> survivors(shards * num_slots, 0);
+
+  std::uint64_t candidates = 0;
+  std::vector<PartitionData> batch;
+  for (PartitionId first = 0; first < m; first += shards) {
+    batch.clear();
+    for (PartitionId p = first; p < std::min<PartitionId>(first + shards, m);
+         ++p) {
+      batch.push_back(src.store.load_edges(p));
+    }
+    const bool last_batch = first + shards >= m;
+    pool.parallel_for(
+        0, shards,
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t w = lo; w < hi; ++w) {
+            TupleTable& table = tables[w];
+            std::uint64_t* counts = survivors.data() + w * num_slots;
+            // The inserts are bound by the table's cache misses; a small
+            // window prefetches each tuple's slot before it is inserted.
+            std::array<Tuple, 32> window;
+            std::size_t pending = 0;
+            auto drain = [&] {
+              for (std::size_t i = 0; i < pending; ++i) {
+                table.prefetch(window[i]);
+              }
+              for (std::size_t i = 0; i < pending; ++i) {
+                const Tuple t = window[i];
+                if (table.insert(t)) {
+                  ++counts[pair_slot(owners.owner(t.s), owners.owner(t.d),
+                                     m)];
+                }
+              }
+              pending = 0;
+            };
+            auto insert = [&](Tuple t) {
+              window[pending++] = t;
+              if (pending == window.size()) drain();
+            };
+            auto admit = [&](Tuple t) {
+              if (source_shard(t.s, shards) == w) insert(t);
+              if (reverse && source_shard(t.d, shards) == w) {
+                insert(Tuple{t.d, t.s});
+              }
+            };
+            // Every shard generates the same candidates; shard 0 counts.
+            std::uint64_t generated = 0;
+            for (const PartitionData& part : batch) {
+              generated +=
+                  partition_candidates(config, src.iteration, part, admit);
+            }
+            if (last_batch) {
+              for (VertexId s = 0; s < n; ++s) {
+                generated +=
+                    restart_candidates(config, src.iteration, n, s, admit);
+              }
+            }
+            drain();
+            if (w == 0) candidates += generated;
+          }
+        },
+        /*min_chunk=*/1);
+  }
+  batch.clear();
+  stats.candidate_tuples = candidates;
+
+  std::vector<std::uint64_t> records(num_slots, 0);
+  for (std::uint32_t w = 0; w < shards; ++w) {
+    stats.unique_tuples += tables[w].size();
+    for (std::size_t slot = 0; slot < num_slots; ++slot) {
+      records[slot] += survivors[w * num_slots + slot];
+    }
+  }
+
+  // Emit the survivors into the pair bundles, a run of slots at a time
+  // that fits the shard buffer budget: each shard scatters its table's
+  // tuples of those slots to precomputed offsets, then each slot's bundle
+  // is written whole, one slot per pool task.
+  const std::uint64_t budget = std::max<std::size_t>(
+      config.shard_buffer_bytes / sizeof(Tuple), 1);
+  std::vector<Tuple> staged;
+  std::vector<std::uint64_t> slot_at;  // staged offset of slot first + i
+  std::vector<std::uint64_t> cursor;   // [w * run + i]: next write of w
+  for (std::size_t first = 0; first < num_slots;) {
+    std::size_t end = first + 1;
+    std::uint64_t total = records[first];
+    while (end < num_slots && total + records[end] <= budget) {
+      total += records[end++];
+    }
+    const std::size_t run = end - first;
+    slot_at.assign(run + 1, 0);
+    cursor.assign(shards * run, 0);
+    for (std::size_t i = 0; i < run; ++i) {
+      slot_at[i + 1] = slot_at[i] + records[first + i];
+      std::uint64_t at = slot_at[i];
+      for (std::uint32_t w = 0; w < shards; ++w) {
+        cursor[w * run + i] = at;
+        at += survivors[w * num_slots + first + i];
+      }
+    }
+    staged.resize(total);
+    pool.parallel_for(
+        0, shards,
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t w = lo; w < hi; ++w) {
+            std::uint64_t* next = cursor.data() + w * run;
+            tables[w].for_each([&](Tuple t) {
+              const std::size_t slot =
+                  pair_slot(owners.owner(t.s), owners.owner(t.d), m);
+              if (slot >= first && slot < end) {
+                staged[next[slot - first]++] = t;
+              }
+            });
+          }
+        },
+        /*min_chunk=*/1);
+    pool.parallel_for(
+        0, run,
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            write_record_shard<Tuple>(
+                record_shard_path(src.bundle_dir, kBundleStem, first + i),
+                std::span<const Tuple>(staged.data() + slot_at[i],
+                                       records[first + i]),
+                src.io);
+          }
+        },
+        /*min_chunk=*/1);
+    first = end;
+  }
+  return records;
+}
 
 }  // namespace
 
@@ -125,76 +370,26 @@ IterationStats KnnEngine::run_iteration() {
       assignment = make_partitioner(config_.partitioner)->assign(digraph, m);
       impl_->last_assignment = assignment;
     }
-    store.write_all(edge_list, assignment, profiles_);
+    store.write_all(edge_list, assignment, profiles_,
+                    /*include_profiles=*/true, impl_->pool.get());
     if (config_.record_partition_cost) {
       stats.partition_cost_total = partition_cost(digraph, assignment).total;
     }
   }
 
   // ---- Phase 2: populate H with unique tuples, shard them by pair. ----
-  // Shards stream to disk through a bounded buffer; phase 4 reads each
-  // pair's bundle back sequentially when its turn in the schedule comes.
-  const std::size_t num_slots = pair_slot(m - 1, m - 1, m) + 1;
-  TupleShardWriter shard_writer(impl_->work_dir, "tuples", num_slots,
-                                config_.shard_buffer_bytes,
-                                &impl_->shard_io);
+  // Survivors go to one bundle file per PI pair, buffered within
+  // shard_buffer_bytes; phase 4 reads each pair's bundle back sequentially
+  // when its turn in the schedule comes.
+  std::vector<std::uint64_t> bundle_records;  // per pair slot
   {
     ScopedAccumulator timing(&stats.timings.hash_s);
-    TupleTable table(static_cast<std::size_t>(n) * config_.k * 2);
-    auto admit = [&](Tuple t) {
-      if (table.insert(t)) {
-        shard_writer.add(
-            pair_slot(assignment.owner(t.s), assignment.owner(t.d), m), t);
-      }
-      if (config_.include_reverse) {
-        const Tuple rev{t.d, t.s};
-        if (table.insert(rev)) {
-          shard_writer.add(
-              pair_slot(assignment.owner(rev.s), assignment.owner(rev.d), m),
-              rev);
-        }
-      }
-    };
-    const bool sampling = config_.sample_rate < 1.0;
-    for (PartitionId p = 0; p < m; ++p) {
-      const PartitionData part = store.load_edges(p);
-      // Neighbours' neighbours via the sorted merge-join (optionally
-      // subsampled at rate rho, NN-Descent style). The sampling stream is
-      // derived per partition so the decisions don't depend on which
-      // executor processes p (the shard-count determinism contract).
-      Rng sample_rng = candidate_sample_rng(config_.seed, iteration_, p);
-      stats.candidate_tuples += merge_join_tuples(
-          part.in_edges, part.out_edges, [&](Tuple t) {
-            if (sampling && !sample_rng.next_bool(config_.sample_rate)) {
-              return;
-            }
-            admit(t);
-          });
-      // ...plus the direct edges of G(t) ("as well as directed edges from
-      // the graph G(t)"); never sampled — the current KNN edges must keep
-      // competing or the graph forgets what it already knows.
-      for (const Edge& e : part.out_edges) {
-        ++stats.candidate_tuples;
-        admit(Tuple{e.src, e.dst});
-      }
-    }
-    // NN-Descent-style random restarts (see EngineConfig docs): a trickle
-    // of uniform candidates so users remain reachable after profile drift.
-    // One derived stream per user, so the values are independent of which
-    // worker generates them.
-    if (config_.random_candidates > 0 && n > 1) {
-      for (VertexId s = 0; s < n; ++s) {
-        Rng restart_rng = random_restart_rng(config_.seed, iteration_, s);
-        for (std::uint32_t r = 0; r < config_.random_candidates; ++r) {
-          const auto d = static_cast<VertexId>(restart_rng.next_below(n));
-          if (d == s) continue;
-          ++stats.candidate_tuples;
-          admit(Tuple{s, d});
-        }
-      }
-    }
-    stats.unique_tuples = table.size();
-    shard_writer.finish();
+    const CandidateSource source{config_,    iteration_,      store,
+                                 assignment, impl_->work_dir, &impl_->shard_io};
+    bundle_records =
+        impl_->pool
+            ? bundle_candidates_threaded(source, graph_, *impl_->pool, stats)
+            : bundle_candidates_serial(source, stats);
   }
 
   // ---- Phase 3: PI graph + traversal schedule. -------------------------
@@ -204,7 +399,7 @@ IterationStats KnnEngine::run_iteration() {
     ScopedAccumulator timing(&stats.timings.pi_graph_s);
     for (PartitionId a = 0; a < m; ++a) {
       for (PartitionId b = a; b < m; ++b) {
-        const auto count = shard_writer.shard_records(pair_slot(a, b, m));
+        const auto count = bundle_records[pair_slot(a, b, m)];
         if (count > 0) pi.add_edge(a, b, count);
       }
     }
@@ -274,35 +469,32 @@ IterationStats KnnEngine::run_iteration() {
             into.offer(tuples[i].s, tuples[i].d, scores[i]);
           });
     };
-    PartitionCache cache(store, config_.memory_slots);
-    // Flat (SoA) copies of the loaded partitions for the batched kernels,
-    // cached alongside the PartitionCache slots so each partition is
-    // packed once per load, not once per PI pair.
+    // Each resident partition holds its profiles in the flat (SoA) layout
+    // of the batched kernels, decoded once per load (on the pool when
+    // threaded), not once per PI pair.
+    PartitionCache cache(config_.memory_slots, [&](PartitionId p) {
+      return store.load_flat(p, config_.quantize_profiles, impl_->pool.get());
+    });
     const KernelBackend backend = resolve_kernel_backend(config_.kernel);
-    FlatSetCache flat_cache(config_.memory_slots, config_.quantize_profiles);
     std::vector<float> scores;
     for (PairIndex idx : schedule) {
       const PiPair& pair = pi.pair(idx);
-      const std::size_t slot = pair_slot(pair.a, pair.b, m);
-      const std::vector<Tuple> tuples =
-          read_record_shard<Tuple>(shard_writer.shard_path(slot),
-                                   &impl_->shard_io);
-      const PartitionData& pa = cache.get(pair.a);
-      const PartitionData& pb =
-          pair.b == pair.a ? pa : cache.get(pair.b);
-      const FlatProfileSet& fa =
-          flat_cache.get(pair.a, pa.vertices, pa.profiles);
+      const std::vector<Tuple> tuples = read_record_shard<Tuple>(
+          record_shard_path(impl_->work_dir, kBundleStem,
+                            pair_slot(pair.a, pair.b, m)),
+          &impl_->shard_io);
+      const FlatProfileSet& fa = cache.get(pair.a).flat;
       const FlatProfileSet* fb =
-          pair.b == pair.a ? nullptr
-                           : &flat_cache.get(pair.b, pb.vertices, pb.profiles);
+          pair.b == pair.a ? nullptr : &cache.get(pair.b).flat;
       scores.assign(tuples.size(), 0.0f);
       {
         ScopedAccumulator score_timing(&stats.knn_score_s);
-        // Tuple shards are grouped by source user (phase-2 emission
-        // order), so runs of equal s batch naturally: one source-profile
-        // lookup and one warm source row per run. Each (i, score) pairing
-        // is independent of chunking, so the parallel split cannot change
-        // results.
+        // Runs of equal s batch naturally: one source-profile lookup and
+        // one warm source row per run. (Serial bundles are grouped by
+        // source user in emission order; threaded ones follow their
+        // tables' slot order, with shorter runs.) Each (i, score) pairing
+        // depends on the tuple alone, so neither the bundle order nor the
+        // parallel split can change results.
         auto score_range = [&](std::size_t lo, std::size_t hi) {
           KernelScratch scratch;
           std::vector<VertexId> cands;

@@ -42,11 +42,14 @@ struct EngineConfig {
   SimilarityMeasure measure = SimilarityMeasure::Cosine;
   /// Resident partition slots in phase 4 (the paper uses 2).
   std::size_t memory_slots = 2;
-  /// Worker threads for phase-4 similarity computation and top-K merging
-  /// (also reused by the sampled_recall estimator). 0 = auto: hardware
-  /// concurrency clamped by workload size, so large runs multi-thread by
-  /// default while small runs stay serial. 1 = always serial. The KNN
-  /// output is bit-identical across thread counts.
+  /// Threads for the iteration's parallel stretches: phase 1 (sorting,
+  /// packing and writing the partitions), phase 2 (candidate generation
+  /// and dedup in source-user shards) and phase 4 (partition decoding,
+  /// similarity scoring and the top-K merge); the sampled_recall estimator
+  /// reuses them. 0 = auto: hardware concurrency clamped by workload size,
+  /// so large runs multi-thread by default while small runs stay serial.
+  /// 1 = always serial, the oracle path. The KNN output is bit-identical
+  /// across thread counts.
   std::uint32_t threads = 0;
   /// Where partition and tuple-shard files live; empty = fresh scratch dir.
   std::string work_dir;
@@ -133,7 +136,7 @@ struct IterationStats {
   /// scoring over tuple bundles vs the per-user top-K merge.
   double knn_score_s = 0.0;
   double knn_merge_s = 0.0;
-  /// Worker threads phase 4 actually ran with (config.threads resolved;
+  /// Threads the iteration actually ran with (config.threads resolved;
   /// != config.threads only in auto mode).
   std::uint32_t threads_used = 1;
   /// KnnGraph::change_rate(G(t), G(t+1)); converged when small.
@@ -176,11 +179,11 @@ std::uint64_t estimate_data_bytes(const std::vector<SparseProfile>& profiles,
 
 /// The single-process five-phase pipeline (one iteration = phases 1-5 of
 /// Figure 1). This is the *serial reference implementation* whose output
-/// every parallel execution mode must reproduce bit-for-bit: phase 4 may
-/// run on an internal thread pool (EngineConfig::threads), and the sharded
-/// driver (core/shard_driver.h) runs S of these pipelines side by side —
-/// as threads in this process or as supervised worker processes
-/// (ShardWorkerMode). All three contracts are tested against this class
+/// every parallel execution mode must reproduce bit-for-bit: phases 1, 2
+/// and 4 may run on an internal thread pool (EngineConfig::threads), and
+/// the sharded driver (core/shard_driver.h) runs S of these pipelines
+/// side by side — as threads in this process or as supervised worker
+/// processes (ShardWorkerMode). All three contracts are tested against this class
 /// (engine_test, shard_driver_test, shard_process_test) and pinned by the
 /// golden-checksum corpus (golden_test, tests/golden/).
 ///

@@ -10,7 +10,9 @@
 #include <functional>
 #include <span>
 
+#include "core/engine.h"
 #include "graph/digraph.h"
+#include "storage/partition_store.h"
 #include "util/hash.h"
 #include "util/rng.h"
 #include "util/types.h"
@@ -95,6 +97,57 @@ std::uint64_t merge_join_tuples(std::span<const Edge> in_edges,
     o = o_end;
   }
   return emitted;
+}
+
+/// Phase 2's candidate rules for one partition, loaded edges-only: every
+/// neighbour's-neighbour pairing of the sorted merge-join, each kept with
+/// probability config.sample_rate (NN-Descent's rho) as drawn from
+/// candidate_sample_rng(seed, iteration, part.id), plus every direct edge
+/// of G(t) the partition owns ("as well as directed edges from the graph
+/// G(t)"), never sampled — the current KNN edges must keep competing or
+/// the graph forgets what it already knows. Calls `emit(Tuple)` for each
+/// kept candidate in a fixed order and returns how many were generated
+/// before sampling (the partition's IterationStats::candidate_tuples).
+///
+/// The serial engine, the threaded engine and the shard driver's
+/// producers all call this, so every executor that processes partition p
+/// draws the same stream and emits the same candidates — the thread- and
+/// shard-count determinism contracts rest on it. Adding the reverse of a
+/// candidate (EngineConfig::include_reverse) is left to the caller.
+template <typename Emit>
+std::uint64_t partition_candidates(const EngineConfig& config,
+                                   std::uint32_t iteration,
+                                   const PartitionData& part, Emit&& emit) {
+  const bool sampling = config.sample_rate < 1.0;
+  Rng sample_rng = candidate_sample_rng(config.seed, iteration, part.id);
+  const std::uint64_t bridged = merge_join_tuples(
+      part.in_edges, part.out_edges, [&](Tuple t) {
+        if (sampling && !sample_rng.next_bool(config.sample_rate)) return;
+        emit(t);
+      });
+  for (const Edge& e : part.out_edges) emit(Tuple{e.src, e.dst});
+  return bridged + part.out_edges.size();
+}
+
+/// NN-Descent-style random restarts for user `s` of `n` (see
+/// EngineConfig::random_candidates): a trickle of uniform candidates so
+/// users remain reachable after profile drift, from s's own stream
+/// random_restart_rng(seed, iteration, s) — independent of which executor
+/// generates them. Calls `emit` per candidate and returns their count.
+template <typename Emit>
+std::uint64_t restart_candidates(const EngineConfig& config,
+                                 std::uint32_t iteration, VertexId n,
+                                 VertexId s, Emit&& emit) {
+  if (config.random_candidates == 0 || n <= 1) return 0;
+  Rng restart_rng = random_restart_rng(config.seed, iteration, s);
+  std::uint64_t generated = 0;
+  for (std::uint32_t r = 0; r < config.random_candidates; ++r) {
+    const auto d = static_cast<VertexId>(restart_rng.next_below(n));
+    if (d == s) continue;
+    ++generated;
+    emit(Tuple{s, d});
+  }
+  return generated;
 }
 
 /// Reference tuple generator for tests: all (s, d) with d a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -113,21 +114,21 @@ CompactionResult compact_profiles(const std::vector<SparseProfile>& profiles,
   return result;
 }
 
-QuantizedWeights quantize_weights_u16(std::span<const ProfileEntry> entries) {
-  QuantizedWeights out;
-  out.codes.reserve(entries.size());
+float quantize_weights_u16(std::span<const float> weights,
+                           std::span<std::uint16_t> codes) {
+  if (codes.size() != weights.size()) {
+    throw std::invalid_argument("quantize_weights_u16: size mismatch");
+  }
   float max_abs = 0.0f;
-  for (const ProfileEntry& e : entries) {
-    max_abs = std::max(max_abs, std::abs(e.weight));
-  }
-  out.scale = max_abs > 0.0f ? max_abs / 32767.0f : 1.0f;
-  for (const ProfileEntry& e : entries) {
+  for (const float w : weights) max_abs = std::max(max_abs, std::abs(w));
+  const float scale = max_abs > 0.0f ? max_abs / 32767.0f : 1.0f;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
     const auto code = static_cast<int>(
-        std::lround(static_cast<double>(e.weight) / out.scale));
-    out.codes.push_back(
-        static_cast<std::uint16_t>(std::clamp(code, -32767, 32767) + 32768));
+        std::lround(static_cast<double>(weights[i]) / scale));
+    codes[i] =
+        static_cast<std::uint16_t>(std::clamp(code, -32767, 32767) + 32768);
   }
-  return out;
+  return scale;
 }
 
 }  // namespace knnpc

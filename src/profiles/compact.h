@@ -78,13 +78,10 @@ CompactionResult compact_profiles(const std::vector<SparseProfile>& profiles,
 /// around zero: scale = max|w| / 32767 (1.0 when the profile is empty),
 /// code = round(w / scale) + 32768, so exact zero always round-trips to
 /// exact zero and the worst-case absolute error is scale / 2.
-struct QuantizedWeights {
-  std::vector<std::uint16_t> codes;  // one per entry, entry order
-  float scale = 1.0f;
-};
-
-/// Quantizes one profile's weights (entry order preserved).
-QuantizedWeights quantize_weights_u16(std::span<const ProfileEntry> entries);
+/// Quantizes one profile's weights into caller-sized `codes` (one per
+/// weight, entry order preserved) and returns the scale.
+float quantize_weights_u16(std::span<const float> weights,
+                           std::span<std::uint16_t> codes);
 
 /// Inverse of quantize_weights_u16 for one code.
 inline float dequantize_weight_u16(std::uint16_t code, float scale) {

@@ -10,9 +10,12 @@
 // the mean per pair — O(|p|) work the flat layout pays exactly once).
 //
 // A FlatProfileSet is a packed copy of a group of profiles — a loaded
-// partition pair in the streaming engines, or the whole resident P(t) in
-// persistent workers — built in O(total entries), which is noise next to
-// the O(tuples x profile length) scoring it feeds. The precomputed norm
+// partition in the streaming engines (decoded straight from its .prof
+// bytes, see from_profiles), or the whole resident P(t) in persistent
+// workers — built in O(total entries), which is noise next to the
+// O(tuples x profile length) scoring it feeds. Rows are indexed by the
+// sorted member ids: a contiguous id range (range partitions, a whole
+// P(t)) resolves a lookup by subtraction, any other set by binary search. The precomputed norm
 // and mean use the exact accumulation order of SparseProfile::norm() and
 // the scalar measures in profiles/similarity.cpp, so kernel scores are
 // bit-identical to the per-pair scalar path (the golden-checksum
@@ -28,15 +31,15 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "profiles/profile.h"
 #include "util/types.h"
 
 namespace knnpc {
+
+class ThreadPool;
 
 class FlatProfileSet {
  public:
@@ -53,9 +56,21 @@ class FlatProfileSet {
 
   explicit FlatProfileSet(bool quantize = false) : quantize_(quantize) {}
 
+  /// Builds the set from one entry list per profile — typically
+  /// packed_profile_views() of a partition's profile file — where
+  /// `rows[i]` belongs to `ids[i]` (strictly ascending). The calling
+  /// thread sizes every array; the rows are then filled on `pool` when one
+  /// is given. Pool threads only fill, so no per-load buffer lands in a
+  /// pool thread's allocator arena. Throws std::invalid_argument when the
+  /// ids are unsorted or do not match the rows one to one.
+  static FlatProfileSet from_profiles(
+      std::span<const VertexId> ids,
+      std::span<const std::span<const ProfileEntry>> rows, bool quantize,
+      ThreadPool* pool = nullptr);
+
   void reserve(std::size_t users, std::size_t entries);
 
-  /// Packs `p` under vertex id `v` (each id at most once).
+  /// Packs `p` under vertex id `v`; ids must arrive strictly ascending.
   void add(VertexId v, const SparseProfile& p);
 
   /// Returns true and fills `out` when v is in the set; false (out
@@ -65,7 +80,7 @@ class FlatProfileSet {
   /// View of `v`'s profile; throws std::out_of_range when absent.
   [[nodiscard]] View view(VertexId v) const;
 
-  [[nodiscard]] std::size_t num_profiles() const { return norms_.size(); }
+  [[nodiscard]] std::size_t num_profiles() const { return ids_.size(); }
   [[nodiscard]] std::size_t total_entries() const { return items_.size(); }
   [[nodiscard]] bool quantized() const { return quantize_; }
 
@@ -77,10 +92,17 @@ class FlatProfileSet {
   [[nodiscard]] float scale_of(VertexId v) const;
 
  private:
-  [[nodiscard]] View view_of_row(std::uint32_t row) const;
+  static constexpr std::size_t kNoRow = ~std::size_t{0};
+
+  [[nodiscard]] View view_of_row(std::size_t row) const;
+  /// Row of `v`, or kNoRow.
+  [[nodiscard]] std::size_t row_of(VertexId v) const noexcept;
+  /// Quantizes (when enabled) and computes the norm and mean of a row
+  /// whose items and raw weights are in place.
+  void seal_row(std::size_t row);
 
   bool quantize_ = false;
-  std::unordered_map<VertexId, std::uint32_t> row_of_;
+  std::vector<VertexId> ids_;              // ascending; row = index
   std::vector<std::uint32_t> offsets_{0};  // rows + 1
   std::vector<ItemId> items_;
   std::vector<float> weights_;  // dequantized copies when quantize_
@@ -88,31 +110,6 @@ class FlatProfileSet {
   std::vector<float> qscales_;
   std::vector<double> norms_;
   std::vector<double> means_;
-};
-
-/// Tiny MRU cache of FlatProfileSets keyed by partition id, sized to the
-/// engine's resident-slot budget so a partition's flat layout lives
-/// exactly as long as the partition itself stays loaded in the
-/// PartitionCache (rebuilding per PI pair would re-copy each partition
-/// once per pair instead of once per load).
-class FlatSetCache {
- public:
-  /// `capacity` is clamped to at least 2 so both halves of a PI pair can
-  /// be referenced simultaneously (inserting the second must never evict
-  /// the first).
-  FlatSetCache(std::size_t capacity, bool quantize)
-      : capacity_(capacity < 2 ? 2 : capacity), quantize_(quantize) {}
-
-  /// Flat layout of partition `id`, built from the parallel
-  /// vertices/profiles arrays on first use.
-  const FlatProfileSet& get(PartitionId id,
-                            std::span<const VertexId> vertices,
-                            std::span<const SparseProfile> profiles);
-
- private:
-  std::size_t capacity_;
-  bool quantize_;
-  std::list<std::pair<PartitionId, FlatProfileSet>> entries_;  // MRU first
 };
 
 }  // namespace knnpc

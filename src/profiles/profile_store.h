@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "profiles/profile.h"
@@ -60,5 +62,25 @@ class InMemoryProfileStore final : public ProfileStore {
 std::vector<std::byte> pack_profiles(const std::vector<SparseProfile>& ps);
 std::vector<SparseProfile> unpack_profiles(
     const std::vector<std::byte>& bytes);
+
+/// The profiles of a pack_profiles() buffer, in order, as views into
+/// `bytes`, which must outlive them and be aligned for ProfileEntry (heap
+/// buffers are). The one reader of the layout: unpack_profiles() copies
+/// these views out, phase 4 decodes them straight into a FlatProfileSet.
+/// Throws std::runtime_error on a truncated buffer.
+std::vector<std::span<const ProfileEntry>> packed_profile_views(
+    std::span<const std::byte> bytes);
+
+/// Bytes one profile takes in that layout (its u32 header + entries).
+inline std::size_t packed_profile_bytes(const SparseProfile& p) {
+  return sizeof(std::uint32_t) + p.size() * sizeof(ProfileEntry);
+}
+
+/// pack_profiles() of `store`'s profiles for `users` (in that order) into
+/// a caller-sized buffer; `out` must be exactly sizeof(u32) plus the sum
+/// of packed_profile_bytes() long.
+void pack_profiles_into(const ProfileStore& store,
+                        std::span<const VertexId> users,
+                        std::span<std::byte> out);
 
 }  // namespace knnpc

@@ -10,7 +10,7 @@
 namespace knnpc {
 namespace fs = std::filesystem;
 
-void write_file(const fs::path& path, const std::vector<std::byte>& bytes,
+void write_file(const fs::path& path, std::span<const std::byte> bytes,
                 IoCounters& counters) {
   if (path.has_parent_path()) {
     std::error_code ec;

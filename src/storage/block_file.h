@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,7 +44,7 @@ struct IoCounters {
 /// Writes `bytes` to `path` atomically (tmp file + rename), creating parent
 /// directories. Throws std::runtime_error on failure. Updates `counters`.
 void write_file(const std::filesystem::path& path,
-                const std::vector<std::byte>& bytes, IoCounters& counters);
+                std::span<const std::byte> bytes, IoCounters& counters);
 
 /// Reads the whole file. Throws std::runtime_error when missing/unreadable.
 std::vector<std::byte> read_file(const std::filesystem::path& path,

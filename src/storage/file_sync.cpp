@@ -148,8 +148,7 @@ void sync_place_file(const std::filesystem::path& root,
                              "\"");
   }
   IoCounters counters;
-  write_file(root / std::filesystem::path(relpath),
-             std::vector<std::byte>(bytes.begin(), bytes.end()), counters);
+  write_file(root / std::filesystem::path(relpath), bytes, counters);
 }
 
 }  // namespace knnpc

@@ -1,12 +1,14 @@
 #include "storage/partition_store.h"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "storage/external_sort.h"
 #include "storage/mmap_file.h"
 #include "storage/shard_writer.h"
 #include "util/serde.h"
+#include "util/thread_pool.h"
 
 namespace knnpc {
 namespace fs = std::filesystem;
@@ -52,7 +54,7 @@ std::vector<std::byte> PartitionStore::fetch(const fs::path& path) const {
 void PartitionStore::write_all(const EdgeList& graph,
                                const PartitionAssignment& assignment,
                                const ProfileStore& profiles,
-                               bool include_profiles) {
+                               bool include_profiles, ThreadPool* pool) {
   if (graph.num_vertices != assignment.num_vertices()) {
     throw std::invalid_argument(
         "PartitionStore::write_all: graph/assignment size mismatch");
@@ -62,47 +64,81 @@ void PartitionStore::write_all(const EdgeList& graph,
         "PartitionStore::write_all: assignment incomplete");
   }
   m_ = assignment.num_partitions();
+  const VertexId n = assignment.num_vertices();
 
   // Bucket edges by the partition of their bridge vertex. Edge (s, d) acts
   // as an in-edge of owner(d) (bridge d) and as an out-edge of owner(s)
-  // (bridge s).
-  std::vector<std::vector<Edge>> in_bucket(m_);
-  std::vector<std::vector<Edge>> out_bucket(m_);
+  // (bridge s). A counting pass sizes every bucket, members list and
+  // packed profile file, so this thread allocates them all and the
+  // per-partition work below only fills them. The buffers stay per
+  // partition: one graph-sized array per kind raised the shards-agents
+  // driver's peak RSS by ~5 MB (glibc's per-thread arenas; the gap
+  // vanished under MALLOC_ARENA_MAX=1).
+  std::vector<std::vector<Edge>> in_edges(m_);
+  std::vector<std::vector<Edge>> out_edges(m_);
+  std::vector<std::vector<VertexId>> members(m_);
+  std::vector<std::vector<std::byte>> packed(m_);
+  {
+    std::vector<std::size_t> in_count(m_, 0);
+    std::vector<std::size_t> out_count(m_, 0);
+    std::vector<std::size_t> member_count(m_, 0);
+    std::vector<std::size_t> packed_bytes(m_, sizeof(std::uint32_t));
+    for (const Edge& e : graph.edges) {
+      ++in_count[assignment.owner(e.dst)];
+      ++out_count[assignment.owner(e.src)];
+    }
+    for (VertexId v = 0; v < n; ++v) {
+      const PartitionId p = assignment.owner(v);
+      ++member_count[p];
+      if (include_profiles) {
+        packed_bytes[p] += packed_profile_bytes(profiles.get(v));
+      }
+    }
+    for (PartitionId p = 0; p < m_; ++p) {
+      in_edges[p].reserve(in_count[p]);
+      out_edges[p].reserve(out_count[p]);
+      members[p].reserve(member_count[p]);
+      if (include_profiles) packed[p].resize(packed_bytes[p]);
+    }
+  }
   for (const Edge& e : graph.edges) {
-    in_bucket[assignment.owner(e.dst)].push_back(e);
-    out_bucket[assignment.owner(e.src)].push_back(e);
+    in_edges[assignment.owner(e.dst)].push_back(e);
+    out_edges[assignment.owner(e.src)].push_back(e);
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    members[assignment.owner(v)].push_back(v);  // ascending per partition
   }
 
-  IoCounters raw;  // write_file wants a counter; we fold into io_ below.
-  for (PartitionId p = 0; p < m_; ++p) {
-    // Sort by bridge: in-edges (s, v) by v = dst (then s); out-edges
-    // (v, d) by v = src (then d).
-    std::sort(in_bucket[p].begin(), in_bucket[p].end(),
-              [](const Edge& a, const Edge& b) {
-                return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
-              });
-    std::sort(out_bucket[p].begin(), out_bucket[p].end());
-
-    const auto members = assignment.members(p);
-    const auto in_bytes = to_bytes(in_bucket[p]);
-    const auto out_bytes = to_bytes(out_bucket[p]);
-    write_file(file(p, ".in"), in_bytes, raw);
-    write_file(file(p, ".out"), out_bytes, raw);
-    io_.charge_write(in_bytes.size());
-    io_.charge_write(out_bytes.size());
-    if (include_profiles) {
-      std::vector<SparseProfile> member_profiles;
-      member_profiles.reserve(members.size());
-      for (VertexId v : members) member_profiles.push_back(profiles.get(v));
-      const auto prof_bytes = pack_profiles(member_profiles);
-      write_file(file(p, ".prof"), prof_bytes, raw);
-      io_.charge_write(prof_bytes.size());
+  auto write_partitions = [&](std::size_t lo, std::size_t hi) {
+    IoCounters raw;  // write_file wants a counter; we fold into io_ below.
+    auto put = [&](PartitionId p, const char* suffix,
+                   std::span<const std::byte> bytes) {
+      write_file(file(p, suffix), bytes, raw);
+      io_.charge_write(bytes.size());
+    };
+    for (std::size_t i = lo; i < hi; ++i) {
+      const auto p = static_cast<PartitionId>(i);
+      // Sort by bridge: in-edges (s, v) by v = dst (then s); out-edges
+      // (v, d) by v = src (then d).
+      std::sort(in_edges[p].begin(), in_edges[p].end(),
+                [](const Edge& a, const Edge& b) {
+                  return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
+                });
+      std::sort(out_edges[p].begin(), out_edges[p].end());
+      put(p, ".in", std::as_bytes(std::span(in_edges[p])));
+      put(p, ".out", std::as_bytes(std::span(out_edges[p])));
+      if (include_profiles) {
+        pack_profiles_into(profiles, members[p], packed[p]);
+        put(p, ".prof", packed[p]);
+      }
+      // Vertex membership file (ascending ids).
+      put(p, ".vtx", std::as_bytes(std::span(members[p])));
     }
-
-    // Vertex membership file (ascending ids).
-    const auto member_bytes = to_bytes(members);
-    write_file(file(p, ".vtx"), member_bytes, raw);
-    io_.charge_write(member_bytes.size());
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(0, m_, write_partitions, /*min_chunk=*/1);
+  } else {
+    write_partitions(0, m_);
   }
 }
 
@@ -191,6 +227,24 @@ PartitionData PartitionStore::load(PartitionId id) const {
   return data;
 }
 
+PartitionData PartitionStore::load_flat(PartitionId id, bool quantize,
+                                        ThreadPool* pool) const {
+  PartitionData data;
+  data.id = id;
+  data.vertices = from_bytes<VertexId>(fetch(file(id, ".vtx")));
+  (void)fetch(file(id, ".in"));
+  (void)fetch(file(id, ".out"));
+  const std::vector<std::byte> packed = fetch(file(id, ".prof"));
+  const auto profiles = packed_profile_views(packed);
+  if (profiles.size() != data.vertices.size()) {
+    throw std::runtime_error(
+        "PartitionStore::load_flat: profile count mismatch");
+  }
+  data.flat =
+      FlatProfileSet::from_profiles(data.vertices, profiles, quantize, pool);
+  return data;
+}
+
 PartitionData PartitionStore::load_edges(PartitionId id) const {
   PartitionData data;
   data.id = id;
@@ -219,11 +273,12 @@ void PartitionStore::write_profiles(
   io_.charge_write(member_bytes.size());
 }
 
-PartitionCache::PartitionCache(const PartitionStore& store, std::size_t slots,
-                               bool edges_only)
-    : store_(store),
-      slots_(std::max<std::size_t>(slots, 1)),
-      edges_only_(edges_only) {}
+PartitionCache::PartitionCache(std::size_t slots, Loader load)
+    : slots_(std::max<std::size_t>(slots, 1)), load_(std::move(load)) {}
+
+PartitionCache::PartitionCache(const PartitionStore& store, std::size_t slots)
+    : PartitionCache(slots,
+                     [&store](PartitionId id) { return store.load(id); }) {}
 
 const PartitionData& PartitionCache::get(PartitionId id) {
   if (auto it = resident_.find(id); it != resident_.end()) {
@@ -237,8 +292,7 @@ const PartitionData& PartitionCache::get(PartitionId id) {
     resident_.erase(victim);
     ++unloads_;
   }
-  auto [it, inserted] = resident_.emplace(
-      id, edges_only_ ? store_.load_edges(id) : store_.load(id));
+  auto [it, inserted] = resident_.emplace(id, load_(id));
   lru_.push_front(id);
   ++loads_;
   return it->second;

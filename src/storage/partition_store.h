@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <list>
 #include <optional>
 #include <unordered_map>
@@ -19,12 +20,15 @@
 
 #include "graph/edge_list.h"
 #include "partition/assignment.h"
+#include "profiles/flat_profile.h"
 #include "profiles/profile.h"
 #include "profiles/profile_store.h"
 #include "storage/io_model.h"
 #include "util/types.h"
 
 namespace knnpc {
+
+class ThreadPool;
 
 /// One partition fully materialised in memory.
 struct PartitionData {
@@ -33,6 +37,9 @@ struct PartitionData {
   std::vector<Edge> in_edges;       // (s, v), sorted by v then s
   std::vector<Edge> out_edges;      // (v, d), sorted by v then d
   std::vector<SparseProfile> profiles;  // profiles[i] belongs to vertices[i]
+  /// The same profiles in the similarity kernels' flat layout. Only
+  /// load_flat() fills it, and it leaves `profiles` and the edges empty.
+  FlatProfileSet flat;
 
   /// Profile of `v`; nullptr when v is not in this partition. O(log n).
   [[nodiscard]] const SparseProfile* profile_of(VertexId v) const;
@@ -44,7 +51,8 @@ struct PartitionData {
 /// Writes and reads partitions under a work directory.
 ///
 /// Thread-safety: the write side (write_all / write_all_streaming /
-/// write_profiles) is single-writer and must not overlap any other call.
+/// write_profiles) is single-writer and must not overlap any other call;
+/// write_all may fan its per-partition work out to a pool of its own.
 /// The read side is concurrent-reader safe: once the partition files for
 /// an iteration are on disk, any number of threads may call load() /
 /// load_edges() simultaneously — each call reads into its own buffers and
@@ -78,8 +86,14 @@ class PartitionStore {
   /// (profiles/profile_delta.h) instead, so writing them here would be
   /// bytes nobody reads. load() throws on such a store; load_edges() is
   /// the supported read path.
+  ///
+  /// A non-null `pool` sorts, packs and writes the m partitions in
+  /// parallel. Every buffer is sized from the edge and profile counts and
+  /// allocated by the calling thread; pool threads only fill and write
+  /// it. The files and byte counts are the same either way.
   void write_all(const EdgeList& graph, const PartitionAssignment& assignment,
-                 const ProfileStore& profiles, bool include_profiles = true);
+                 const ProfileStore& profiles, bool include_profiles = true,
+                 ThreadPool* pool = nullptr);
 
   /// Low-memory variant of write_all: edges stream to per-partition files
   /// through a bounded buffer (storage/shard_writer.h) and each edge file
@@ -99,6 +113,14 @@ class PartitionStore {
   /// Loads only the vertex list and sorted edge files (phase 2 streams
   /// these to merge-join tuples; profiles are not needed there).
   [[nodiscard]] PartitionData load_edges(PartitionId id) const;
+
+  /// Phase 4's load: the vertex list plus the profiles decoded straight
+  /// into `flat` (FlatProfileSet::from_profiles, rows filled on `pool`
+  /// when given), with no SparseProfile in between. It reads the same four
+  /// files as load(), so a phase-4 load is charged the whole partition;
+  /// the edge files are not decoded — phase 4 never merge-joins.
+  [[nodiscard]] PartitionData load_flat(PartitionId id, bool quantize,
+                                        ThreadPool* pool = nullptr) const;
 
   /// Rewrites one partition's profile file (phase 5 flushes updates).
   void write_profiles(PartitionId id,
@@ -134,11 +156,15 @@ class PartitionStore {
 /// underlying store may be shared across caches on different threads.
 class PartitionCache {
  public:
-  /// `edges_only = true` loads partitions via load_edges() (no .prof
-  /// reads): the persistent-worker path, where profiles live in a
-  /// worker-local store kept current by KPRD deltas.
-  PartitionCache(const PartitionStore& store, std::size_t slots,
-                 bool edges_only = false);
+  /// Brings one partition in on a miss: a PartitionStore read such as
+  /// load_flat() (the streaming engines' phase 4) or load_edges() (the
+  /// persistent-worker path, where profiles live in a worker-local store
+  /// kept current by KPRD deltas).
+  using Loader = std::function<PartitionData(PartitionId)>;
+
+  PartitionCache(std::size_t slots, Loader load);
+  /// Full loads through store.load().
+  PartitionCache(const PartitionStore& store, std::size_t slots);
 
   /// Returns the resident partition, loading (and possibly evicting LRU)
   /// as needed. References are invalidated by subsequent get() calls that
@@ -158,9 +184,8 @@ class PartitionCache {
   void flush();
 
  private:
-  const PartitionStore& store_;
   std::size_t slots_;
-  bool edges_only_ = false;
+  Loader load_;
   std::list<PartitionId> lru_;  // front = most recent
   std::unordered_map<PartitionId, PartitionData> resident_;
   std::uint64_t loads_ = 0;

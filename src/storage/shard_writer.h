@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -23,6 +24,14 @@
 #include "util/types.h"
 
 namespace knnpc {
+
+/// Path of shard `s` of the shard set <dir>/<stem>_*: the one naming rule
+/// shared by RecordShardWriter and write_record_shard.
+inline std::filesystem::path record_shard_path(
+    const std::filesystem::path& dir, const std::string& stem,
+    std::size_t shard) {
+  return dir / (stem + "_" + std::to_string(shard) + ".bin");
+}
 
 /// Thread-safety: a RecordShardWriter is single-writer — add()/finish()
 /// must come from one thread at a time (the engine calls it from the
@@ -78,7 +87,7 @@ class RecordShardWriter {
   }
   /// Path of shard `s` (exists only once something was flushed to it).
   [[nodiscard]] std::filesystem::path shard_path(std::size_t shard) const {
-    return dir_ / (stem_ + "_" + std::to_string(shard) + ".bin");
+    return record_shard_path(dir_, stem_, shard);
   }
 
  private:
@@ -120,6 +129,33 @@ class RecordShardWriter {
   bool finished_ = false;
   IoAccountant* accountant_;
 };
+
+/// Writes a whole shard in one append-free write, replacing any previous
+/// file: the counterpart of read_record_shard for a writer that already
+/// holds every record of the shard (the threaded engine's phase 2). An
+/// empty `records` removes the file instead, so a reader sees exactly
+/// what a RecordShardWriter that never flushed the shard leaves behind.
+/// Charges one write of the record bytes. Distinct paths may be written
+/// from different threads concurrently.
+template <TrivialRecord T>
+void write_record_shard(const std::filesystem::path& path,
+                        std::span<const T> records,
+                        IoAccountant* accountant = nullptr) {
+  if (records.empty()) {
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    return;
+  }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const auto bytes = std::as_bytes(records);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  if (!out) {
+    throw std::runtime_error("write_record_shard: cannot write " +
+                             path.string());
+  }
+  if (accountant != nullptr) accountant->charge_write(bytes.size());
+}
 
 /// Reads back a whole shard. Missing files (never-flushed shards) return
 /// an empty vector; truncated trailing records are dropped by from_bytes.

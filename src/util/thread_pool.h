@@ -1,9 +1,12 @@
 // Scalable fixed-size thread pool with chunked `parallel_for` /
 // `parallel_reduce` helpers.
 //
-// Phase 4 parallelises similarity computation over the tuple bundle of the
-// currently loaded PI edge (the paper's future-work "multiple threads");
-// the same pool drives the brute-force baseline, NN-Descent scoring and the
+// KnnEngine runs phases 1, 2 and 4 on one of these (the paper's
+// future-work "multiple threads"): the m partitions are sorted, packed and
+// written in parallel, candidates are generated and deduplicated in
+// source-user shards, and each loaded partition is decoded, and each PI
+// pair's tuple bundle scored and merged, across the pool. The same pool
+// drives the brute-force baseline, NN-Descent scoring and the
 // sampled-recall estimator.
 //
 // Design (vs the original mutex+condvar+std::queue<std::packaged_task>

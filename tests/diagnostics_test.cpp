@@ -1,6 +1,8 @@
 // Tests for core/convergence and profiles/ratings_io.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "core/brute_force.h"
@@ -10,6 +12,7 @@
 #include "profiles/generators.h"
 #include "profiles/ratings_io.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace knnpc {
 namespace {
@@ -68,6 +71,38 @@ TEST(ConvergenceTest, SampledRecallDeterministicPerSeed) {
   const auto b =
       sampled_recall(approx, store, SimilarityMeasure::Cosine, 20, 5);
   EXPECT_DOUBLE_EQ(a.recall, b.recall);
+}
+
+TEST(ConvergenceTest, SampledRecallOnAPoolEqualsSerialBitForBit) {
+  // The engine hands its pool to the estimator every iteration; the pool
+  // may only split the work, never change the estimate.
+  Rng rng(43);
+  ClusteredGenConfig pconfig;
+  pconfig.base.num_users = 200;
+  pconfig.base.num_items = 400;
+  pconfig.num_clusters = 6;
+  const auto profiles = clustered_profiles(pconfig, rng);
+  const InMemoryProfileStore store{profiles};
+  EngineConfig config;
+  config.k = 6;
+  config.num_partitions = 4;
+  config.threads = 1;
+  KnnEngine engine(config, profiles);
+  ASSERT_TRUE(engine.run(20, 0.01).converged);
+  const SampledRecall serial = sampled_recall(
+      engine.graph(), store, config.measure, 64, 23, nullptr);
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    ThreadPool pool(workers);
+    const SampledRecall pooled = sampled_recall(
+        engine.graph(), store, config.measure, 64, 23, &pool);
+    EXPECT_EQ(pooled.sampled_users, serial.sampled_users) << workers;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pooled.recall),
+              std::bit_cast<std::uint64_t>(serial.recall))
+        << workers << " workers";
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pooled.margin95),
+              std::bit_cast<std::uint64_t>(serial.margin95))
+        << workers << " workers";
+  }
 }
 
 TEST(ConvergenceTest, MeanKthScoreRisesAsGraphImproves) {

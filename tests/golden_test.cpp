@@ -151,27 +151,42 @@ Workload golden_workload(const GoldenRow& row) {
   return make_workload(row.name.substr(3), params);
 }
 
-std::uint64_t run_serial(const GoldenRow& row, std::uint32_t threads = 1) {
+/// One KnnEngine replay of a row: the final checksum and every
+/// iteration's stats.
+struct EngineRun {
+  std::uint64_t checksum = 0;
+  std::vector<IterationStats> iterations;
+};
+
+EngineRun run_engine(const GoldenRow& row, std::uint32_t threads) {
   EngineConfig config = golden_config(row);
   config.threads = threads;
+  EngineRun run;
   if (is_wl_row(row)) {
     Workload workload = golden_workload(row);
     const auto n = static_cast<VertexId>(workload.profiles.size());
     KnnEngine engine(config, std::move(workload.profiles));
     for (std::uint32_t i = 0; i < row.iters; ++i) {
       workload.tick(engine.update_queue(), n);
-      engine.run_iteration();
+      run.iterations.push_back(engine.run_iteration());
     }
-    return knn_graph_checksum(engine.graph());
+    run.checksum = knn_graph_checksum(engine.graph());
+    return run;
   }
   KnnEngine engine(config, golden_profiles(row));
   std::optional<ChurnDriver> churn;
   if (is_churn_row(row)) churn.emplace(golden_churn_config(row));
   for (std::uint32_t i = 0; i < row.iters; ++i) {
     if (churn) churn->tick(engine);
-    engine.run_iteration();
+    run.iterations.push_back(engine.run_iteration());
   }
-  return knn_graph_checksum(engine.graph());
+  run.checksum = knn_graph_checksum(engine.graph());
+  return run;
+}
+
+/// The serial engine (threads = 1), the oracle every mode must match.
+std::uint64_t run_serial(const GoldenRow& row) {
+  return run_engine(row, 1).checksum;
 }
 
 /// The same row through a sharded engine in any worker mode. A non-empty
@@ -279,6 +294,45 @@ TEST(GoldenTest, SerialPipelineMatchesPinnedChecksums) {
   }
 }
 
+TEST(GoldenTest, EveryRowReplaysThroughTheThreadedEngine) {
+  // A KnnEngine with a pool runs phases 1, 2 and 4's partition decoding
+  // on it. Every row — reverse plus sampling, spill, churn and the zoo —
+  // must land on the pinned checksum at 2 threads and at 3, where the
+  // source-user shards are uneven and the phase-2 partition batches do not
+  // divide m. And it must do exactly the serial engine's work: the same
+  // candidates, unique tuples, PI pairs, partition loads and file bytes.
+  const std::vector<GoldenRow> rows = load_rows();
+  ASSERT_FALSE(rows.empty());
+  if (std::getenv("KNNPC_UPDATE_GOLDEN") != nullptr) {
+    GTEST_SKIP() << "corpus being regenerated; modes covered on rerun";
+  }
+  for (const GoldenRow& row : rows) {
+    const EngineRun serial = run_engine(row, 1);
+    for (const std::uint32_t threads : {2u, 3u}) {
+      const EngineRun threaded = run_engine(row, threads);
+      EXPECT_EQ(hex(threaded.checksum), hex(row.checksum))
+          << "threaded engine drifted on '" << row.name << "' at threads="
+          << threads;
+      ASSERT_EQ(threaded.iterations.size(), serial.iterations.size());
+      for (std::size_t i = 0; i < serial.iterations.size(); ++i) {
+        const IterationStats& want = serial.iterations[i];
+        const IterationStats& got = threaded.iterations[i];
+        const std::string where = row.name + " threads=" +
+                                  std::to_string(threads) + " iteration " +
+                                  std::to_string(i);
+        EXPECT_EQ(got.threads_used, threads) << where;
+        EXPECT_EQ(got.candidate_tuples, want.candidate_tuples) << where;
+        EXPECT_EQ(got.unique_tuples, want.unique_tuples) << where;
+        EXPECT_EQ(got.pi_pairs, want.pi_pairs) << where;
+        EXPECT_EQ(got.partition_loads, want.partition_loads) << where;
+        EXPECT_EQ(got.partition_unloads, want.partition_unloads) << where;
+        EXPECT_EQ(got.io.bytes_read, want.io.bytes_read) << where;
+        EXPECT_EQ(got.io.bytes_written, want.io.bytes_written) << where;
+      }
+    }
+  }
+}
+
 TEST(GoldenTest, EveryExecutionModeReproducesTheGoldenGraph) {
   const std::vector<GoldenRow> rows = load_rows();
   ASSERT_FALSE(rows.empty());
@@ -287,8 +341,6 @@ TEST(GoldenTest, EveryExecutionModeReproducesTheGoldenGraph) {
   }
   const GoldenRow& row = rows.front();  // the base workload
 
-  EXPECT_EQ(hex(run_serial(row, 2)), hex(row.checksum))
-      << "thread-pool execution drifted from the golden graph";
   EXPECT_EQ(hex(run_sharded(row, 3, ShardWorkerMode::Thread)),
             hex(row.checksum))
       << "thread-mode sharded execution drifted from the golden graph";
@@ -299,9 +351,10 @@ TEST(GoldenTest, EveryExecutionModeReproducesTheGoldenGraph) {
 
 TEST(GoldenTest, ChurnWorkloadReplaysThroughEveryMode) {
   // The multi-iteration churn row exercises the regime the persistent
-  // workers were built for: every mode must land on the pinned checksum
-  // after >= 5 iterations of profile updates, and persistent mode must do
-  // so for several shard counts (its delta-sync path differs per S). The
+  // workers were built for: every sharded mode must land on the pinned
+  // checksum after >= 5 iterations of profile updates, and persistent mode
+  // must do so for several shard counts (its delta-sync path differs per
+  // S). The
   // distributed column puts each of two shards behind its own loopback
   // agent, so the cross-agent spool relay runs every iteration.
   const std::vector<GoldenRow> rows = load_rows();
@@ -320,9 +373,6 @@ TEST(GoldenTest, ChurnWorkloadReplaysThroughEveryMode) {
     const GoldenRow& row = *churn_row;
     ASSERT_GE(row.iters, 5u) << row.name;
 
-    EXPECT_EQ(hex(run_serial(row, 2)), hex(row.checksum))
-        << "thread-pool execution drifted on churn workload '" << row.name
-        << "'";
     EXPECT_EQ(hex(run_sharded(row, 3, ShardWorkerMode::Thread)),
               hex(row.checksum))
         << "thread-mode sharding drifted on churn workload '" << row.name
@@ -374,7 +424,7 @@ TEST(GoldenTest, DistributedLoopbackReproducesTheGoldenGraph) {
 
 TEST(GoldenTest, WorkloadZooReplaysThroughEveryMode) {
   // One pinned row per registered zoo scenario (wl-<name>), replayed
-  // through every execution mode — the cross-mode differential harness in
+  // through every sharded mode — the cross-mode differential harness in
   // regression form. Persistent mode again sweeps shard counts, since its
   // delta-sync path differs per S; the distributed column relays spools
   // between two loopback agents on every scenario.
@@ -393,8 +443,6 @@ TEST(GoldenTest, WorkloadZooReplaysThroughEveryMode) {
   const LoopbackAgents agents("golden_zoo_agents", 2);
   for (const GoldenRow* wl_row : wl_rows) {
     const GoldenRow& row = *wl_row;
-    EXPECT_EQ(hex(run_serial(row, 2)), hex(row.checksum))
-        << "thread-pool execution drifted on '" << row.name << "'";
     EXPECT_EQ(hex(run_sharded(row, 3, ShardWorkerMode::Thread)),
               hex(row.checksum))
         << "thread-mode sharding drifted on '" << row.name << "'";

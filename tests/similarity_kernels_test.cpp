@@ -29,7 +29,9 @@
 #include "profiles/generators.h"
 #include "profiles/similarity.h"
 #include "profiles/similarity_kernels.h"
+#include "profiles/profile_store.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 #ifndef KNNPC_GOLDEN_DIR
 #error "KNNPC_GOLDEN_DIR must point at tests/golden"
@@ -154,17 +156,53 @@ TEST(FlatProfileSetTest, LookupConventions) {
   EXPECT_THROW(set.add(3, prof({})), std::invalid_argument);
 }
 
-TEST(FlatSetCacheTest, ReusesResidentSetsAndRebuildsAfterEviction) {
-  const std::vector<SparseProfile> profiles = {prof({{1, 1.0f}}),
-                                               prof({{2, 2.0f}})};
-  const std::vector<VertexId> vertices = {0, 1};
-  FlatSetCache cache(2, /*quantize=*/false);
-  const FlatProfileSet* a = &cache.get(0, vertices, profiles);
-  EXPECT_EQ(a, &cache.get(0, vertices, profiles));  // hit, same object
-  cache.get(1, vertices, profiles);
-  cache.get(2, vertices, profiles);  // evicts id 0 (capacity 2)
-  const FlatProfileSet& rebuilt = cache.get(0, vertices, profiles);
-  EXPECT_EQ(rebuilt.num_profiles(), 2u);
+TEST(FlatProfileSetTest, FromProfilesMatchesAddBitForBit) {
+  Rng rng(19);
+  std::vector<SparseProfile> profiles;
+  std::vector<VertexId> ids;
+  for (VertexId v = 0; v < 300; ++v) {
+    profiles.push_back(random_profile(rng.next_below(40), 2, rng));
+    ids.push_back(3 * v + 1);  // sparse ids: lookups binary-search
+  }
+  const std::vector<std::byte> packed = pack_profiles(profiles);
+  const auto rows = packed_profile_views(packed);
+  ThreadPool pool(3);
+  for (const bool quantize : {false, true}) {
+    FlatProfileSet added(quantize);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      added.add(ids[i], profiles[i]);
+    }
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const FlatProfileSet decoded =
+          FlatProfileSet::from_profiles(ids, rows, quantize, p);
+      ASSERT_EQ(decoded.num_profiles(), added.num_profiles());
+      ASSERT_EQ(decoded.total_entries(), added.total_entries());
+      for (const VertexId id : ids) {
+        const FlatProfileSet::View a = added.view(id);
+        const FlatProfileSet::View b = decoded.view(id);
+        ASSERT_EQ(a.size, b.size);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.norm),
+                  std::bit_cast<std::uint64_t>(b.norm));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean),
+                  std::bit_cast<std::uint64_t>(b.mean));
+        EXPECT_EQ(decoded.scale_of(id), added.scale_of(id));
+        for (std::uint32_t i = 0; i < a.size; ++i) {
+          EXPECT_EQ(a.items[i], b.items[i]);
+          EXPECT_TRUE(bit_equal(a.weights[i], b.weights[i]));
+        }
+      }
+      FlatProfileSet::View miss;
+      EXPECT_FALSE(decoded.find(0, miss));
+      EXPECT_FALSE(decoded.find(5, miss));  // inside the id range
+      EXPECT_FALSE(decoded.find(3 * 300 + 1, miss));
+    }
+  }
+  const std::vector<VertexId> unsorted = {9, 4};
+  EXPECT_THROW(FlatProfileSet::from_profiles(
+                   unsorted, std::span(rows).subspan(0, 2), false),
+               std::invalid_argument);
+  EXPECT_THROW(FlatProfileSet::from_profiles(unsorted, rows, false),
+               std::invalid_argument);  // one id per profile
 }
 
 // ----------------------------------------------------- quantization --
@@ -174,22 +212,25 @@ TEST(QuantizeWeightsTest, RoundTripProperties) {
   for (int trial = 0; trial < 50; ++trial) {
     const SparseProfile p =
         random_profile(1 + rng.next_below(64), 2, rng);
-    const QuantizedWeights q = quantize_weights_u16(p.entries());
-    ASSERT_EQ(q.codes.size(), p.size());
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      const float w = p.entries()[i].weight;
-      const float back = dequantize_weight_u16(q.codes[i], q.scale);
+    std::vector<float> weights;
+    for (const ProfileEntry& e : p.entries()) weights.push_back(e.weight);
+    std::vector<std::uint16_t> codes(weights.size());
+    const float scale = quantize_weights_u16(weights, codes);
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      const float back = dequantize_weight_u16(codes[i], scale);
       // Worst-case absolute error is half a quantization step.
-      EXPECT_LE(std::abs(back - w), q.scale * 0.5f + 1e-6f)
-          << "weight " << w << " scale " << q.scale;
+      EXPECT_LE(std::abs(back - weights[i]), scale * 0.5f + 1e-6f)
+          << "weight " << weights[i] << " scale " << scale;
     }
   }
   // Empty profile: scale defaults to 1.
-  EXPECT_EQ(quantize_weights_u16(prof({}).entries()).scale, 1.0f);
+  EXPECT_EQ(quantize_weights_u16({}, {}), 1.0f);
   // Exact zero always round-trips to exact zero.
-  const QuantizedWeights q =
-      quantize_weights_u16(prof({{1, 5.0f}}).entries());
-  EXPECT_EQ(dequantize_weight_u16(32768, q.scale), 0.0f);
+  const std::vector<float> five = {5.0f};
+  std::vector<std::uint16_t> code(1);
+  EXPECT_EQ(dequantize_weight_u16(32768, quantize_weights_u16(five, code)),
+            0.0f);
+  EXPECT_THROW(quantize_weights_u16(five, {}), std::invalid_argument);
 }
 
 TEST(QuantizedFlatSetTest, HalvesWeightPayloadAndStaysDeterministic) {

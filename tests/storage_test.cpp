@@ -4,12 +4,14 @@
 #include <filesystem>
 
 #include "graph/generators.h"
+#include "partition/hash_partitioner.h"
 #include "partition/range_partitioner.h"
 #include "profiles/generators.h"
 #include "storage/block_file.h"
 #include "storage/io_model.h"
 #include "storage/partition_store.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace knnpc {
 namespace {
@@ -239,7 +241,79 @@ TEST(PartitionStoreTest, MismatchedInputsThrow) {
                std::invalid_argument);
 }
 
+TEST(PartitionStoreTest, PooledWriteAllWritesTheSameFiles) {
+  // Hash placement gives every partition a non-contiguous member set, and
+  // 3 workers for 4 partitions leave the chunks uneven.
+  StoreFixture fx;
+  const PartitionAssignment hashed =
+      HashPartitioner{}.assign(Digraph(fx.graph), 4);
+  const ScratchDir pooled_dir("pstore_pooled");
+  PartitionStore serial(fx.dir.path());
+  PartitionStore pooled(pooled_dir.path());
+  ThreadPool pool(3);
+  serial.write_all(fx.graph, hashed, fx.profiles);
+  pooled.write_all(fx.graph, hashed, fx.profiles, /*include_profiles=*/true,
+                   &pool);
+  EXPECT_EQ(serial.io().counters(), pooled.io().counters());
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(fx.dir.path())) {
+    IoCounters raw;
+    EXPECT_EQ(read_file(entry.path(), raw),
+              read_file(pooled_dir.path() / entry.path().filename(), raw))
+        << entry.path().filename();
+    ++files;
+  }
+  EXPECT_EQ(files, 16u);  // .in .out .prof .vtx per partition
+}
+
+TEST(PartitionStoreTest, LoadFlatDecodesTheProfilesLoadReads) {
+  StoreFixture fx;
+  PartitionStore store(fx.dir.path());
+  store.write_all(fx.graph, fx.assignment, fx.profiles);
+  ThreadPool pool(2);
+  for (PartitionId p = 0; p < 4; ++p) {
+    const IoCounters before = store.io().counters();
+    const PartitionData full = store.load(p);
+    const IoCounters mid = store.io().counters();
+    const PartitionData flat = store.load_flat(p, /*quantize=*/false, &pool);
+    const IoCounters after = store.io().counters();
+    // Same four files, same bytes charged.
+    EXPECT_EQ(mid.bytes_read - before.bytes_read,
+              after.bytes_read - mid.bytes_read);
+    EXPECT_EQ(mid.read_ops - before.read_ops, after.read_ops - mid.read_ops);
+    EXPECT_EQ(flat.vertices, full.vertices);
+    EXPECT_TRUE(flat.profiles.empty());
+    ASSERT_EQ(flat.flat.num_profiles(), full.vertices.size());
+    for (std::size_t i = 0; i < full.vertices.size(); ++i) {
+      const FlatProfileSet::View v = flat.flat.view(full.vertices[i]);
+      const auto entries = full.profiles[i].entries();
+      ASSERT_EQ(v.size, entries.size());
+      for (std::uint32_t j = 0; j < v.size; ++j) {
+        EXPECT_EQ(v.items[j], entries[j].item);
+        EXPECT_EQ(v.weights[j], entries[j].weight);
+      }
+      EXPECT_EQ(v.norm, full.profiles[i].norm());
+    }
+  }
+}
+
 // -------------------------------------------------------- partition cache --
+
+TEST(PartitionCacheTest, LoaderDecidesWhatALoadReads) {
+  StoreFixture fx;
+  PartitionStore store(fx.dir.path());
+  store.write_all(fx.graph, fx.assignment, fx.profiles);
+  PartitionCache cache(2, [&](PartitionId p) { return store.load_edges(p); });
+  const PartitionData& first = cache.get(1);
+  EXPECT_TRUE(first.profiles.empty());
+  EXPECT_FALSE(first.out_edges.empty());
+  EXPECT_EQ(&first, &cache.get(1));  // a hit returns the resident copy
+  cache.get(2);
+  cache.get(3);  // evicts 1
+  EXPECT_EQ(cache.loads(), 3u);
+  EXPECT_EQ(cache.unloads(), 1u);
+}
 
 TEST(PartitionCacheTest, CountsLoadsAndUnloads) {
   StoreFixture fx;

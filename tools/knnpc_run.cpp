@@ -94,7 +94,10 @@ int main(int argc, char** argv) {
                   "cosine | jaccard | dice | overlap | common | inv-euclid | pearson | adj-cosine",
                   "cosine");
   opts.add_uint("slots", "resident partition slots", 2);
-  opts.add_uint("threads", "phase-4 threads (0 = auto for large runs)", 0);
+  opts.add_uint("threads",
+                "engine threads for phases 1, 2 and 4 (0 = auto for large "
+                "runs)",
+                0);
   opts.add_uint("shards",
                 "engine workers, one per user shard (1 = serial engine, "
                 "0 = auto for large runs)",

@@ -126,28 +126,10 @@ std::vector<std::uint64_t> bundle_candidates_threaded(
   const auto shards = static_cast<std::uint32_t>(pool.size() + 1);
   const bool reverse = config.include_reverse;
 
-  // Upper bound of each shard's candidates. Edge (u, w) of G(t) bridges
-  // (u, x) for every out-edge (w, x), and is itself a direct candidate;
-  // with reverse, w also receives (w, y) for every in-edge (y, u).
-  std::vector<std::uint64_t> bound(shards, 0);
-  {
-    std::vector<std::uint32_t> in_degree(n, 0);
-    for (VertexId u = 0; u < n; ++u) {
-      for (const Neighbor& e : graph.neighbors(u)) ++in_degree[e.id];
-    }
-    for (VertexId u = 0; u < n; ++u) {
-      for (const Neighbor& e : graph.neighbors(u)) {
-        bound[source_shard(u, shards)] += graph.neighbors(e.id).size() + 1;
-        if (reverse) bound[source_shard(e.id, shards)] += in_degree[u] + 1;
-      }
-      bound[source_shard(u, shards)] += config.random_candidates;
-    }
-    if (reverse) {  // a restart (s, d) reverses into any shard
-      for (std::uint64_t& b : bound) {
-        b += static_cast<std::uint64_t>(n) * config.random_candidates;
-      }
-    }
-  }
+  // Upper bound of each shard's candidates (core/tuple_generation.h).
+  const std::vector<std::uint64_t> bound = candidate_bounds(
+      config, graph, shards,
+      [shards](VertexId u) { return source_shard(u, shards); });
   std::vector<TupleTable> tables;
   tables.reserve(shards);
   for (std::uint32_t w = 0; w < shards; ++w) tables.emplace_back(bound[w]);

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -12,7 +13,6 @@
 #include <exception>
 #include <filesystem>
 #include <functional>
-#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -26,6 +26,7 @@
 #include "core/tuple_generation.h"
 #include "core/tuple_table.h"
 #include "graph/digraph.h"
+#include "graph/knn_graph.h"
 #include "graph/knn_graph_delta.h"
 #include "graph/knn_graph_io.h"
 #include "partition/cost.h"
@@ -37,10 +38,8 @@
 #include "profiles/profile_delta.h"
 #include "profiles/similarity_kernels.h"
 #include "storage/block_file.h"
-#include "storage/file_sync.h"
 #include "storage/partition_store.h"
 #include "storage/shard_writer.h"
-#include "util/fnv.h"
 #include "util/ipc_channel.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -78,29 +77,21 @@ const char* worker_mode_name(ShardWorkerMode mode) noexcept {
 namespace {
 
 // ------------------------------------------------ work-directory layout --
-// Everything the two waves exchange lives under the driver's work dir;
-// persistent mode adds the static plan. Paths are defined here once — the
-// driver and the re-executed workers must agree byte-for-byte.
+// Shard w's scratch files (its PI-pair bundles and score spill) live in
+// one directory under the work dir: the driver's for thread mode and local
+// workers, the agent's run directory for remote ones.
 
-constexpr const char* kSpoolStem = "tuples";
-
-fs::path spools_dir(const fs::path& work_dir) { return work_dir / "spools"; }
-
-fs::path consumer_scratch_dir(const fs::path& work_dir, std::uint32_t c) {
-  return work_dir / ("worker_" + std::to_string(c));
-}
-
-fs::path plan_file_path(const fs::path& work_dir) {
-  return work_dir / "plan.bin";
+fs::path worker_scratch_dir(const fs::path& work_dir, std::uint32_t w) {
+  return work_dir / ("worker_" + std::to_string(w));
 }
 
 // --------------------------------------------------------- fault points --
-// Worker processes consult kShardFaultEnv at one mid-wave point per wave
+// Worker processes consult kShardFaultEnv at two points of an iteration
 // (see shard_driver.h). Parsing is deliberately forgiving: a malformed
 // spec injects nothing rather than crashing a production run that
 // happens to have the variable set.
 
-void maybe_inject_fault(const char* wave, std::uint32_t shard,
+void maybe_inject_fault(const char* point, std::uint32_t shard,
                         std::uint32_t attempt, std::uint32_t iteration) {
   const char* env = std::getenv(kShardFaultEnv);
   if (env == nullptr) return;
@@ -118,7 +109,7 @@ void maybe_inject_fault(const char* wave, std::uint32_t shard,
       start = colon + 1;
     }
   }
-  if (parts.size() < 3 || parts[0] != wave) return;
+  if (parts.size() < 3 || parts[0] != point) return;
   // Optional fields 3/4 filter by attempt and iteration; "*" (or an
   // omitted field) matches anything.
   auto matches = [&](std::size_t index, std::uint32_t value) {
@@ -135,9 +126,9 @@ void maybe_inject_fault(const char* wave, std::uint32_t shard,
     return;
   }
   const std::string& kind = parts[2];
-  std::fprintf(stderr, "shard_worker: injecting fault '%s' (%s wave, shard "
+  std::fprintf(stderr, "shard_worker: injecting fault '%s' (%s point, shard "
                        "%u, attempt %u, iteration %u)\n",
-               kind.c_str(), wave, shard, attempt, iteration);
+               kind.c_str(), point, shard, attempt, iteration);
   if (kind == "kill") {
     std::raise(SIGKILL);
   } else if (kind == "exit") {
@@ -147,126 +138,132 @@ void maybe_inject_fault(const char* wave, std::uint32_t shard,
   }
 }
 
-// ---------------------------------------------------- shared wave bodies --
-// The producer and consumer bodies are mode-agnostic: thread mode calls
-// them on one thread per shard inside the driver, persistent mode from
-// persistent_worker_main in a long-lived child process. Keeping one body
-// per wave is what makes the modes bit-identical by construction.
+// ------------------------------------------------------- the shard body --
+// One body per shard and iteration, run by both modes: thread mode calls
+// it on one thread per shard inside the driver, persistent mode from
+// persistent_worker_main in a long-lived child process. Every shard
+// generates its own users' candidates from the G(t) it holds, so no tuple
+// crosses between shards, and one body is what makes the modes
+// bit-identical by construction.
 
-struct WaveContext {
+struct ShardContext {
   const EngineConfig& config;
   std::uint32_t iteration;
   std::uint32_t shards;
-  std::uint32_t threads_per_shard;
   const PartitionAssignment& assignment;   // user -> partition (m)
   const PartitionAssignment& shard_owner;  // user -> shard (S)
   fs::path work_dir;
 };
 
-/// Phase 2, producer wave for shard `w`: generate candidates, route by
-/// owner of the source user into `sink` (= spool files (w, *)). The
-/// caller flushes the sink (thread mode: RoutedShardWriter::finish after
-/// all producers join; persistent mode: the worker before PRODUCED).
-void produce_candidates(const WaveContext& ctx, std::uint32_t w,
-                        std::span<const VertexId> members,
-                        const PartitionStore& store,
-                        RecordShardWriter<Tuple>& sink,
-                        ShardWorkerStats& worker,
-                        const std::function<void()>& mid_wave_hook) {
-  const EngineConfig& config = ctx.config;
-  const VertexId n = ctx.assignment.num_vertices();
-  const PartitionId m = ctx.assignment.num_partitions();
-  Timer wall;
-  ScopedAccumulator timing(&worker.stats.timings.hash_s);
-  auto route = [&](Tuple t) {
-    sink.add(ctx.shard_owner.owner(t.s), t);
-    if (config.include_reverse) {
-      sink.add(ctx.shard_owner.owner(t.d), Tuple{t.d, t.s});
-    }
-  };
-  // The engine's candidate rules over this shard's partitions, plus the
-  // restarts of its own users: the same streams, hence the same
-  // candidates, as the serial engine draws.
-  for (PartitionId p = w; p < m; p += ctx.shards) {
-    worker.stats.candidate_tuples += partition_candidates(
-        config, ctx.iteration, store.load_edges(p), route);
-  }
-  for (VertexId s : members) {
-    worker.stats.candidate_tuples +=
-        restart_candidates(config, ctx.iteration, n, s, route);
-  }
-  if (mid_wave_hook) mid_wave_hook();
-  worker.produce_s = wall.elapsed_seconds();
-}
-
-struct ConsumerOutput {
+struct ShardOutput {
   /// Full-size graph populated only for the owned users.
   KnnGraph next;
   /// Exact change count over the owned users.
   std::uint64_t changed = 0;
 };
 
-/// Phases 2b-4, consumer wave for shard `c`: dedup the spooled tuples,
-/// build this shard's PI graph + schedule, stream the shared store, keep
-/// top-K for owned users, count changes against `prev` = G(t).
+/// Phases 2-4 for shard `w` against `graph` = G(t), whose in-lists are
+/// `reverse` (build_reverse_adjacency; thread mode builds it once for all
+/// shards).
 ///
-/// `local_profiles` non-null redirects profile lookups to that store and
-/// streams partitions edges-only (no .prof reads) — the persistent-worker
-/// path, where profiles arrive over the command channel as KPRD deltas.
-/// The values are identical either way, so the output graph is too.
-ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
-                                  std::span<const VertexId> members,
-                                  const PartitionStore& store,
-                                  const KnnGraph& prev, ThreadPool* pool,
-                                  IoAccountant* io,
-                                  const ProfileStore* local_profiles,
-                                  ShardWorkerStats& worker,
-                                  const std::function<void()>& mid_wave_hook) {
+/// Phase 2 derives the m edges-only partitions from G(t) one at a time
+/// (derive_partition_edges), runs the candidate rules over every one of
+/// them plus the random restarts, and keeps the candidates whose source
+/// user it owns (with include_reverse also each reversed candidate whose
+/// source it owns), deduplicating them into one TupleTable sized
+/// `table_bound` (candidate_bounds). That is exactly the serial engine's
+/// candidate multiset restricted to the shard's users, and dedup and top-K
+/// depend only on the set. The shard counts candidate_tuples only for
+/// partitions p ≡ w (mod S) and its own users' restarts, so the merged
+/// count is the serial engine's. Phases 3-4 then build the shard's own PI
+/// graph and schedule, stream the partitions through a private cache and
+/// keep top-K for the owned users only.
+///
+/// Phase 4 reads profiles from `store` (thread mode: full partition loads)
+/// or, when `local_profiles` is non-null, from that worker-local P(t)
+/// (persistent mode: the cache's loader then reads no file and returns
+/// only the partition id; loads and unloads are still counted). The values
+/// are identical either way, so the output graph is too. `fault_point`,
+/// when set, is called with "produce" after generation and with "consume"
+/// at the start of phase 4.
+ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
+                      std::span<const VertexId> members,
+                      const KnnGraph& graph, const ReverseAdjacency& reverse,
+                      std::uint64_t table_bound, const PartitionStore* store,
+                      const ProfileStore* local_profiles, ThreadPool* pool,
+                      IoAccountant* io, ShardWorkerStats& worker,
+                      const std::function<void(const char*)>& fault_point) {
   const EngineConfig& config = ctx.config;
   const VertexId n = ctx.assignment.num_vertices();
   const PartitionId m = ctx.assignment.num_partitions();
   const std::uint32_t S = ctx.shards;
   IterationStats& stats = worker.stats;
-  Timer wall;
 
-  // Phase 2b: consumer-side H_c — global dedup per source user falls
-  // out of the routing (all (s, *) tuples land here together).
+  // Phase 2: the shard's own H_w, fed straight from the candidate rules.
+  Timer produce_wall;
   const std::size_t num_slots = pi_pair_slot(m - 1, m - 1, m) + 1;
-  TupleShardWriter pair_writer(consumer_scratch_dir(ctx.work_dir, c),
-                               "tuples", num_slots,
+  TupleShardWriter pair_writer(worker_scratch_dir(ctx.work_dir, w), "tuples",
+                               num_slots,
                                std::max<std::size_t>(
                                    config.shard_buffer_bytes / S,
                                    sizeof(Tuple)),
                                io);
   {
     ScopedAccumulator timing(&stats.timings.hash_s);
-    // Stream one producer's spool at a time — peak extra memory is the
-    // largest single spool, not the whole pre-dedup stream. The expected
-    // record count comes from the spool file sizes, so both execution
-    // modes reserve identically.
-    std::uint64_t expected = 0;
-    for (std::uint32_t p = 0; p < S; ++p) {
-      expected += knnpc::file_size(routed_spool_path(
-                      spools_dir(ctx.work_dir), kSpoolStem, p, c)) /
-                  sizeof(Tuple);
-    }
-    TupleTable table(expected);
-    for (std::uint32_t p = 0; p < S; ++p) {
-      const std::vector<Tuple> chunk = read_record_shard<Tuple>(
-          routed_spool_path(spools_dir(ctx.work_dir), kSpoolStem, p, c), io);
-      worker.spooled_tuples += chunk.size();
-      for (const Tuple& t : chunk) {
+    TupleTable table(static_cast<std::size_t>(table_bound));
+    // The inserts are bound by the table's cache misses; a small window
+    // prefetches each tuple's slot before it is inserted, in order.
+    std::array<Tuple, 32> window;
+    std::size_t pending = 0;
+    auto drain = [&] {
+      for (std::size_t i = 0; i < pending; ++i) table.prefetch(window[i]);
+      for (std::size_t i = 0; i < pending; ++i) {
+        const Tuple t = window[i];
         if (table.insert(t)) {
           pair_writer.add(pi_pair_slot(ctx.assignment.owner(t.s),
                                        ctx.assignment.owner(t.d), m),
                           t);
         }
       }
+      pending = 0;
+    };
+    auto insert = [&](Tuple t) {
+      ++worker.spooled_tuples;
+      window[pending++] = t;
+      if (pending == window.size()) drain();
+    };
+    auto keep = [&](Tuple t) {
+      if (ctx.shard_owner.owner(t.s) == w) insert(t);
+      if (config.include_reverse && ctx.shard_owner.owner(t.d) == w) {
+        insert(Tuple{t.d, t.s});
+      }
+    };
+    for (PartitionId p = 0; p < m; ++p) {
+      const std::uint64_t generated = partition_candidates(
+          config, ctx.iteration,
+          derive_partition_edges(graph, reverse, ctx.assignment, p), keep);
+      if (p % S == w) stats.candidate_tuples += generated;
     }
+    if (config.include_reverse) {
+      // A restart (s, d) reverses into d's shard: every user's restarts.
+      for (VertexId s = 0; s < n; ++s) {
+        const std::uint64_t generated =
+            restart_candidates(config, ctx.iteration, n, s, keep);
+        if (ctx.shard_owner.owner(s) == w) stats.candidate_tuples += generated;
+      }
+    } else {
+      for (const VertexId s : members) {
+        stats.candidate_tuples +=
+            restart_candidates(config, ctx.iteration, n, s, keep);
+      }
+    }
+    drain();
     stats.unique_tuples = table.size();
     pair_writer.finish();
   }
-  if (mid_wave_hook) mid_wave_hook();
+  if (fault_point) fault_point("produce");
+  worker.produce_s = produce_wall.elapsed_seconds();
+  Timer consume_wall;
 
   // Phase 3: this shard's own PI graph + traversal schedule.
   PiGraph pi(m);
@@ -284,31 +281,33 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
     schedule = make_heuristic(config.heuristic)->schedule(pi);
   }
 
-  // Phase 4: stream the shared store through a private cache; top-K for
+  // Phase 4: stream the partitions through a private cache; top-K for
   // this shard's users only. Offers are made serially — the kept set is
   // offer-order-independent, so only scoring needs the pool.
+  if (fault_point) fault_point("consume");
   KnnGraph next(n, config.k);
   {
     ScopedAccumulator timing(&stats.timings.knn_s);
     TopKAccumulator acc(n, config.k);
     std::optional<RecordShardWriter<ScoredTuple>> score_writer;
     if (config.spill_scores) {
-      score_writer.emplace(consumer_scratch_dir(ctx.work_dir, c), "scores",
-                           m,
+      score_writer.emplace(worker_scratch_dir(ctx.work_dir, w), "scores", m,
                            std::max<std::size_t>(
                                config.shard_buffer_bytes / S,
                                sizeof(ScoredTuple)),
                            io);
     }
-    // Streaming path: each resident partition carries its profiles in
-    // the flat (SoA) layout, decoded once per load. Persistent path
-    // (local_profiles): tuples may reference any user and partitions
-    // stream edges-only, so pack the worker's whole P(t) once —
-    // O(total entries), amortised over the full wave.
+    // Store path: each resident partition carries its profiles in the
+    // flat (SoA) layout, decoded once per load. Local path: tuples may
+    // reference any user, so pack the worker's whole P(t) once —
+    // O(total entries), amortised over the full phase.
     PartitionCache cache(config.memory_slots, [&](PartitionId p) {
-      return local_profiles != nullptr
-                 ? store.load_edges(p)
-                 : store.load_flat(p, config.quantize_profiles, pool);
+      if (local_profiles != nullptr) {
+        PartitionData data;
+        data.id = p;
+        return data;
+      }
+      return store->load_flat(p, config.quantize_profiles, pool);
     });
     const KernelBackend backend = resolve_kernel_backend(config.kernel);
     std::optional<FlatProfileSet> local_flat;
@@ -379,8 +378,7 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
     stats.partition_loads = cache.loads();
     stats.partition_unloads = cache.unloads();
     worker.partitions_touched = pi.touched_partitions();
-    // Each full-partition load reads a .prof file; edges-only streaming
-    // (the persistent path) never does.
+    // Each store load reads a .prof file; the local path never does.
     worker.profile_reads = local_profiles != nullptr ? 0 : cache.loads();
 
     ScopedAccumulator merge_timing(&stats.knn_merge_s);
@@ -394,10 +392,7 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
           acc.offer(t.s, t.d, t.score);
         }
         for (VertexId member : ctx.assignment.members(p)) {
-          if (ctx.shard_owner.owner(member) !=
-              static_cast<PartitionId>(c)) {
-            continue;
-          }
+          if (ctx.shard_owner.owner(member) != w) continue;
           next.set_neighbors(member, acc.take(member));
         }
       }
@@ -410,38 +405,49 @@ ConsumerOutput consume_candidates(const WaveContext& ctx, std::uint32_t c,
   // reproduces the serial change rate bit-for-bit.
   std::uint64_t changed = 0;
   for (VertexId s : members) {
-    changed += KnnGraph::change_count(prev, next, s, s + 1);
+    changed += KnnGraph::change_count(graph, next, s, s + 1);
   }
-  worker.consume_s = wall.elapsed_seconds();
+  worker.consume_s = consume_wall.elapsed_seconds();
   return {std::move(next), changed};
 }
 
+/// Every shard's TupleTable size (candidate_bounds under the shard
+/// split), computed on the calling thread from G(t)'s degrees.
+std::vector<std::uint64_t> shard_table_bounds(
+    const EngineConfig& config, const KnnGraph& graph,
+    const PartitionAssignment& shard_owner) {
+  return candidate_bounds(
+      config, graph, shard_owner.num_partitions(),
+      [&shard_owner](VertexId u) { return shard_owner.owner(u); });
+}
+
 // ------------------------------------------------------------ the plan --
-// The plan file ("KPLN") carries everything a persistent worker needs that
-// does not travel over its command channel: the wave-relevant EngineConfig
-// fields and the resolved shard/thread budget. Written once per run;
-// ownership maps, G(t) and P(t) ride RUN_ITERATION commands. Same-build
-// producer and consumer (the worker IS the driver's binary).
+// The plan ("KPLN") carries everything a persistent worker needs that
+// RUN_ITERATION does not: the EngineConfig fields the shard body reads
+// and the resolved shard/thread budget. The driver sends it as the first
+// frame after every spawn; ownership maps, G(t) and P(t) ride
+// RUN_ITERATION commands. Same-build producer and consumer (the worker IS
+// the driver's binary).
 
 constexpr char kPlanMagic[4] = {'K', 'P', 'L', 'N'};
 // v2: adds the phase-4 kernel backend string and the quantize_profiles
-// flag (both read by the wave bodies, so workers must see the configured
+// flag (both read by the shard body, so workers must see the configured
 // values, not the defaults).
 // v3: drops the iteration number and the ownership maps, which no
 // persistent worker read.
 constexpr std::uint32_t kPlanVersion = 3;
 
-// Tripwire: the plan file hand-serialises the wave-relevant subset of
-// EngineConfig. A field added to EngineConfig that the wave bodies read
+// Tripwire: the plan frame hand-serialises the subset of EngineConfig the
+// shard body reads. A field added to EngineConfig that the body reads
 // but the plan omits would make worker processes silently run on the
 // default while thread mode uses the configured value — a plausible but
 // wrong graph. Growing EngineConfig therefore fails here on the CI
-// platform until save_plan_file/load_plan_file (below) were reviewed and
+// platform until plan_to_bytes/plan_from_bytes (below) were reviewed and
 // this constant is bumped.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
 static_assert(sizeof(EngineConfig) == 288,
               "EngineConfig changed: review the worker plan "
-              "serialisation (save_plan_file/load_plan_file) before "
+              "serialisation (plan_to_bytes/plan_from_bytes) before "
               "bumping this size");
 #endif
 
@@ -456,7 +462,7 @@ void append_string(std::vector<std::byte>& out, const std::string& s) {
   for (const char c : s) append_record(out, c);
 }
 
-void save_plan_file(const fs::path& path, const WorkerPlan& plan) {
+std::vector<std::byte> plan_to_bytes(const WorkerPlan& plan) {
   const EngineConfig& config = plan.config;
   std::vector<std::byte> bytes;
   bytes.reserve(128);
@@ -481,17 +487,13 @@ void save_plan_file(const fs::path& path, const WorkerPlan& plan) {
   append_string(bytes, config.io_model.name);
   append_record(bytes, config.io_model.seek_us);
   append_record(bytes, config.io_model.bytes_per_us);
-  IoCounters counters;
-  write_file(path, bytes, counters);
+  return bytes;
 }
 
-WorkerPlan load_plan_file(const fs::path& path) {
-  IoCounters counters;
-  const std::vector<std::byte> bytes = read_file(path, counters);
+WorkerPlan plan_from_bytes(std::span<const std::byte> bytes) {
   std::size_t offset = 0;
-  auto fail = [&](const std::string& what) -> std::runtime_error {
-    return std::runtime_error("load_plan_file: " + what + " in " +
-                              path.string());
+  auto fail = [](const std::string& what) -> std::runtime_error {
+    return std::runtime_error("PLAN frame: " + what);
   };
   auto read = [&]<typename T>(T& out) {
     if (!read_record(bytes, offset, out)) throw fail("truncated plan");
@@ -500,7 +502,7 @@ WorkerPlan load_plan_file(const fs::path& path) {
     std::uint32_t len = 0;
     read(len);
     // Corrupt-header protection: the string must fit in what's left.
-    if (len > bytes.size() - offset) throw fail("string exceeds file size");
+    if (len > bytes.size() - offset) throw fail("string exceeds payload");
     out.resize(len);
     for (char& c : out) read(c);
   };
@@ -565,14 +567,14 @@ std::vector<PartitionId> owner_vector(const PartitionAssignment& a) {
 
 // ---------------------------------------------- persistent-worker protocol --
 // Persistent mode spawns the S workers once and drives every iteration
-// over a framed pipe channel (util/ipc_channel.h) in ONE heavy round-trip
-// per worker. The frame vocabulary and payload layouts below are the whole
-// protocol; both sides are by construction the same binary (like the plan
-// file), so payloads use the same serde records as the on-disk formats.
+// over a framed channel (util/ipc_channel.h) in ONE round-trip per worker.
+// The frame vocabulary and payload layouts below are the whole protocol;
+// both sides are by construction the same binary, so payloads use the
+// same serde records as the on-disk formats.
 //
 // Driver -> worker commands:
-//   RUN_ITERATION  u32 iteration, u32 attempt, u8 skip_produce,
-//                  u8 maps_included,
+//   PLAN           "KPLN" plan bytes; the first frame after every spawn.
+//   RUN_ITERATION  u32 iteration, u32 attempt, u8 maps_included,
 //                  [u32 n, n x u32 partition_owner, n x u32 shard_owner],
 //                  u8 graph_full, i64 graph_base_version,
 //                  i64 graph_new_version, u32 kdlt_len, then kdlt_len
@@ -583,34 +585,23 @@ std::vector<PartitionId> owner_vector(const PartitionAssignment& a) {
 //                  i64 prof_new_version, u32 kprd_len, then kprd_len
 //                  bytes of "KPRD" profile_delta (the users phase 5
 //                  touched; prof_full = every user).
-//                  skip_produce = the consume-phase respawn path: the
-//                  worker goes straight to the consume wave against the
-//                  dead incarnation's intact spools.
-//   GO             empty payload: the produce -> consume barrier. Sent to
-//                  each worker once every shard's PRODUCED arrived; the
-//                  worker then runs its consume wave.
 //   SHUTDOWN       empty payload; the worker exits 0
 // Worker -> driver replies:
-//   READY          u32 shard (sent once at startup, store already open)
-//   PRODUCED       raw ShardWorkerStats, produce-wave share (spools are
-//                  on disk by now)
-//   ITERATION_DONE raw ShardWorkerStats (consume-wave share), then
-//                  "KSHR" ShardResult bytes
+//   READY          u32 shard (sent once, after the plan was accepted)
+//   ITERATION_DONE raw ShardWorkerStats, then "KSHR" ShardResult bytes
 //
 // Ownership maps ride along only when they changed since the last command
 // the worker saw (or after a respawn); on the default range shard
 // partitioner that is the first command only. Both delta payloads are
 // length-prefixed because their parsers demand an exact span (trailing
 // bytes are a typed error). The strict request/reply discipline (a worker
-// never writes before fully reading its command, and writes nothing
-// between PRODUCED and the driver's GO) means the two pipe directions can
-// never deadlock on full buffers.
+// never writes before fully reading its command) means the two directions
+// can never deadlock on full buffers.
 
+constexpr std::uint32_t kCmdPlan = 2;
 constexpr std::uint32_t kCmdShutdown = 3;
 constexpr std::uint32_t kCmdRunIteration = 4;
-constexpr std::uint32_t kCmdGo = 5;
 constexpr std::uint32_t kRspReady = 100;
-constexpr std::uint32_t kRspProduced = 103;
 constexpr std::uint32_t kRspIterationDone = 104;
 
 /// Bytes of one frame on the wire: the 12-byte header (magic, type,
@@ -621,11 +612,10 @@ std::uint64_t frame_wire_bytes(std::size_t payload_size) {
 
 const char* frame_type_name(std::uint32_t type) {
   switch (type) {
+    case kCmdPlan: return "PLAN";
     case kCmdShutdown: return "SHUTDOWN";
     case kCmdRunIteration: return "RUN_ITERATION";
-    case kCmdGo: return "GO";
     case kRspReady: return "READY";
-    case kRspProduced: return "PRODUCED";
     case kRspIterationDone: return "ITERATION_DONE";
   }
   return "?";
@@ -651,7 +641,9 @@ struct PersistentWorker {
   /// `channel` is the TCP socket the agent wired to the worker's stdio.
   bool remote = false;
   std::uint32_t endpoint = 0;
-  /// READY seen (consumed lazily before the first command reply).
+  /// READY seen (consumed lazily before the first command reply). Until
+  /// then the worker is a fresh (re)spawn, and its next command is
+  /// preceded by the PLAN frame.
   bool ready = false;
   /// Worker holds current ownership maps.
   bool has_maps = false;
@@ -666,25 +658,20 @@ struct PersistentWorker {
 };
 
 /// Shard -> endpoint: contiguous balanced groups (shard s belongs to
-/// endpoint s * E / S) — the one arithmetic the spawn path, the spool
-/// relay and the stats attribution must all agree on.
+/// endpoint s * E / S).
 std::uint32_t agent_of_shard(std::uint32_t shard, std::uint32_t shards,
                              std::uint32_t agents) {
   return static_cast<std::uint32_t>(
       static_cast<std::uint64_t>(shard) * agents / shards);
 }
 
-/// One worker-agent endpoint the driver coordinates: its held control
-/// connection (run-long; dropping it is how the agent learns the run
-/// died) and this iteration's content-addressed transfer accounting,
-/// folded into the endpoint's lowest shard's ShardWorkerStats.
+/// One worker-agent endpoint the driver coordinates, with its held
+/// control connection (run-long; dropping it is how the agent learns the
+/// run is over).
 struct RemoteAgentLink {
-  std::string endpoint;  // as configured, for diagnostics
   std::string host;
   std::uint16_t port = 0;
   IpcChannel control;
-  std::uint32_t lowest_shard = std::numeric_limits<std::uint32_t>::max();
-  AgentTransferCounters sync;
 };
 
 /// Driver-side state of the persistent fleet, owned by Impl.
@@ -695,7 +682,8 @@ struct PersistentRuntime {
   /// agent.
   std::vector<RemoteAgentLink> agents;
   std::string run_token;
-  bool plan_written = false;
+  /// The PLAN frame's payload, built once per run.
+  std::vector<std::byte> plan;
   /// The last G broadcast to the fleet and its version counter —
   /// the base the next iteration's incremental delta diffs against.
   KnnGraph synced_graph;
@@ -717,9 +705,7 @@ void spawn_persistent_worker(PersistentRuntime& rt,
   if (!rt.agents.empty()) {
     // Distributed: the agent spawns the process on its machine and wires
     // the accepted socket to the worker's stdio — from here on the same
-    // protocol as a local pipe pair, including READY. The run's files
-    // were synced before any spawn (the worker opens its partition store
-    // at startup).
+    // protocol as a local pipe pair, PLAN and READY included.
     worker.remote = true;
     worker.endpoint = agent_of_shard(
         shard, static_cast<std::uint32_t>(rt.workers.size()),
@@ -735,10 +721,9 @@ void spawn_persistent_worker(PersistentRuntime& rt,
                                 : shard_config.worker_exe;
     IpcChannelPair pair = make_ipc_channel_pair();
     worker.proc = Subprocess(
-        std::vector<std::string>{
-            exe, "--shard-worker",
-            "--plan=" + plan_file_path(work_dir).string(),
-            "--shard=" + std::to_string(shard)},
+        std::vector<std::string>{exe, "--shard-worker",
+                                 "--shard=" + std::to_string(shard),
+                                 "--work-dir=" + work_dir.string()},
         pair.child_read_fd, pair.child_write_fd);
     worker.channel = std::move(pair.parent);
   }
@@ -749,67 +734,23 @@ void spawn_persistent_worker(PersistentRuntime& rt,
   ++worker.spawn_count;
 }
 
-/// Opens the control connections on the first distributed iteration and
-/// assigns each endpoint its lowest shard (the stats attribution target).
+/// Opens the control connections on the first distributed iteration.
 void ensure_agent_links(PersistentRuntime& rt,
-                        const ShardConfig& shard_config, std::uint32_t S) {
+                        const ShardConfig& shard_config) {
   if (shard_config.worker_endpoints.empty() || !rt.agents.empty()) return;
   // Distinct per engine instance so one agent can host several runs
   // (tests drive serial and distributed engines against one agent).
   static std::atomic<std::uint64_t> counter{0};
   rt.run_token = "run-" + std::to_string(::getpid()) + "-" +
                  std::to_string(counter.fetch_add(1));
-  const auto E =
-      static_cast<std::uint32_t>(shard_config.worker_endpoints.size());
-  for (std::uint32_t e = 0; e < E; ++e) {
+  for (const std::string& endpoint : shard_config.worker_endpoints) {
     RemoteAgentLink link;
-    link.endpoint = shard_config.worker_endpoints[e];
-    const auto [host, port] = parse_host_port(link.endpoint);
+    const auto [host, port] = parse_host_port(endpoint);
     link.host = host;
     link.port = port;
     link.control = agent_connect_control(host, port, rt.run_token,
                                          shard_config.agent_timeout_s);
     rt.agents.push_back(std::move(link));
-  }
-  for (std::uint32_t s = 0; s < S; ++s) {
-    RemoteAgentLink& link = rt.agents[agent_of_shard(s, S, E)];
-    link.lowest_shard = std::min(link.lowest_shard, s);
-  }
-}
-
-/// Ships this iteration's run files — the plan and the freshly rewritten
-/// partition store — to every shard-owning agent, content-addressed:
-/// each agent answers the manifest with the checksums it lacks and only
-/// those files transfer. Resets and charges the per-iteration transfer
-/// counters. Must complete before any worker (re)spawn.
-void sync_agent_files(PersistentRuntime& rt, const ShardConfig& shard_config,
-                      const fs::path& work_dir) {
-  if (rt.agents.empty()) return;
-  IoCounters scratch_io;
-  std::vector<SyncFileEntry> manifest;
-  {
-    SyncFileEntry plan;
-    plan.relpath = "plan.bin";
-    const std::vector<std::byte> bytes =
-        read_file(plan_file_path(work_dir), scratch_io);
-    plan.size = bytes.size();
-    plan.checksum = fnv1a_bytes(bytes);
-    manifest.push_back(std::move(plan));
-  }
-  for (SyncFileEntry entry : scan_sync_root(work_dir / "partitions")) {
-    entry.relpath = "partitions/" + entry.relpath;
-    manifest.push_back(std::move(entry));
-  }
-  const auto load = [&](const std::string& relpath) {
-    return read_file(work_dir / fs::path(relpath), scratch_io);
-  };
-  for (RemoteAgentLink& link : rt.agents) {
-    link.sync = AgentTransferCounters{};
-    if (link.lowest_shard == std::numeric_limits<std::uint32_t>::max()) {
-      continue;  // endpoint owns no shards (more endpoints than shards)
-    }
-    link.sync += agent_sync_push(link.control, manifest, load,
-                                 shard_config.agent_timeout_s);
   }
 }
 
@@ -833,12 +774,11 @@ struct PersistentIterationInput {
 };
 
 struct PersistentIterationReply {
-  ShardWorkerStats produced;            // produce-wave share of the stats
-  ShardWorkerStats consumed;            // consume-wave share of the stats
+  ShardWorkerStats stats;               // the worker's share of the stats
   std::vector<std::byte> result_bytes;  // "KSHR" payload
-  /// Channel traffic and heavy-command count for this worker this
-  /// iteration (1 RUN_ITERATION on the steady path; a respawn replay
-  /// adds one), plus the KPRD rows shipped — the driver folds these into
+  /// Channel traffic and command count for this worker this iteration
+  /// (1 RUN_ITERATION on the steady path; a respawn replay adds one),
+  /// plus the KPRD rows shipped — the driver folds these into
   /// ShardWorkerStats.
   std::uint64_t bytes_tx = 0;
   std::uint64_t bytes_rx = 0;
@@ -866,18 +806,18 @@ std::string kill_worker_now(PersistentRuntime& rt,
   return worker.proc.wait().describe();
 }
 
-/// The fleet's one retry-once policy, run once per phase of an iteration.
-/// `send(s, attempt)` issues shard s's command and `collect(s)` reads and
-/// applies its reply; both throw on failure. A worker whose send or reply
-/// fails — it died, replied garbage, or missed the per-command deadline —
-/// is killed and reaped (kill_worker_now, so the diagnostic says how it
-/// died), respawned exactly once, and replayed; the respawn's next command
-/// carries a full graph + profile resync. A second failure throws the
-/// failed shards' two-attempt history. On return every shard's reply was
-/// collected.
+/// The fleet's one retry-once policy, run once per iteration. `send(s,
+/// attempt)` issues shard s's command and `collect(s)` reads and applies
+/// its reply; both throw on failure. A worker whose send or reply fails —
+/// it died, replied garbage, or missed the per-command deadline — is
+/// killed and reaped (kill_worker_now, so the diagnostic says how it
+/// died), respawned exactly once, and replayed; the respawn's command
+/// carries a full graph + profile resync. No other worker waits on it. A
+/// second failure throws the failed shards' two-attempt history. On
+/// return every shard's reply was collected.
 void supervise_phase(
     PersistentRuntime& rt, const ShardConfig& shard_config,
-    const fs::path& work_dir, const std::string& phase,
+    const fs::path& work_dir,
     const std::function<void(std::uint32_t, std::uint32_t)>& send,
     const std::function<void(std::uint32_t)>& collect) {
   const auto S = static_cast<std::uint32_t>(rt.workers.size());
@@ -908,9 +848,9 @@ void supervise_phase(
         // against a healthy worker. Abort with the real cause.
         if (e.kind() == IpcErrorKind::OversizedFrame) {
           throw std::runtime_error(
-              "sharded " + phase + " wave: command for shard " +
-              std::to_string(s) + " exceeds the IPC frame bound (" +
-              e.what() + "); use thread mode for workloads of this size");
+              "sharded iteration: command for shard " + std::to_string(s) +
+              " exceeds the IPC frame bound (" + e.what() +
+              "); use thread mode for workloads of this size");
         }
         fail(s, std::string("command send failed (") + e.what() +
                     "; worker " + kill_worker_now(rt, shard_config, s) +
@@ -941,8 +881,8 @@ void supervise_phase(
     if (failed.empty()) return;
     if (attempt == 0) {
       for (const std::uint32_t s : failed) {
-        KNNPC_LOG(Warn) << "persistent shard " << s << " " << phase
-                        << " worker failed (" << history[s]
+        KNNPC_LOG(Warn) << "persistent shard " << s << " worker failed ("
+                        << history[s]
                         << "); respawning once with a full resync";
         spawn_persistent_worker(rt, shard_config, work_dir, s);
         rt.workers[s].needs_resync = true;
@@ -950,7 +890,7 @@ void supervise_phase(
       pending = std::move(failed);
       continue;
     }
-    std::string message = "sharded " + phase + " wave failed after one retry:";
+    std::string message = "sharded iteration failed after one retry:";
     for (const std::uint32_t s : failed) {
       message += "\n  shard " + std::to_string(s) + ": " + history[s];
     }
@@ -958,17 +898,13 @@ void supervise_phase(
   }
 }
 
-/// Drives ONE full iteration across the persistent fleet: one heavy
-/// RUN_ITERATION command per worker carrying maps + G(t) + P(t) deltas,
-/// a PRODUCED reply per worker, one payload-free GO barrier, and an
-/// ITERATION_DONE reply per worker, each phase under supervise_phase. A
-/// produce-phase respawn replays its command verbatim (safe: no shard
-/// consumes before GO, so the respawn may rewrite its spools). A
-/// consume-phase respawn gets a skip-produce command instead and re-runs
-/// only the consume wave against the dead incarnation's intact spools
-/// (PRODUCED is sent only after the spool sink flushed, so they are
-/// complete by construction). On return every shard's reply is complete;
-/// partial output can never be observed by the caller.
+/// Drives ONE full iteration across the persistent fleet: one
+/// RUN_ITERATION command per worker carrying maps + G(t) + P(t) deltas
+/// (preceded by the PLAN frame on a fresh spawn) and one ITERATION_DONE
+/// reply per worker, under supervise_phase. Workers exchange nothing, so a
+/// respawn replays its whole command while the others carry on. On return
+/// every shard's reply is complete; partial output can never be observed
+/// by the caller.
 std::vector<PersistentIterationReply> run_persistent_iteration(
     PersistentRuntime& rt, const ShardConfig& shard_config,
     const fs::path& work_dir, const PersistentIterationInput& in,
@@ -1023,13 +959,11 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
   // The full command for one worker. Fullness is per worker and per
   // payload: a worker whose held version is not the broadcast base (a
   // respawn, or a survivor of an aborted iteration) gets the snapshot.
-  auto build_command = [&](std::uint32_t s, std::uint32_t attempt,
-                           bool skip_produce) {
+  auto build_command = [&](std::uint32_t s, std::uint32_t attempt) {
     PersistentWorker& worker = rt.workers[s];
     std::vector<std::byte> payload;
     append_record(payload, in.iteration);
     append_record(payload, attempt);
-    append_record(payload, static_cast<std::uint8_t>(skip_produce));
     const bool include_maps = in.maps_changed || !worker.has_maps;
     append_record(payload, static_cast<std::uint8_t>(include_maps));
     if (include_maps) {
@@ -1064,13 +998,25 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
     return payload;
   };
 
-  // Collect helper: one frame from worker s under its own deadline (a
-  // wedged worker early in the collection order must not eat the budget
-  // of a healthy one whose reply is still streaming), consuming the
-  // leading READY of a fresh (re)spawn first. Throws IpcError /
-  // runtime_error; supervise_phase takes over.
-  auto collect_reply = [&](std::uint32_t s, std::uint32_t expected_reply)
-      -> IpcFrame {
+  auto send_command = [&](std::uint32_t s, std::uint32_t attempt) {
+    PersistentWorker& worker = rt.workers[s];
+    if (!worker.ready) {
+      worker.channel.send(kCmdPlan, rt.plan, timeout_s);
+      replies[s].bytes_tx += frame_wire_bytes(rt.plan.size());
+    }
+    const std::vector<std::byte> payload = build_command(s, attempt);
+    ++replies[s].round_trips;
+    worker.channel.send(kCmdRunIteration, payload, timeout_s);
+    replies[s].bytes_tx += frame_wire_bytes(payload.size());
+  };
+
+  // Collect: ITERATION_DONE from worker s under its own deadline (a wedged
+  // worker early in the collection order must not eat the budget of a
+  // healthy one whose reply is still streaming), consuming the leading
+  // READY of a fresh (re)spawn first. Throws IpcError / runtime_error;
+  // supervise_phase takes over. The reply proves the worker holds what
+  // the command carried.
+  auto collect_reply = [&](std::uint32_t s) {
     PersistentWorker& worker = rt.workers[s];
     const auto deadline =
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -1096,109 +1042,25 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
       }
       worker.ready = true;
     }
-    IpcFrame frame = worker.channel.recv(remaining());
+    const IpcFrame frame = worker.channel.recv(remaining());
     replies[s].bytes_rx += frame_wire_bytes(frame.payload.size());
-    if (frame.type != expected_reply) {
-      throw std::runtime_error(std::string("expected ") +
-                               frame_type_name(expected_reply) +
-                               ", got frame " + frame_type_name(frame.type));
+    if (frame.type != kRspIterationDone) {
+      throw std::runtime_error(
+          std::string("expected ITERATION_DONE, got frame ") +
+          frame_type_name(frame.type));
     }
-    return frame;
-  };
-
-  auto send_command = [&](std::uint32_t s, std::uint32_t attempt,
-                          bool skip_produce) {
-    const std::vector<std::byte> payload =
-        build_command(s, attempt, skip_produce);
-    ++replies[s].round_trips;
-    rt.workers[s].channel.send(kCmdRunIteration, payload, timeout_s);
-    replies[s].bytes_tx += frame_wire_bytes(payload.size());
-  };
-  // Both replies prove the worker holds what the command carried (it
-  // applies every delta before its produce wave starts; a skip-produce
-  // replay applied fresh deltas too).
-  auto mark_synced = [&](std::uint32_t s) {
-    PersistentWorker& worker = rt.workers[s];
+    const std::span<const std::byte> payload(frame.payload);
+    std::size_t offset = 0;
+    if (!read_record(payload, offset, replies[s].stats)) {
+      throw std::runtime_error("malformed ITERATION_DONE payload");
+    }
+    replies[s].result_bytes.assign(payload.begin() + offset, payload.end());
     worker.has_maps = true;
     worker.graph_version = in.graph_new_version;
     worker.profile_version = in.profile_new_version;
   };
 
-  // ---- Produce phase: RUN_ITERATION out, PRODUCED back. ----------------
-  supervise_phase(
-      rt, shard_config, work_dir, "produce",
-      [&](std::uint32_t s, std::uint32_t attempt) {
-        send_command(s, attempt, /*skip_produce=*/false);
-      },
-      [&](std::uint32_t s) {
-        const IpcFrame frame = collect_reply(s, kRspProduced);
-        const std::span<const std::byte> payload(frame.payload);
-        std::size_t offset = 0;
-        if (!read_record(payload, offset, replies[s].produced) ||
-            offset != payload.size()) {
-          throw std::runtime_error("malformed PRODUCED payload");
-        }
-        mark_synced(s);
-      });
-
-  // ---- Spool relay (distributed, several agents): spool (p, c) was
-  // written on p's machine but c consumes it on its own. Between the
-  // PRODUCED barrier (all spools complete on disk) and any GO, route
-  // every cross-agent spool through the driver, content-addressed like
-  // any other sync — a converged spool that did not change since the
-  // last iteration never re-transfers. A missing spool relays as empty
-  // bytes so the consumer-side file always exists. ----------------------
-  if (rt.agents.size() > 1) {
-    const auto E = static_cast<std::uint32_t>(rt.agents.size());
-    for (std::uint32_t p = 0; p < S; ++p) {
-      const std::uint32_t ep = agent_of_shard(p, S, E);
-      for (std::uint32_t c = 0; c < S; ++c) {
-        const std::uint32_t ec = agent_of_shard(c, S, E);
-        if (ep == ec) continue;
-        const std::string relpath =
-            routed_spool_path("spools", kSpoolStem, p, c).generic_string();
-        const FileBlob blob = agent_fetch_file(
-            rt.agents[ep].control, relpath, shard_config.agent_timeout_s);
-        SyncFileEntry entry;
-        entry.relpath = relpath;
-        entry.size = blob.bytes.size();
-        entry.checksum = fnv1a_bytes(blob.bytes);
-        RemoteAgentLink& dest = rt.agents[ec];
-        dest.sync += agent_sync_push(
-            dest.control, {entry},
-            [&](const std::string&) { return blob.bytes; },
-            shard_config.agent_timeout_s);
-      }
-    }
-  }
-
-  // ---- Consume phase: GO out (the barrier — every shard has spooled by
-  // now), ITERATION_DONE back. A respawn replays with skip_produce
-  // instead of GO: the dead incarnation's spools are complete on disk, so
-  // re-producing would be wasted (and, with other shards mid-consume,
-  // unsafe). -------------------------------------------------------------
-  supervise_phase(
-      rt, shard_config, work_dir, "consume",
-      [&](std::uint32_t s, std::uint32_t attempt) {
-        if (attempt > 0) {
-          send_command(s, attempt, /*skip_produce=*/true);
-          return;
-        }
-        rt.workers[s].channel.send(kCmdGo, std::vector<std::byte>{},
-                                   timeout_s);
-        replies[s].bytes_tx += frame_wire_bytes(0);
-      },
-      [&](std::uint32_t s) {
-        const IpcFrame frame = collect_reply(s, kRspIterationDone);
-        const std::span<const std::byte> payload(frame.payload);
-        std::size_t offset = 0;
-        if (!read_record(payload, offset, replies[s].consumed)) {
-          throw std::runtime_error("malformed ITERATION_DONE payload");
-        }
-        replies[s].result_bytes.assign(payload.begin() + offset,
-                                       payload.end());
-        mark_synced(s);
-      });
+  supervise_phase(rt, shard_config, work_dir, send_command, collect_reply);
   return replies;
 }
 
@@ -1206,30 +1068,44 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
 
 // ------------------------------------------------------ the worker role --
 
-int persistent_worker_main(const fs::path& plan_file,
+int persistent_worker_main(const fs::path& work_dir,
                            std::uint32_t shard) try {
-  const fs::path work_dir = plan_file.parent_path();
-  const WorkerPlan plan = load_plan_file(plan_file);
+  // The command channel is this process's stdin/stdout (wired to the
+  // driver's pipes, or to an agent's socket). Diagnostics go to the
+  // inherited stderr only.
+  IpcChannel channel(STDIN_FILENO, STDOUT_FILENO);
+  auto recv_command = [&]() -> std::optional<IpcFrame> {
+    try {
+      return channel.recv();
+    } catch (const IpcError& e) {
+      // The driver dropping its end is an orderly shutdown (its process
+      // may already be gone); anything else is a protocol failure.
+      if (e.kind() == IpcErrorKind::Eof) return std::nullopt;
+      throw;
+    }
+  };
+
+  WorkerPlan plan;
+  {
+    const std::optional<IpcFrame> frame = recv_command();
+    if (!frame || frame->type == kCmdShutdown) return 0;
+    if (frame->type != kCmdPlan) {
+      throw std::runtime_error(std::string("expected PLAN, got frame ") +
+                               frame_type_name(frame->type));
+    }
+    plan = plan_from_bytes(frame->payload);
+  }
   if (shard >= plan.shards) {
     throw std::invalid_argument("shard " + std::to_string(shard) +
                                 " out of range (S=" +
                                 std::to_string(plan.shards) + ")");
   }
   const EngineConfig& config = plan.config;
-  // Opened ONCE and held — the point of staying alive. The store holds no
-  // state between load() calls, so the driver rewriting the partition
-  // files each iteration is safe by the same argument that makes the
-  // store concurrent-reader safe within one.
-  const PartitionStore store(work_dir / "partitions", config.io_model,
-                             config.storage_mode);
+  // Created ONCE and held — the point of staying alive.
   std::unique_ptr<ThreadPool> pool;
   if (plan.threads_per_shard > 1) {
     pool = std::make_unique<ThreadPool>(plan.threads_per_shard - 1);
   }
-  // The command channel is this process's stdin/stdout (wired to the
-  // driver's pipes by the Subprocess stdio constructor). Diagnostics go
-  // to the inherited stderr only.
-  IpcChannel channel(STDIN_FILENO, STDOUT_FILENO);
 
   // State synced from the driver across commands.
   std::optional<PartitionAssignment> assignment;  // user -> partition
@@ -1247,35 +1123,24 @@ int persistent_worker_main(const fs::path& plan_file,
   }
 
   for (;;) {
-    IpcFrame frame;
-    try {
-      frame = channel.recv();
-    } catch (const IpcError& e) {
-      // The driver dropping its end is an orderly shutdown (its process
-      // may already be gone); anything else is a protocol failure.
-      if (e.kind() == IpcErrorKind::Eof) return 0;
-      throw;
-    }
-    if (frame.type == kCmdShutdown) return 0;
-    if (frame.type != kCmdRunIteration) {
+    const std::optional<IpcFrame> frame = recv_command();
+    if (!frame || frame->type == kCmdShutdown) return 0;
+    if (frame->type != kCmdRunIteration) {
       throw std::runtime_error(std::string("unexpected command frame ") +
-                               frame_type_name(frame.type));
+                               frame_type_name(frame->type));
     }
-    const std::span<const std::byte> payload(frame.payload);
+    const std::span<const std::byte> payload(frame->payload);
     std::size_t offset = 0;
     auto read = [&]<typename T>(T& out) {
       if (!read_record(payload, offset, out)) {
-        throw std::runtime_error(std::string("truncated ") +
-                                 frame_type_name(frame.type) + " payload");
+        throw std::runtime_error("truncated RUN_ITERATION payload");
       }
     };
     std::uint32_t iteration = 0;
     std::uint32_t attempt = 0;
-    std::uint8_t skip_produce = 0;
     std::uint8_t maps_included = 0;
     read(iteration);
     read(attempt);
-    read(skip_produce);
     read(maps_included);
     if (maps_included != 0) {
       std::uint32_t n = 0;
@@ -1326,8 +1191,7 @@ int persistent_worker_main(const fs::path& plan_file,
     }
 
     // Sync this worker's P(t) the same way. After iteration 0 only the
-    // changed rows travel; the shared store's .prof files are never read
-    // (the driver does not even write them in persistent mode).
+    // changed rows travel.
     {
       std::uint8_t full_sync = 0;
       std::int64_t base_version = -1;
@@ -1359,75 +1223,23 @@ int persistent_worker_main(const fs::path& plan_file,
       throw std::runtime_error("trailing bytes in RUN_ITERATION payload");
     }
 
-    const WaveContext ctx{config,      iteration,
-                          plan.shards, plan.threads_per_shard,
-                          *assignment, *shard_owner,
-                          work_dir};
-
-    if (skip_produce == 0) {
-      // Produce phase: spool, report PRODUCED, then hold at the barrier
-      // until every other shard has spooled too.
-      ShardWorkerStats worker;
-      worker.shard = shard;
-      worker.users = static_cast<VertexId>(members.size());
-      worker.stats.iteration = iteration;
-      worker.stats.threads_used = plan.threads_per_shard;
-      IoAccountant io(config.io_model);
-      // The held store's accountant runs for the whole process lifetime;
-      // this phase's share is the delta across it.
-      const IoCounters store_io_before = store.io().counters();
-      const double store_us_before = store.io().modeled_us();
-      const auto fault_hook = [&] {
-        maybe_inject_fault("produce", shard, attempt, iteration);
-      };
-      RecordShardWriter<Tuple> sink(
-          spools_dir(work_dir), routed_producer_stem(kSpoolStem, shard),
-          plan.shards,
-          std::max<std::size_t>(config.shard_buffer_bytes / plan.shards,
-                                sizeof(Tuple)),
-          &io);
-      produce_candidates(ctx, shard, members, store, sink, worker,
-                         fault_hook);
-      sink.finish();
-      worker.stats.io = io.counters();
-      worker.stats.io += store.io().counters() - store_io_before;
-      worker.stats.modeled_io_us =
-          io.modeled_us() + (store.io().modeled_us() - store_us_before);
-      std::vector<std::byte> reply;
-      append_record(reply, worker);
-      channel.send(kRspProduced, reply);
-
-      IpcFrame go;
-      try {
-        go = channel.recv();
-      } catch (const IpcError& e) {
-        // A driver tearing the fleet down mid-iteration (another shard
-        // failed twice) drops its end; that is an orderly exit here too.
-        if (e.kind() == IpcErrorKind::Eof) return 0;
-        throw;
-      }
-      if (go.type == kCmdShutdown) return 0;
-      if (go.type != kCmdGo) {
-        throw std::runtime_error(std::string("expected GO, got frame ") +
-                                 frame_type_name(go.type));
-      }
-    }
-
-    // Consume phase, against this worker's synced G(t) and P(t).
+    const ShardContext ctx{config,      iteration,    plan.shards,
+                           *assignment, *shard_owner, work_dir};
     ShardWorkerStats worker;
     worker.shard = shard;
     worker.users = static_cast<VertexId>(members.size());
     worker.stats.iteration = iteration;
     worker.stats.threads_used = plan.threads_per_shard;
     IoAccountant io(config.io_model);
-    const IoCounters store_io_before = store.io().counters();
-    const double store_us_before = store.io().modeled_us();
-    const auto fault_hook = [&] {
-      maybe_inject_fault("consume", shard, attempt, iteration);
-    };
-    ConsumerOutput out =
-        consume_candidates(ctx, shard, members, store, graph, pool.get(),
-                           &io, &local_profiles, worker, fault_hook);
+    const std::uint64_t table_bound =
+        shard_table_bounds(config, graph, *shard_owner)[shard];
+    const ShardOutput out = run_shard(
+        ctx, shard, members, graph, build_reverse_adjacency(graph),
+        table_bound, /*store=*/nullptr, &local_profiles, pool.get(), &io,
+        worker,
+        [&](const char* point) {
+          maybe_inject_fault(point, shard, attempt, iteration);
+        });
     ShardResult result;
     result.shard = shard;
     result.num_vertices = assignment->num_vertices();
@@ -1440,9 +1252,7 @@ int persistent_worker_main(const fs::path& plan_file,
           user, std::vector<Neighbor>(list.begin(), list.end()));
     }
     worker.stats.io = io.counters();
-    worker.stats.io += store.io().counters() - store_io_before;
-    worker.stats.modeled_io_us =
-        io.modeled_us() + (store.io().modeled_us() - store_us_before);
+    worker.stats.modeled_io_us = io.modeled_us();
     std::vector<std::byte> reply;
     append_record(reply, worker);
     const std::vector<std::byte> result_bytes = shard_result_to_bytes(result);
@@ -1457,7 +1267,7 @@ int persistent_worker_main(const fs::path& plan_file,
 
 std::optional<int> maybe_run_shard_worker(int argc, char** argv) {
   bool is_worker = false;
-  std::string plan;
+  std::string work_dir;
   std::uint32_t shard = 0;
   bool have_shard = false;
   for (int i = 1; i < argc; ++i) {
@@ -1473,8 +1283,8 @@ std::optional<int> maybe_run_shard_worker(int argc, char** argv) {
     std::string parse_error;
     if (arg == "--shard-worker") {
       is_worker = true;
-    } else if (auto v = value_of("--plan=")) {
-      plan = *v;
+    } else if (auto v = value_of("--work-dir=")) {
+      work_dir = *v;
     } else if (auto v = value_of("--shard=")) {
       try {
         shard = static_cast<std::uint32_t>(std::stoul(*v));
@@ -1491,11 +1301,11 @@ std::optional<int> maybe_run_shard_worker(int argc, char** argv) {
     }
   }
   if (!is_worker) return std::nullopt;
-  if (plan.empty() || !have_shard) {
-    std::fprintf(stderr, "--shard-worker requires --plan= --shard=\n");
+  if (work_dir.empty() || !have_shard) {
+    std::fprintf(stderr, "--shard-worker requires --shard= --work-dir=\n");
     return 2;
   }
-  return persistent_worker_main(plan, shard);
+  return persistent_worker_main(work_dir, shard);
 }
 
 // ----------------------------------------------------------- the driver --
@@ -1550,7 +1360,8 @@ struct ShardedKnnEngine::Impl {
       w.channel.close_write();
     }
     // Dropping the control links tells every agent this run is over; an
-    // agent kills whatever workers ignored their SHUTDOWN.
+    // agent kills whatever workers ignored their SHUTDOWN and deletes the
+    // run's directory.
     persistent.agents.clear();
     if (!any) return;
     const auto deadline = Clock::now() + std::chrono::seconds(5);
@@ -1648,8 +1459,13 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
   const std::uint32_t S = impl_->shards;
   const bool persistent =
       shard_config_.worker_mode == ShardWorkerMode::Persistent;
-  PartitionStore store(impl_->work_dir / "partitions", config_.io_model,
-                       config_.storage_mode);
+  // Thread mode's phase 4 reads profiles from the partition store;
+  // persistent workers hold P(t) themselves, so that mode writes none.
+  std::optional<PartitionStore> store;
+  if (!persistent) {
+    store.emplace(impl_->work_dir / "partitions", config_.io_model,
+                  config_.storage_mode);
+  }
 
   // ---- Phase 1 (driver): partition G(t) once; split users into shards.
   double partition_s = 0.0;
@@ -1673,7 +1489,7 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
       impl_->last_assignment = assignment;
     }
     if (shard_config_.shard_partitioner == "pair-affinity") {
-      // Align shards with the partition map so each consumer's schedule
+      // Align shards with the partition map so each shard's schedule
       // touches only its own partition group (~S-fold fewer loads). Built
       // here, not via make_partitioner: the split is derived from the
       // phase-1 assignment, which a Partitioner never sees.
@@ -1682,11 +1498,7 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
       shard_owner =
           make_partitioner(shard_config_.shard_partitioner)->assign(digraph, S);
     }
-    // Persistent workers hold P(t) locally (synced over the channel), so
-    // their store carries edges only — no .prof files are ever written,
-    // and partition-profile reads stay at zero from iteration 0.
-    store.write_all(edge_list, assignment, profiles_,
-                    /*include_profiles=*/!persistent);
+    if (store) store->write_all(edge_list, assignment, profiles_);
     if (config_.record_partition_cost) {
       partition_cost_total = partition_cost(digraph, assignment).total;
     }
@@ -1704,17 +1516,8 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
     out.workers[s].stats.threads_used = impl_->threads_per_shard;
   }
 
-  const WaveContext ctx{config_,    iteration_,
-                       S,          impl_->threads_per_shard,
-                       assignment, shard_owner,
-                       impl_->work_dir};
   ShardedKnnGraph output(shard_owner, config_.k);
   std::vector<std::uint64_t> change_counts(S, 0);
-  // I/O of the cross-shard exchange not already inside a worker's stats
-  // (thread mode: the shared spool accountant; persistent mode: nothing —
-  // workers account their own spool traffic in their replies).
-  IoCounters exchange_io;
-  double exchange_io_us = 0.0;
 
   // Validates and folds one persistent worker's ShardResult into the
   // merged output; a worker can never smuggle a wrong-shaped or
@@ -1747,25 +1550,18 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
   };
 
   if (persistent) {
-    // ---- Persistent mode: spawn the fleet once, then drive both waves
-    // through framed commands carrying only deltas.
+    // ---- Persistent mode: spawn the fleet once, then drive each
+    // iteration through one framed command per worker carrying only
+    // deltas.
     PersistentRuntime& rt = impl_->persistent;
-    if (!rt.plan_written) {
-      // The static plan: config + resolved budgets. Ownership maps, G(t)
-      // and P(t) travel over the channel.
+    if (rt.plan.empty()) {
       WorkerPlan plan;
       plan.config = config_;
       plan.shards = S;
       plan.threads_per_shard = impl_->threads_per_shard;
-      save_plan_file(plan_file_path(impl_->work_dir), plan);
-      rt.plan_written = true;
+      rt.plan = plan_to_bytes(plan);
     }
-    // Distributed mode: connect the agent fleet once, then ship this
-    // iteration's plan + partition store (rewritten by phase 1 just
-    // above) content-addressed BEFORE any worker can spawn — a
-    // persistent worker opens its partition store at startup.
-    ensure_agent_links(rt, shard_config_, S);
-    sync_agent_files(rt, shard_config_, impl_->work_dir);
+    ensure_agent_links(rt, shard_config_);
     if (rt.workers.size() != S) {
       rt.workers = std::vector<PersistentWorker>(S);
       for (std::uint32_t s = 0; s < S; ++s) {
@@ -1813,94 +1609,67 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
     for (std::uint32_t s = 0; s < S; ++s) {
       const PersistentIterationReply& r = replies[s];
       ShardWorkerStats& worker = out.workers[s];
-      worker.stats =
-          sum_iteration_stats({r.produced.stats, r.consumed.stats});
+      worker.stats = r.stats.stats;
       worker.stats.iteration = iteration_;
       worker.stats.threads_used = impl_->threads_per_shard;
-      worker.produce_s = r.produced.produce_s;
-      worker.consume_s = r.consumed.consume_s;
-      worker.spooled_tuples = r.consumed.spooled_tuples;
+      worker.produce_s = r.stats.produce_s;
+      worker.consume_s = r.stats.consume_s;
+      worker.spooled_tuples = r.stats.spooled_tuples;
       worker.spawn_count = rt.workers[s].spawn_count;
       worker.resync_count = rt.workers[s].resync_count;
       worker.bytes_tx = r.bytes_tx;
       worker.bytes_rx = r.bytes_rx;
       worker.round_trips = r.round_trips;
-      worker.partitions_touched = r.consumed.partitions_touched;
-      worker.profile_reads = r.consumed.profile_reads;
+      worker.partitions_touched = r.stats.partitions_touched;
+      worker.profile_reads = r.stats.profile_reads;
       worker.profile_rows_rx = r.profile_rows_rx;
       fold_result(s, shard_result_from_bytes(
                          r.result_bytes,
                          "persistent worker " + std::to_string(s) +
                              "'s ITERATION_DONE reply"));
     }
-    // Content-addressed transfer accounting, attributed to each
-    // endpoint's lowest shard (see ShardWorkerStats).
-    for (const RemoteAgentLink& link : rt.agents) {
-      if (link.lowest_shard >= S) continue;
-      ShardWorkerStats& worker = out.workers[link.lowest_shard];
-      worker.sync_files_tx = link.sync.files_tx;
-      worker.sync_bytes_tx = link.sync.bytes_tx;
-      worker.sync_files_skipped = link.sync.files_skipped;
-      worker.sync_bytes_skipped = link.sync.bytes_skipped;
-    }
   } else {
-    // ---- Thread mode: one producer and one consumer thread per shard.
+    // ---- Thread mode: one thread per shard, each with its own pool and
+    // I/O accountant; the tables are sized and G(t)'s in-lists built here,
+    // on the calling thread.
+    const ShardContext ctx{config_,    iteration_,  S,
+                           assignment, shard_owner, impl_->work_dir};
+    const std::vector<std::uint64_t> table_bounds =
+        shard_table_bounds(config_, graph_, shard_owner);
+    const ReverseAdjacency reverse = build_reverse_adjacency(graph_);
     std::vector<std::unique_ptr<IoAccountant>> worker_io;
     worker_io.reserve(S);
     for (std::uint32_t s = 0; s < S; ++s) {
       worker_io.push_back(std::make_unique<IoAccountant>(config_.io_model));
     }
-
-    // Cross-shard exchange: spool (producer, consumer) holds the tuples
-    // producer w generated whose source user consumer c owns. The
-    // write-side accountant is shared (its charges are atomic).
-    IoAccountant spool_io(config_.io_model);
-    RoutedShardWriter<Tuple> spool(spools_dir(impl_->work_dir), kSpoolStem,
-                                   S, S, config_.shard_buffer_bytes,
-                                   &spool_io);
-
-    // Runs fn(w) on one thread per shard; rethrows the lowest-shard
-    // exception after all joined (deterministic, like the pool contract).
-    auto run_wave = [&](auto&& fn) {
-      std::vector<std::exception_ptr> errors(S);
-      std::vector<std::thread> threads;
-      threads.reserve(S);
-      for (std::uint32_t w = 0; w < S; ++w) {
-        threads.emplace_back([&, w] {
-          try {
-            fn(w);
-          } catch (...) {
-            errors[w] = std::current_exception();
-          }
-        });
-      }
-      for (auto& t : threads) t.join();
-      for (auto& e : errors) {
-        if (e) std::rethrow_exception(e);
-      }
-    };
-
-    run_wave([&](std::uint32_t w) {
-      produce_candidates(ctx, w, shard_members[w], store, spool.producer(w),
-                         out.workers[w], /*mid_wave_hook=*/{});
-    });
-    spool.finish();
-
-    run_wave([&](std::uint32_t c) {
-      ConsumerOutput consumer_out = consume_candidates(
-          ctx, c, shard_members[c], store, graph_, impl_->pools[c].get(),
-          worker_io[c].get(), /*local_profiles=*/nullptr, out.workers[c],
-          /*mid_wave_hook=*/{});
-      change_counts[c] = consumer_out.changed;
-      output.set_shard(c, std::move(consumer_out.next));
-    });
-
+    // Rethrows the lowest-shard exception after all joined
+    // (deterministic, like the pool contract).
+    std::vector<std::exception_ptr> errors(S);
+    std::vector<std::thread> threads;
+    threads.reserve(S);
+    for (std::uint32_t w = 0; w < S; ++w) {
+      threads.emplace_back([&, w] {
+        try {
+          ShardOutput shard_out =
+              run_shard(ctx, w, shard_members[w], graph_, reverse,
+                        table_bounds[w], &*store, /*local_profiles=*/nullptr,
+                        impl_->pools[w].get(), worker_io[w].get(),
+                        out.workers[w], /*fault_point=*/{});
+          change_counts[w] = shard_out.changed;
+          output.set_shard(w, std::move(shard_out.next));
+        } catch (...) {
+          errors[w] = std::current_exception();
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (auto& e : errors) {
+      if (e) std::rethrow_exception(e);
+    }
     for (std::uint32_t s = 0; s < S; ++s) {
       out.workers[s].stats.io = worker_io[s]->counters();
       out.workers[s].stats.modeled_io_us = worker_io[s]->modeled_us();
     }
-    exchange_io = spool_io.counters();
-    exchange_io_us = spool_io.modeled_us();
   }
 
   // ---- Merge (driver): deterministic re-assembly from shard owners.
@@ -1960,9 +1729,10 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
             .recall;
   }
 
-  merged.io += store.io().counters();
-  merged.io += exchange_io;
-  merged.modeled_io_us += store.io().modeled_us() + exchange_io_us;
+  if (store) {
+    merged.io += store->io().counters();
+    merged.modeled_io_us += store->io().modeled_us();
+  }
 
   KNNPC_LOG(Info) << "sharded iteration " << iteration_ << " (S=" << S
                   << ", " << worker_mode_name(shard_config_.worker_mode)

@@ -1,37 +1,37 @@
-// Sharded execution driver: one engine worker per user shard over one
-// shared on-disk partition store.
+// Sharded execution driver: one engine worker per user shard, each
+// computing its own users' top-K from the G(t) it holds.
 //
-// The paper's scaling argument is that the pipeline's phases communicate
-// only through files — partitions (phase 1 -> 2/4) and tuple shards
-// (phase 2 -> 4) — so nothing in memory has to be split to add workers.
-// This driver takes that literally:
+// The paper's phases hand partitions (phase 1 -> 2/4) and tuple bundles
+// (phase 2 -> 4) to each other through files because one PC cannot hold
+// them. A shard worker holds G(t) and both ownership maps anyway, so the
+// driver does not route candidates between workers; every worker runs
+// the same shard body:
 //
-//   driver   phase 1: partition G(t) once, write the shared partition
-//            store; split the user universe into S shards with a
-//            src/partition partitioner.
-//   worker w phase 2 (producer wave): generate candidate tuples from its
-//            slice of the partitions (p ≡ w mod S) plus the random
-//            restarts of its own users, and route every tuple to the
-//            shard owning its source user through one spool file per
-//            (producer, consumer) pair (storage/shard_writer.h).
-//   worker c phases 2b-4 (consumer wave): dedup its spooled tuples into
-//            its own hash table H_c, build its own PI graph + schedule,
-//            stream the shared read-only partition store through a
-//            private 2-slot cache, and keep top-K for its users only.
+//   driver   phase 1: partition G(t) once and split the user universe
+//            into S shards with a src/partition partitioner (thread mode
+//            also writes the shared partition store its phase 4 reads).
+//   worker w phase 2: derive each edges-only partition from G(t)
+//            (storage/partition_store.h's derive_partition_edges), run
+//            the candidate rules over all m partitions and keep the
+//            candidates whose source user it owns, deduplicated into its
+//            own hash table H_w; phases 3-4: build its own PI graph +
+//            schedule, stream the partitions through a private 2-slot
+//            cache, and keep top-K for its users only.
 //   driver   merge the per-shard graphs (core/sharded_knn_graph.h's
 //            ShardedKnnGraph) and run phase 5 on the shared profiles.
 //
-// Determinism contract (mirrors PR 2's thread-count contract): the merged
-// G(t+1) is bit-identical to the serial KnnEngine's for the same
+// Determinism contract (mirrors the engine's thread-count contract): the
+// merged G(t+1) is bit-identical to the serial KnnEngine's for the same
 // EngineConfig, for ANY shard count. It holds because (a) each user's
 // top-K kept set is a pure function of its unique candidate SET — the
 // accumulator keeps "top K by (score desc, id asc)" regardless of offer
 // order (core/topk.cpp) — and (b) phase 2 generates a
 // decomposition-independent candidate set: sampling and restart RNG
-// streams are derived per partition / per user (core/tuple_generation.h)
-// and dedup happens consumer-side, where all tuples of a given source
-// user meet. shard_driver_test asserts the contract for S in {1,2,3,5},
-// including the spill-scores path.
+// streams are derived per partition / per user (core/tuple_generation.h),
+// and worker w keeps exactly the serial engine's candidates whose source
+// w owns, so all tuples of a given source user meet in one table.
+// shard_driver_test asserts the contract for S in {1,2,3,5}, including
+// the spill-scores path.
 #pragma once
 
 #include <cstdint>
@@ -65,33 +65,30 @@ inline constexpr std::uint32_t kMaxAutoShards = 8;
 std::uint32_t resolve_shard_count(std::uint32_t requested,
                                   VertexId num_users, std::uint32_t k);
 
-/// How the S workers execute one iteration's two waves.
+/// How the S workers execute one iteration.
 enum class ShardWorkerMode {
   /// One thread per worker inside the driver's process — the in-process
   /// reference the other mode is checked against.
   Thread,
   /// S worker processes spawned ONCE per run and kept alive across
   /// iterations: the driver re-executes `ShardConfig::worker_exe` in the
-  /// hidden --shard-worker role, each worker opens the shared partition
-  /// store once and is then driven through a length-prefixed command
-  /// protocol over pipes (util/ipc_channel.h). One heavy RUN_ITERATION command per
-  /// iteration carries every per-iteration delta at once — ownership
-  /// maps only when they changed, G(t) as a changed-rows
-  /// knn_graph_delta, P(t) as a changed-users profile_delta — the
-  /// worker runs its produce wave, replies with a lightweight PRODUCED
-  /// frame, and the driver releases the produce -> consume barrier with
-  /// a payload-free GO once every shard has spooled; the consume wave
-  /// then replies ITERATION_DONE with stats + ShardResult inline.
-  /// Because profiles sync over the channel, persistent workers stream
-  /// partitions edges-only: the shared store never writes or serves
-  /// .prof files in this mode. Supervision: a worker that dies, replies garbage, or exceeds
-  /// `worker_timeout_s` on one command is SIGKILLed and respawned
-  /// exactly once with a full graph + profile resync, and the wave
-  /// replays deterministically (a consume-phase respawn re-runs only
-  /// the consume body against the dead incarnation's intact spools); a
-  /// second failure in the same wave throws with per-worker diagnostics
-  /// and leaves G(t) untouched. Output stays bit-identical to every
-  /// other mode.
+  /// hidden --shard-worker role, sends it the plan (the EngineConfig
+  /// fields the shard body reads) as the first frame, and then drives it
+  /// through a length-prefixed command protocol (util/ipc_channel.h).
+  /// One RUN_ITERATION command per iteration carries every per-iteration
+  /// delta at once — ownership maps only when they changed, G(t) as a
+  /// changed-rows knn_graph_delta, P(t) as a changed-users profile_delta
+  /// — and the worker runs the shard body and replies ITERATION_DONE with
+  /// stats + ShardResult inline. Workers exchange nothing with each other
+  /// and read no partition file: they derive their partitions from their
+  /// G(t) copy and score from their P(t) copy, so the driver writes no
+  /// partition store in this mode. Supervision: a worker that dies,
+  /// replies garbage, or exceeds `worker_timeout_s` on its command is
+  /// SIGKILLed and respawned exactly once with a full graph + profile
+  /// resync, and its command replays deterministically while the other
+  /// workers carry on; a second failure in the same iteration throws with
+  /// per-worker diagnostics and leaves G(t) untouched. Output stays
+  /// bit-identical to thread mode.
   Persistent,
 };
 
@@ -108,18 +105,19 @@ struct ShardConfig {
   /// "degree-range" | "greedy" (any src/partition strategy), or
   /// "pair-affinity" — shard(u) = group of u's partition, with the m
   /// partitions grouped into S contiguous balanced groups
-  /// (partition/pair_affinity.h), so each consumer's phase-4 schedule
+  /// (partition/pair_affinity.h), so each shard's phase-4 schedule
   /// touches ~m/S partitions instead of all m. The output graph does not
   /// depend on this choice — only load balance and partition reads do.
   std::string shard_partitioner = "range";
   /// Thread workers (default) or long-lived processes driven over pipes.
   ShardWorkerMode worker_mode = ShardWorkerMode::Thread;
   /// Persistent mode: wall-clock budget for ONE worker's reply to one
-  /// wave command. A worker exceeding it is SIGKILLed, counted as
-  /// wedged, and retried once like any other failure. Follows the uniform timeout contract
-  /// (util/ipc_channel.h): < 0 disables the deadline (a truly wedged
-  /// worker then hangs the run — keep a bound in production), 0 polls
-  /// once and treats any still-pending reply as a timeout.
+  /// iteration command. A worker exceeding it is SIGKILLed, counted as
+  /// wedged, and retried once like any other failure. Follows the uniform
+  /// timeout contract (util/ipc_channel.h): < 0 disables the deadline (a
+  /// truly wedged worker then hangs the run — keep a bound in
+  /// production), 0 polls once and treats any still-pending reply as a
+  /// timeout.
   double worker_timeout_s = 600.0;
   /// Persistent mode: binary to re-execute as --shard-worker; empty =
   /// the running executable (/proc/self/exe). The binary must dispatch
@@ -131,19 +129,17 @@ struct ShardConfig {
   /// one `knnpc_run --worker-agent` process each). Non-empty turns the
   /// driver into a cluster coordinator — EVERY worker runs behind an
   /// agent (shard s connects to endpoint s*E/S: contiguous balanced
-  /// shard groups), the plan + partition store sync to each agent
-  /// content-addressed by FNV-1a checksums (storage/file_sync.h), and
-  /// cross-agent spool traffic relays through the driver between the
-  /// produce and consume phases. Supervision (retry-once, full resync,
-  /// deadline kills) and the merged output are identical to local
-  /// persistent mode — a remote worker kill mid-run still yields the
-  /// serial engine's bit-exact graph. Requires worker_mode ==
-  /// Persistent; worker_exe is ignored remotely (each agent decides its
-  /// own binary).
+  /// shard groups), with the agent's run directory as its work dir. Only
+  /// the worker channels carry data; no file crosses an agent link.
+  /// Supervision (retry-once, full resync, deadline kills) and the merged
+  /// output are identical to local persistent mode — a remote worker
+  /// kill mid-run still yields the serial engine's bit-exact graph.
+  /// Requires worker_mode == Persistent; worker_exe is ignored remotely
+  /// (each agent decides its own binary).
   std::vector<std::string> worker_endpoints;
   /// Deadline for connecting to an agent and for each agent control
-  /// round-trip (sync, spool relay, remote kill). Same < 0 / 0 / > 0
-  /// contract as worker_timeout_s.
+  /// round-trip (remote kill). Same < 0 / 0 / > 0 contract as
+  /// worker_timeout_s.
   double agent_timeout_s = 30.0;
 };
 
@@ -152,9 +148,10 @@ struct ShardWorkerStats {
   std::uint32_t shard = 0;
   /// Users this shard owns (its top-K responsibility).
   VertexId users = 0;
-  /// Tuples received through the spools (pre-dedup).
+  /// Candidates this worker kept for its own users, before dedup.
   std::uint64_t spooled_tuples = 0;
-  /// Wall time of this worker's producer / consumer wave participation.
+  /// Wall time of this worker's phase 2 (produce_s) and phases 3-4
+  /// (consume_s).
   double produce_s = 0.0;
   double consume_s = 0.0;
   /// Persistent mode: processes launched for this worker slot so far in
@@ -168,29 +165,23 @@ struct ShardWorkerStats {
   /// including frame headers (persistent mode); zero in thread mode.
   std::uint64_t bytes_tx = 0;
   std::uint64_t bytes_rx = 0;
-  /// Heavy command round-trips this iteration: RUN_ITERATION commands in
-  /// persistent mode (1 on the steady path; the payload-free GO barrier
-  /// is not counted).
+  /// Command round-trips this iteration: RUN_ITERATION commands in
+  /// persistent mode (1 on the steady path, 2 after a respawn).
   std::uint32_t round_trips = 0;
   /// Partitions this worker's phase-4 schedule actually streamed (pair
   /// incidence of its PI graph) — ~m/S under the pair-affinity split.
   std::uint32_t partitions_touched = 0;
   /// Full-partition (.prof-bearing) loads this worker's phase-4 cache
-  /// issued this iteration. Persistent workers stream edges-only and
-  /// sync profiles over the channel, so this is 0 there from iteration 0.
+  /// issued this iteration. Persistent workers score from their own P(t)
+  /// copy and read no partition file, so this is 0 there from iteration 0.
   std::uint64_t profile_reads = 0;
   /// KPRD profile-delta rows shipped to this worker this iteration
   /// (persistent mode): the churned users on the steady path, all n on a
   /// respawn resync — how tests pin "a resync carries a full snapshot".
   std::uint64_t profile_rows_rx = 0;
-  /// Distributed mode: content-addressed transfer accounting for this
-  /// worker's agent endpoint this iteration, attributed to the
-  /// endpoint's LOWEST shard (zero on the endpoint's other shards and in
-  /// every local mode). Files/bytes actually shipped vs skipped because
-  /// the agent already held an identical checksum — "unchanged
-  /// partitions never re-transfer", in numbers. Cross-agent spool relays
-  /// count on the destination endpoint (shipped or, when the identical
-  /// spool was already pushed, skipped).
+  /// Always 0: no file crosses an agent link. Kept only because the
+  /// benchmark harness (bench/harness/knnpc_bench.cpp) still reads them;
+  /// they go with the next change to the benchmark.
   std::uint64_t sync_files_tx = 0;
   std::uint64_t sync_bytes_tx = 0;
   std::uint64_t sync_files_skipped = 0;
@@ -217,12 +208,11 @@ struct ShardedIterationStats {
 ///
 /// Thread-safety: single-owner, like KnnEngine — no member function may
 /// overlap another call on the same instance. run_iteration() spawns one
-/// producer and one consumer thread per shard internally (each worker
-/// with its own ThreadPool, the phase-4 thread budget divided across
-/// shards) and joins them before returning. In
-/// ShardWorkerMode::Persistent the waves run in supervised long-lived
-/// child processes instead — same files, same merged output, crash
-/// containment per worker.
+/// thread per shard internally (each worker with its own ThreadPool, the
+/// phase-4 thread budget divided across shards) and joins them before
+/// returning. In ShardWorkerMode::Persistent the shard bodies run in
+/// supervised long-lived child processes instead — same merged output,
+/// crash containment per worker.
 ///
 /// Ownership: owns the profiles, the merged graph, the per-shard pools
 /// and the work directory (scratch unless EngineConfig::work_dir is set).
@@ -279,40 +269,40 @@ class ShardedKnnEngine {
 // ---------------------------------------------------------------------------
 // The hidden --shard-worker role (persistent mode).
 
-/// Entry point of one persistent worker: loads the static plan, opens the shared partition store and thread pool once, sends a
-/// READY frame on stdout and then serves RUN_ITERATION / SHUTDOWN
-/// commands from stdin until shutdown or EOF (both exit 0). Each
-/// RUN_ITERATION applies the shipped ownership / graph / profile deltas,
-/// runs the produce wave, replies PRODUCED, waits for the driver's GO
-/// barrier and runs the consume wave against its worker-local profile
-/// store, replying ITERATION_DONE (a skip-produce command — the
-/// consume-phase respawn path — goes straight to the consume body). Wave
-/// bodies and spool layout are shared with thread mode; only the
+/// Entry point of one persistent worker: reads the plan frame from stdin,
+/// creates its thread pool once, sends a READY frame on stdout and then
+/// serves RUN_ITERATION / SHUTDOWN commands from stdin until shutdown or
+/// EOF (both exit 0). Each RUN_ITERATION applies the shipped ownership /
+/// graph / profile deltas, runs the shard body against the worker's own
+/// G(t) and P(t) with its scratch files under `work_dir`, and replies
+/// ITERATION_DONE. The body is shared with thread mode; only the
 /// transport differs. Protocol errors are reported on stderr and become a
 /// non-zero exit — the driver's respawn path takes over from there.
-int persistent_worker_main(const std::filesystem::path& plan_file,
+int persistent_worker_main(const std::filesystem::path& work_dir,
                            std::uint32_t shard);
 
 /// Dispatch helper for binaries that can be re-executed as workers: when
-/// argv contains --shard-worker, runs the worker role and returns its
-/// exit code for main() to return; otherwise returns nullopt and the
-/// binary proceeds with its normal argv parsing. Call this FIRST in
-/// main() — worker argv is not meant for the normal option parsers.
+/// argv contains --shard-worker (with --shard=N --work-dir=DIR), runs the
+/// worker role and returns its exit code for main() to return; otherwise
+/// returns nullopt and the binary proceeds with its normal argv parsing.
+/// Call this FIRST in main() — worker argv is not meant for the normal
+/// option parsers.
 std::optional<int> maybe_run_shard_worker(int argc, char** argv);
 
 /// Fault-injection hook for the persistent-mode test harness.
 /// When this environment variable is set in a *worker* process
 /// (inherited from the spawning test), the worker injects the named
-/// fault mid-wave:
-///   "<wave>:<shard>:<kind>[:<attempt>[:<iteration>]]"
-/// kind ∈ { kill (raise SIGKILL), exit (exit code 3), wedge (sleep until
-/// the driver's deadline kills the worker) }. Without the optional
-/// attempt filter the fault fires on every attempt (driving the
-/// retry-then-fail path); with it, only on that attempt (driving the
-/// retry-succeeds path); "*" matches any attempt. The optional fifth
-/// field restricts the fault to one iteration — that is how the
-/// persistent-mode tests kill a long-lived worker mid-run at iteration
-/// i > 0 without also killing its respawned successor in later
+/// fault at one of the shard body's two fault points:
+///   "<point>:<shard>:<kind>[:<attempt>[:<iteration>]]"
+/// point ∈ { produce (after phase 2's candidate generation), consume (at
+/// the start of phase 4) }; kind ∈ { kill (raise SIGKILL), exit (exit
+/// code 3), wedge (sleep until the driver's deadline kills the worker) }.
+/// Without the optional attempt filter the fault fires on every attempt
+/// (driving the retry-then-fail path); with it, only on that attempt
+/// (driving the retry-succeeds path); "*" matches any attempt. The
+/// optional fifth field restricts the fault to one iteration — that is
+/// how the persistent-mode tests kill a long-lived worker mid-run at
+/// iteration i > 0 without also killing its respawned successor in later
 /// iterations. Thread-mode workers never consult this.
 inline constexpr const char* kShardFaultEnv = "KNNPC_SHARD_FAULT";
 

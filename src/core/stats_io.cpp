@@ -72,11 +72,7 @@ void write_shard_workers_json(
           << ",\"round_trips\":" << s.round_trips
           << ",\"partitions_touched\":" << s.partitions_touched
           << ",\"profile_reads\":" << s.profile_reads
-          << ",\"profile_rows_rx\":" << s.profile_rows_rx
-          << ",\"sync_files_tx\":" << s.sync_files_tx
-          << ",\"sync_bytes_tx\":" << s.sync_bytes_tx
-          << ",\"sync_files_skipped\":" << s.sync_files_skipped
-          << ",\"sync_bytes_skipped\":" << s.sync_bytes_skipped << "}";
+          << ",\"profile_rows_rx\":" << s.profile_rows_rx << "}";
     }
     out << "]}";
   }

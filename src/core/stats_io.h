@@ -24,10 +24,8 @@ std::string run_to_json(const RunStats& run);
 
 /// Writes per-shard worker observability for a sequence of sharded
 /// iterations: {"iterations":[{"iteration":..,"workers":[{...}]}]} with
-/// one object per ShardWorkerStats — supervision (spawn/resync), channel
-/// traffic, and the distributed sync_* transfer counters. The CI
-/// distributed-smoke job asserts on this (e.g. "a converged partition
-/// store re-transfers zero bytes").
+/// one object per ShardWorkerStats — phase timings, supervision
+/// (spawn/resync), channel traffic and phase-4 partition reads.
 void write_shard_workers_json(
     std::ostream& out, const std::vector<ShardedIterationStats>& iterations);
 

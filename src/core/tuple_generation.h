@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "core/engine.h"
 #include "graph/digraph.h"
+#include "graph/knn_graph.h"
 #include "storage/partition_store.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -110,7 +112,7 @@ std::uint64_t merge_join_tuples(std::span<const Edge> in_edges,
 /// before sampling (the partition's IterationStats::candidate_tuples).
 ///
 /// The serial engine, the threaded engine and the shard driver's
-/// producers all call this, so every executor that processes partition p
+/// workers all call this, so every executor that processes partition p
 /// draws the same stream and emits the same candidates — the thread- and
 /// shard-count determinism contracts rest on it. Adding the reverse of a
 /// candidate (EngineConfig::include_reverse) is left to the caller.
@@ -148,6 +150,41 @@ std::uint64_t restart_candidates(const EngineConfig& config,
     emit(Tuple{s, d});
   }
   return generated;
+}
+
+/// Upper bound of the phase-2 candidates each of `shards` source-user
+/// shards keeps, when shard `shard_of(s)` keeps the candidates (s, *):
+/// edge (u, w) of G(t) bridges (u, x) for every out-edge (w, x) and is
+/// itself a direct candidate; with include_reverse, w also receives
+/// (w, y) for every in-edge (y, u), and a restart (s, d) reverses into
+/// any shard. A TupleTable sized with its shard's bound never grows. The
+/// threaded engine's phase 2 and the shard driver's workers both size
+/// their tables from this.
+template <typename ShardOf>
+std::vector<std::uint64_t> candidate_bounds(const EngineConfig& config,
+                                            const KnnGraph& graph,
+                                            std::uint32_t shards,
+                                            ShardOf&& shard_of) {
+  const VertexId n = graph.num_vertices();
+  const bool reverse = config.include_reverse;
+  std::vector<std::uint64_t> bound(shards, 0);
+  std::vector<std::uint32_t> in_degree(n, 0);
+  for (VertexId u = 0; u < n; ++u) {
+    for (const Neighbor& e : graph.neighbors(u)) ++in_degree[e.id];
+  }
+  for (VertexId u = 0; u < n; ++u) {
+    for (const Neighbor& e : graph.neighbors(u)) {
+      bound[shard_of(u)] += graph.neighbors(e.id).size() + 1;
+      if (reverse) bound[shard_of(e.id)] += in_degree[u] + 1;
+    }
+    bound[shard_of(u)] += config.random_candidates;
+  }
+  if (reverse) {
+    for (std::uint64_t& b : bound) {
+      b += static_cast<std::uint64_t>(n) * config.random_candidates;
+    }
+  }
+  return bound;
 }
 
 /// Reference tuple generator for tests: all (s, d) with d a

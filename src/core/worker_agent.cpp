@@ -9,11 +9,11 @@
 #include <cstring>
 #include <map>
 #include <stdexcept>
+#include <system_error>
 #include <unordered_map>
 #include <utility>
 
 #include "storage/block_file.h"
-#include "util/fnv.h"
 #include "util/logging.h"
 #include "util/serde.h"
 #include "util/subprocess.h"
@@ -26,8 +26,7 @@ namespace {
 using namespace agent_frame;
 
 // Hello/control payloads are tiny and ad hoc — length-prefixed strings
-// and raw scalars, same little-endian conventions as file_sync's wire
-// formats.
+// and raw scalars, the serde records' little-endian conventions.
 void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
   append_record(out, v);
 }
@@ -66,7 +65,7 @@ std::string payload_as_string(const IpcFrame& frame) {
 
 /// A run token becomes a directory name; anything shell- or
 /// path-hostile is flattened so a malicious driver cannot escape the
-/// work root (is_safe_relpath guards the files *inside* it).
+/// work root.
 std::string sanitize_token(const std::string& token) {
   std::string out;
   out.reserve(token.size());
@@ -79,9 +78,9 @@ std::string sanitize_token(const std::string& token) {
   return out;
 }
 
-/// Inner timeout for the frames of an already-initiated exchange. Long
-/// enough for a partition blob over a congested link, short enough that
-/// a half-connected peer cannot wedge the single-threaded agent forever.
+/// Inner timeout for the frames of an already-initiated exchange: short
+/// enough that a half-connected peer cannot wedge the single-threaded
+/// agent forever.
 constexpr double kAgentFrameTimeoutS = 60.0;
 
 }  // namespace
@@ -91,9 +90,6 @@ constexpr double kAgentFrameTimeoutS = 60.0;
 struct WorkerAgent::State {
   struct Run {
     fs::path run_dir;
-    /// relpath -> FNV-1a of the content last placed there; the answer to
-    /// "which manifest entries do you need".
-    std::unordered_map<std::string, std::uint64_t> files;
     std::map<std::uint32_t, Subprocess> workers;
   };
   struct Control {
@@ -142,10 +138,22 @@ void WorkerAgent::run() {
                               ? current_executable().string()
                               : config_.worker_exe;
 
+  // A finished run: kill and reap its workers (Subprocess dtor), then
+  // delete the directory their scratch files live in.
+  auto end_run = [](State::Run& run) {
+    run.workers.clear();
+    std::error_code ec;
+    fs::remove_all(run.run_dir, ec);
+    if (ec) {
+      KNNPC_LOG(Warn) << "worker agent: cannot remove "
+                      << run.run_dir.string() << ": " << ec.message();
+    }
+  };
+
   auto run_for = [&](const std::string& token) -> State::Run& {
     auto [it, inserted] =
         st.runs.try_emplace(token, State::Run{
-            config_.work_root / sanitize_token(token), {}, {}});
+            config_.work_root / sanitize_token(token), {}});
     if (inserted) fs::create_directories(it->second.run_dir);
     return it->second;
   };
@@ -196,10 +204,9 @@ void WorkerAgent::run() {
         // Replacing a previous incarnation kills it first (Subprocess
         // move-assign) — the driver only respawns what it gave up on.
         run.workers[shard] = Subprocess(
-            std::vector<std::string>{
-                exe, "--shard-worker",
-                "--plan=" + (run.run_dir / "plan.bin").string(),
-                "--shard=" + std::to_string(shard)},
+            std::vector<std::string>{exe, "--shard-worker",
+                                     "--shard=" + std::to_string(shard),
+                                     "--work-dir=" + run.run_dir.string()},
             read_fd, child_stdout);
         KNNPC_LOG(Info) << "worker agent: spawned shard " << shard
                         << " for run '" << token << "'";
@@ -228,69 +235,20 @@ void WorkerAgent::run() {
     }
     State::Run& run = run_for(control.token);
     try {
-      switch (frame.type) {
-        case kSyncManifest: {
-          const std::vector<SyncFileEntry> entries =
-              parse_manifest(frame.payload);
-          std::vector<std::byte> reply;
-          std::vector<std::uint32_t> need;
-          for (std::uint32_t i = 0; i < entries.size(); ++i) {
-            const auto it = run.files.find(entries[i].relpath);
-            if (it == run.files.end() ||
-                it->second != entries[i].checksum) {
-              need.push_back(i);
-            }
-          }
-          put_u32(reply, static_cast<std::uint32_t>(need.size()));
-          for (const std::uint32_t i : need) put_u32(reply, i);
-          control.channel.send(kNeed, reply, kAgentFrameTimeoutS);
-          break;
-        }
-        case kFilePut: {
-          const FileBlob blob = parse_file_blob(frame.payload);
-          sync_place_file(run.run_dir, blob.relpath, blob.bytes);
-          run.files[blob.relpath] = fnv1a_bytes(blob.bytes);
-          send_ok(control.channel);
-          break;
-        }
-        case kFileGet: {
-          std::size_t offset = 0;
-          const std::string relpath =
-              get_string(frame.payload, offset, "FileGet relpath");
-          if (!is_safe_relpath(relpath)) {
-            throw std::runtime_error("unsafe relpath \"" + relpath + "\"");
-          }
-          FileBlob blob;
-          blob.relpath = relpath;
-          const fs::path path = run.run_dir / fs::path(relpath);
-          std::error_code ec;
-          if (fs::is_regular_file(path, ec)) {
-            IoCounters counters;
-            blob.bytes = read_file(path, counters);
-            blob.exists = true;
-          }
-          control.channel.send(kFileData, serialize_file_blob(blob),
-                               kAgentFrameTimeoutS);
-          break;
-        }
-        case kKillWorker: {
-          std::size_t offset = 0;
-          const std::uint32_t shard =
-              get_u32(frame.payload, offset, "KillWorker shard");
-          const auto it = run.workers.find(shard);
-          if (it == run.workers.end()) {
-            throw std::runtime_error("no worker for shard " +
-                                     std::to_string(shard));
-          }
-          it->second.kill_now();
-          const std::string describe = it->second.wait().describe();
-          send_ok(control.channel, describe);
-          break;
-        }
-        default:
-          throw std::runtime_error("unexpected control frame type " +
-                                   std::to_string(frame.type));
+      if (frame.type != kKillWorker) {
+        throw std::runtime_error("unexpected control frame type " +
+                                 std::to_string(frame.type));
       }
+      std::size_t offset = 0;
+      const std::uint32_t shard =
+          get_u32(frame.payload, offset, "KillWorker shard");
+      const auto it = run.workers.find(shard);
+      if (it == run.workers.end()) {
+        throw std::runtime_error("no worker for shard " +
+                                 std::to_string(shard));
+      }
+      it->second.kill_now();
+      send_ok(control.channel, it->second.wait().describe());
     } catch (const std::exception& e) {
       try {
         send_err(control.channel, e.what());
@@ -335,7 +293,7 @@ void WorkerAgent::run() {
         st.controls.erase(st.controls.begin() +
                           static_cast<std::ptrdiff_t>(i));
         // Last control link for the run gone -> the driver is gone; its
-        // workers must not outlive it.
+        // workers must not outlive it, nor its directory.
         bool still_linked = false;
         for (const State::Control& c : st.controls) {
           if (c.token == token) still_linked = true;
@@ -344,15 +302,17 @@ void WorkerAgent::run() {
           const auto it = st.runs.find(token);
           if (it != st.runs.end()) {
             KNNPC_LOG(Info) << "worker agent: run '" << token
-                            << "' control gone; reaping its workers";
-            it->second.workers.clear();  // Subprocess dtor kills + reaps
+                            << "' control gone; ending it";
+            end_run(it->second);
+            st.runs.erase(it);
           }
         }
       }
     }
   }
   // Orderly shutdown: every spawned worker dies with the agent.
-  for (auto& [token, run] : st.runs) run.workers.clear();
+  for (auto& [token, run] : st.runs) end_run(run);
+  st.runs.clear();
   st.controls.clear();
 }
 
@@ -446,54 +406,6 @@ IpcChannel agent_connect_worker(const std::string& host, std::uint16_t port,
   put_string(hello, token);
   put_u32(hello, shard);
   return connect_and_hello(host, port, kHelloWorker, hello, timeout_s);
-}
-
-AgentTransferCounters agent_sync_push(
-    IpcChannel& control, const std::vector<SyncFileEntry>& manifest,
-    const std::function<std::vector<std::byte>(const std::string&)>& load,
-    double timeout_s) {
-  AgentTransferCounters counters;
-  const IpcFrame need_reply =
-      control_round_trip(control, kSyncManifest, serialize_manifest(manifest),
-                         kNeed, timeout_s);
-  std::size_t offset = 0;
-  const std::uint32_t count =
-      get_u32(need_reply.payload, offset, "NEED reply");
-  std::vector<bool> needed(manifest.size(), false);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t index =
-        get_u32(need_reply.payload, offset, "NEED index");
-    if (index >= manifest.size()) {
-      throw std::runtime_error("worker agent: NEED index out of range");
-    }
-    needed[index] = true;
-  }
-  for (std::size_t i = 0; i < manifest.size(); ++i) {
-    const SyncFileEntry& entry = manifest[i];
-    if (!needed[i]) {
-      ++counters.files_skipped;
-      counters.bytes_skipped += entry.size;
-      continue;
-    }
-    FileBlob blob;
-    blob.relpath = entry.relpath;
-    blob.exists = true;
-    blob.bytes = load(entry.relpath);
-    control_round_trip(control, kFilePut, serialize_file_blob(blob), kOk,
-                       timeout_s);
-    ++counters.files_tx;
-    counters.bytes_tx += blob.bytes.size();
-  }
-  return counters;
-}
-
-FileBlob agent_fetch_file(IpcChannel& control, const std::string& relpath,
-                          double timeout_s) {
-  std::vector<std::byte> payload;
-  put_string(payload, relpath);
-  const IpcFrame reply =
-      control_round_trip(control, kFileGet, payload, kFileData, timeout_s);
-  return parse_file_blob(reply.payload);
 }
 
 std::string agent_kill_worker(IpcChannel& control, std::uint32_t shard,

@@ -142,6 +142,42 @@ void PartitionStore::write_all(const EdgeList& graph,
   }
 }
 
+PartitionData derive_partition_edges(const KnnGraph& graph,
+                                     const ReverseAdjacency& reverse,
+                                     const PartitionAssignment& assignment,
+                                     PartitionId id) {
+  if (graph.num_vertices() != assignment.num_vertices()) {
+    throw std::invalid_argument(
+        "derive_partition_edges: graph/assignment size mismatch");
+  }
+  PartitionData data;
+  data.id = id;
+  data.vertices = assignment.members(id);
+  std::size_t in_count = 0;
+  std::size_t out_count = 0;
+  for (const VertexId v : data.vertices) {
+    in_count += reverse.in_neighbors(v).size();
+    out_count += graph.neighbors(v).size();
+  }
+  data.in_edges.reserve(in_count);
+  data.out_edges.reserve(out_count);
+  // Both edge lists are grouped by the bridge v in ascending order; the
+  // in-lists are already sorted by source, the neighbour lists are sorted
+  // by score and need their run sorted by destination.
+  for (const VertexId v : data.vertices) {
+    for (const VertexId s : reverse.in_neighbors(v)) {
+      data.in_edges.push_back({s, v});
+    }
+    const std::size_t first = data.out_edges.size();
+    for (const Neighbor& nb : graph.neighbors(v)) {
+      data.out_edges.push_back({v, nb.id});
+    }
+    std::sort(data.out_edges.begin() + static_cast<std::ptrdiff_t>(first),
+              data.out_edges.end());
+  }
+  return data;
+}
+
 void PartitionStore::write_all_streaming(
     const EdgeList& graph, const PartitionAssignment& assignment,
     const ProfileStore& profiles, std::size_t sort_buffer_bytes,

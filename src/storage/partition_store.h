@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "graph/edge_list.h"
+#include "graph/knn_graph.h"
 #include "partition/assignment.h"
 #include "profiles/flat_profile.h"
 #include "profiles/profile.h"
@@ -57,8 +58,9 @@ struct PartitionData {
 /// an iteration are on disk, any number of threads may call load() /
 /// load_edges() simultaneously — each call reads into its own buffers and
 /// the only shared mutable state, the IoAccountant, is atomic. The shard
-/// driver relies on this: one store, written once per iteration by the
-/// driver, is streamed by every shard worker's PartitionCache in parallel.
+/// driver's thread mode relies on this: one store, written once per
+/// iteration by the driver, is streamed by every shard thread's
+/// PartitionCache in parallel.
 ///
 /// Ownership: the store owns nothing in memory between calls — load()
 /// returns PartitionData by value and the caller owns it (PartitionCache
@@ -81,11 +83,9 @@ class PartitionStore {
   /// (v,d) to owner(v) as out-edge — i.e. every partition holds both edge
   /// directions of its own vertices, as the paper specifies.
   ///
-  /// `include_profiles = false` skips the .prof files entirely: the
-  /// persistent-worker driver syncs profiles over the command channel
-  /// (profiles/profile_delta.h) instead, so writing them here would be
-  /// bytes nobody reads. load() throws on such a store; load_edges() is
-  /// the supported read path.
+  /// `include_profiles = false` skips the .prof files entirely; load()
+  /// throws on such a store, and load_edges() is the supported read path.
+  /// No library caller passes false.
   ///
   /// A non-null `pool` sorts, packs and writes the m partitions in
   /// parallel. Every buffer is sized from the edge and profile counts and
@@ -149,6 +149,19 @@ class PartitionStore {
   Mode mode_ = Mode::Read;
 };
 
+/// Partition `id` of `graph` under `assignment`, edges only, built in
+/// memory: the vertices, in-edges and out-edges that load_edges(id)
+/// returns after write_all(graph.to_edge_list(), assignment, ...), in the
+/// same order — vertices ascending, in-edges (s, v) by (v, s), out-edges
+/// (v, d) by (v, d). `reverse` is build_reverse_adjacency(graph); callers
+/// deriving several partitions build it once. A process that holds G(t)
+/// and the partition map (a persistent shard worker) runs phase 2 from
+/// these without any partition file.
+PartitionData derive_partition_edges(const KnnGraph& graph,
+                                     const ReverseAdjacency& reverse,
+                                     const PartitionAssignment& assignment,
+                                     PartitionId id);
+
 /// Bounded partition cache for phase 4: at most `slots` partitions resident
 /// (the paper uses 2). Counts loads and unloads — Table 1's metric.
 ///
@@ -157,9 +170,9 @@ class PartitionStore {
 class PartitionCache {
  public:
   /// Brings one partition in on a miss: a PartitionStore read such as
-  /// load_flat() (the streaming engines' phase 4) or load_edges() (the
-  /// persistent-worker path, where profiles live in a worker-local store
-  /// kept current by KPRD deltas).
+  /// load_flat() (the streaming engines' phase 4), or no read at all on
+  /// the persistent-worker path, where profiles live in a worker-local
+  /// store kept current by KPRD deltas and a load only counts.
   using Loader = std::function<PartitionData(PartitionId)>;
 
   PartitionCache(std::size_t slots, Loader load);

@@ -35,9 +35,9 @@ inline std::filesystem::path record_shard_path(
 
 /// Thread-safety: a RecordShardWriter is single-writer — add()/finish()
 /// must come from one thread at a time (the engine calls it from the
-/// phase-2 loop; the shard driver gives each producer its own instance via
-/// RoutedShardWriter below). The optional IoAccountant MAY be shared
-/// across writers on different threads — its charges are atomic.
+/// phase-2 loop; the shard driver gives each shard its own instance). The
+/// optional IoAccountant MAY be shared across writers on different
+/// threads — its charges are atomic.
 ///
 /// Ownership: the writer owns its buffers and the files under <dir>; it
 /// does NOT own the accountant, which must outlive the writer.
@@ -181,116 +181,6 @@ std::vector<T> read_record_shard(const std::filesystem::path& path,
 
 /// Phase-2 specialisation: tuple shards keyed by PI pair.
 using TupleShardWriter = RecordShardWriter<Tuple>;
-
-/// Stem of producer `p`'s private writer inside a routed spool: spool
-/// (p, c) lives at <dir>/<stem>_p<p>_<c>.bin. Exposed so a persistent
-/// shard worker (core/shard_driver.h) can reconstruct its producer sink
-/// in its own process with the exact on-disk layout RoutedShardWriter
-/// uses — the layout is defined here and nowhere else.
-inline std::string routed_producer_stem(const std::string& stem,
-                                        std::size_t p) {
-  return stem + "_p" + std::to_string(p);
-}
-
-/// Path of routed spool (p, c) without a RoutedShardWriter instance (the
-/// consumer side of the cross-process exchange).
-inline std::filesystem::path routed_spool_path(
-    const std::filesystem::path& dir, const std::string& stem, std::size_t p,
-    std::size_t c) {
-  return dir / (routed_producer_stem(stem, p) + "_" + std::to_string(c) +
-                ".bin");
-}
-
-/// Routed multi-sink spool: the shard driver's cross-shard exchange.
-///
-/// `producers` writer threads route records to `consumers` logical sinks;
-/// spool (p, c) lives at <dir>/<stem>_p<p>_<c>.bin, so there is one file
-/// per (producer-shard, consumer-shard) pair and NO shared mutable state
-/// between producer threads — producer p appends only through its own
-/// RecordShardWriter. Consumer c's record stream is the concatenation of
-/// spools (0..P-1, c) in ascending producer order, which makes the read
-/// order deterministic (the KNN pipeline additionally doesn't depend on
-/// it: the top-K kept set is offer-order-independent).
-///
-/// Thread-safety: producer(p) hands out an independent single-writer
-/// sink; distinct producers may add() concurrently. finish() and the
-/// consumer-side reads must happen after every producer thread has been
-/// joined (the driver's phase barrier). A shared IoAccountant is safe —
-/// charges are atomic.
-template <TrivialRecord T>
-class RoutedShardWriter {
- public:
-  /// Total buffered memory across all producers stays near
-  /// `buffer_budget_bytes` (each producer gets an equal slice).
-  RoutedShardWriter(const std::filesystem::path& dir, const std::string& stem,
-                    std::size_t producers, std::size_t consumers,
-                    std::size_t buffer_budget_bytes,
-                    IoAccountant* accountant = nullptr)
-      : consumers_(consumers) {
-    if (producers == 0 || consumers == 0) {
-      throw std::invalid_argument(
-          "RoutedShardWriter: producers and consumers must be > 0");
-    }
-    writers_.reserve(producers);
-    for (std::size_t p = 0; p < producers; ++p) {
-      writers_.emplace_back(dir, routed_producer_stem(stem, p), consumers,
-                            std::max<std::size_t>(
-                                buffer_budget_bytes / producers, sizeof(T)),
-                            accountant);
-    }
-  }
-
-  [[nodiscard]] std::size_t num_producers() const noexcept {
-    return writers_.size();
-  }
-  [[nodiscard]] std::size_t num_consumers() const noexcept {
-    return consumers_;
-  }
-
-  /// Producer `p`'s private sink; route records with
-  /// `producer(p).add(consumer, record)`. Thread-confined to p's thread.
-  [[nodiscard]] RecordShardWriter<T>& producer(std::size_t p) {
-    return writers_.at(p);
-  }
-
-  /// Flushes every producer. Call once, after producer threads joined.
-  void finish() {
-    for (auto& w : writers_) w.finish();
-  }
-
-  /// Records routed to consumer `c` so far, across all producers.
-  [[nodiscard]] std::uint64_t consumer_records(std::size_t c) const {
-    std::uint64_t total = 0;
-    for (const auto& w : writers_) total += w.shard_records(c);
-    return total;
-  }
-
-  /// Path of spool (p, c) — lets a consumer stream its input one
-  /// producer at a time (read_record_shard per path) instead of
-  /// materialising the whole read_consumer() concatenation.
-  [[nodiscard]] std::filesystem::path spool_path(std::size_t p,
-                                                 std::size_t c) const {
-    return writers_.at(p).shard_path(c);
-  }
-
-  /// Reads back consumer `c`'s full stream (producers in ascending order).
-  /// Requires finish() to have been called.
-  [[nodiscard]] std::vector<T> read_consumer(
-      std::size_t c, IoAccountant* accountant = nullptr) const {
-    std::vector<T> out;
-    out.reserve(consumer_records(c));
-    for (const auto& w : writers_) {
-      const std::vector<T> part = read_record_shard<T>(w.shard_path(c),
-                                                       accountant);
-      out.insert(out.end(), part.begin(), part.end());
-    }
-    return out;
-  }
-
- private:
-  std::size_t consumers_;
-  std::vector<RecordShardWriter<T>> writers_;
-};
 
 /// Phase-4 spill record: a scored candidate pair.
 struct ScoredTuple {

@@ -354,9 +354,8 @@ TEST(GoldenTest, ChurnWorkloadReplaysThroughEveryMode) {
   // workers were built for: every sharded mode must land on the pinned
   // checksum after >= 5 iterations of profile updates, and persistent mode
   // must do so for several shard counts (its delta-sync path differs per
-  // S). The
-  // distributed column puts each of two shards behind its own loopback
-  // agent, so the cross-agent spool relay runs every iteration.
+  // S). The distributed column puts each of two shards behind its own
+  // loopback agent.
   const std::vector<GoldenRow> rows = load_rows();
   ASSERT_FALSE(rows.empty());
   if (std::getenv("KNNPC_UPDATE_GOLDEN") != nullptr) {
@@ -392,12 +391,11 @@ TEST(GoldenTest, ChurnWorkloadReplaysThroughEveryMode) {
 }
 
 TEST(GoldenTest, DistributedLoopbackReproducesTheGoldenGraph) {
-  // The tentpole acceptance replay: golden rows run with every
-  // persistent worker living behind a loopback-TCP worker agent — remote
-  // spawn, content-addressed run-dir sync, stdio-over-TCP protocol —
-  // and must land on the same pinned checksums as the serial engine,
-  // including the multi-iteration churn row that exercises the delta
-  // sync across remote round trips.
+  // Golden rows run with every persistent worker living behind a
+  // loopback-TCP worker agent — remote spawn, plan frame, stdio-over-TCP
+  // protocol — must land on the same pinned checksums as the serial
+  // engine, including the multi-iteration churn row that exercises the
+  // delta sync across remote round trips.
   const std::vector<GoldenRow> rows = load_rows();
   ASSERT_FALSE(rows.empty());
   if (std::getenv("KNNPC_UPDATE_GOLDEN") != nullptr) {
@@ -426,8 +424,8 @@ TEST(GoldenTest, WorkloadZooReplaysThroughEveryMode) {
   // One pinned row per registered zoo scenario (wl-<name>), replayed
   // through every sharded mode — the cross-mode differential harness in
   // regression form. Persistent mode again sweeps shard counts, since its
-  // delta-sync path differs per S; the distributed column relays spools
-  // between two loopback agents on every scenario.
+  // delta-sync path differs per S; the distributed column splits the
+  // shards between two loopback agents on every scenario.
   const std::vector<GoldenRow> rows = load_rows();
   ASSERT_FALSE(rows.empty());
   if (std::getenv("KNNPC_UPDATE_GOLDEN") != nullptr) {

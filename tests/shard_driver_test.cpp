@@ -1,6 +1,6 @@
 // Tests for core/shard_driver: the shard-count determinism contract (the
-// merged graph is bit-identical to the serial engine's for any S), the
-// routed spool exchange, and the merged-output container.
+// merged graph is bit-identical to the serial engine's for any S) and the
+// merged-output container.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -11,8 +11,6 @@
 #include "core/sharded_knn_graph.h"
 #include "graph/knn_graph_io.h"
 #include "profiles/generators.h"
-#include "storage/block_file.h"
-#include "storage/shard_writer.h"
 #include "util/rng.h"
 
 namespace knnpc {
@@ -294,48 +292,6 @@ TEST(ShardedKnnGraphTest, MergeThrowsWhenOwnerShardMissing) {
 TEST(ShardedKnnGraphTest, VertexCountMismatchThrows) {
   ShardedKnnGraph output(round_robin(4, 2), 2);
   EXPECT_THROW(output.set_shard(0, KnnGraph(5, 2)), std::invalid_argument);
-}
-
-// --------------------------------------------------- RoutedShardWriter --
-
-TEST(RoutedShardWriterTest, ConsumerStreamConcatenatesProducersInOrder) {
-  ScratchDir scratch("routed_spool");
-  RoutedShardWriter<Tuple> spool(scratch.path(), "t", /*producers=*/2,
-                                 /*consumers=*/3, /*budget=*/1 << 10);
-  spool.producer(0).add(1, Tuple{10, 11});
-  spool.producer(1).add(1, Tuple{20, 21});
-  spool.producer(0).add(1, Tuple{12, 13});
-  spool.producer(0).add(2, Tuple{30, 31});
-  spool.finish();
-
-  EXPECT_EQ(spool.consumer_records(0), 0u);
-  EXPECT_EQ(spool.consumer_records(1), 3u);
-  EXPECT_EQ(spool.consumer_records(2), 1u);
-
-  const std::vector<Tuple> c1 = spool.read_consumer(1);
-  ASSERT_EQ(c1.size(), 3u);
-  // Producer 0's records first (in its add order), then producer 1's.
-  EXPECT_EQ(c1[0], (Tuple{10, 11}));
-  EXPECT_EQ(c1[1], (Tuple{12, 13}));
-  EXPECT_EQ(c1[2], (Tuple{20, 21}));
-  EXPECT_TRUE(spool.read_consumer(0).empty());
-}
-
-TEST(RoutedShardWriterTest, TinyBudgetStillDeliversEverything) {
-  ScratchDir scratch("routed_spool_tiny");
-  // Budget below one record per producer: every add flushes.
-  RoutedShardWriter<Tuple> spool(scratch.path(), "t", 3, 2, 1);
-  std::uint64_t expected = 0;
-  for (std::uint32_t p = 0; p < 3; ++p) {
-    for (std::uint32_t i = 0; i < 50; ++i) {
-      spool.producer(p).add(i % 2, Tuple{p * 100 + i, i});
-      ++expected;
-    }
-  }
-  spool.finish();
-  EXPECT_EQ(spool.consumer_records(0) + spool.consumer_records(1), expected);
-  EXPECT_EQ(spool.read_consumer(0).size(), spool.consumer_records(0));
-  EXPECT_EQ(spool.read_consumer(1).size(), spool.consumer_records(1));
 }
 
 // ------------------------------------------------------------ checksum --

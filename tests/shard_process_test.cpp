@@ -98,7 +98,7 @@ class FaultGuard {
 // that is the regime the long-lived workers (and their G(t) delta sync)
 // exist for, and it makes iteration-targeted fault injection meaningful
 // (kill a worker that has already served iterations, prove the respawn +
-// full resync replays the wave bit-identically).
+// full resync replays the command bit-identically).
 
 /// Churn matching the clustered() workload generator, so drift targets
 /// land in real clusters. Same config => same update stream, whichever
@@ -162,10 +162,9 @@ TEST_P(PersistentShardCountTest, ChurnWorkloadBitIdenticalToSerial) {
   for (const ShardWorkerStats& w : last.workers) {
     EXPECT_EQ(w.spawn_count, 1u) << "shard " << w.shard;
     EXPECT_EQ(w.resync_count, 0u) << "shard " << w.shard;
-    // The fused-protocol contract: one heavy command per worker per
-    // clean iteration (the GO barrier is payload-free and uncounted),
-    // and — with the worker-local P(t) copy — zero partition-profile
-    // reads, ever.
+    // The protocol contract: one command per worker per clean
+    // iteration and — with the worker-local P(t) copy — zero
+    // partition-profile reads, ever.
     EXPECT_EQ(w.round_trips, 1u) << "shard " << w.shard;
     EXPECT_EQ(w.profile_reads, 0u) << "shard " << w.shard;
     EXPECT_GT(w.bytes_tx, 0u) << "shard " << w.shard;
@@ -246,10 +245,10 @@ TEST(PersistentFaultTest, ConsumerKilledMidIterationRespawnsAndResyncs) {
   const std::vector<std::uint64_t> serial =
       serial_churn_checksums(config, 80, 4, 5);
 
-  // Kill worker 1 inside the consume wave of iteration 2, attempt 0: the
+  // Kill worker 1 at the start of phase 4 of iteration 2, attempt 0: the
   // worker has served two full iterations, so the respawned process
   // starts from nothing and must be resynced with the full G(t) snapshot
-  // before the wave replays.
+  // before its command replays.
   FaultGuard fault("consume:1:kill:0:2");
   ShardedKnnEngine engine(config, persistent_config(3), clustered(80, 4));
   std::vector<ShardedIterationStats> per_iter;
@@ -263,8 +262,8 @@ TEST(PersistentFaultTest, ConsumerKilledMidIterationRespawnsAndResyncs) {
   EXPECT_EQ(last.workers[2].spawn_count, 1u);
 
   // The respawned worker's resync shipped the COMPLETE profile store —
-  // all 80 rows, not just the churn delta — over a second heavy command
-  // (the skip-produce consume replay); the survivors stayed at one.
+  // all 80 rows, not just the churn delta — over a second command (the
+  // replay); the survivors stayed at one.
   ASSERT_EQ(per_iter.size(), 5u);
   const ShardedIterationStats& fault_iter = per_iter[2];
   EXPECT_EQ(fault_iter.workers[1].profile_rows_rx, 80u);
@@ -278,8 +277,8 @@ TEST(PersistentFaultTest, ConsumerKilledMidIterationRespawnsAndResyncs) {
 
 TEST(PersistentFaultTest, ProducerExitMidIterationRecovers) {
   EngineConfig config = base_config();
-  // Tiny buffers: the dead attempt leaves genuinely partial spool files
-  // the respawned worker must replace, not append to.
+  // Tiny buffers: the dead attempt leaves genuinely partial pair-bundle
+  // files the respawned worker must replace, not append to.
   config.shard_buffer_bytes = 64;
   const std::vector<std::uint64_t> serial =
       serial_churn_checksums(config, 80, 4, 4);
@@ -291,8 +290,8 @@ TEST(PersistentFaultTest, ProducerExitMidIterationRecovers) {
       run_persistent_churn(engine, 80, 4, serial, &per_iter);
   EXPECT_EQ(last.workers[2].spawn_count, 2u);
   EXPECT_EQ(last.workers[2].resync_count, 1u);
-  // The produce-phase respawn replays the full command: a second heavy
-  // round trip carrying the complete 80-row profile snapshot.
+  // The respawn replays the full command: a second round trip carrying
+  // the complete 80-row profile snapshot.
   EXPECT_EQ(per_iter[1].workers[2].round_trips, 2u);
   EXPECT_EQ(per_iter[1].workers[2].profile_rows_rx, 80u);
 }
@@ -316,7 +315,7 @@ TEST(PersistentFaultTest, SecondFailureThrowsDiagnosticAndLeavesGraph) {
   const std::vector<std::uint64_t> serial =
       serial_churn_checksums(config, 80, 4, 2);
 
-  // Every attempt of iteration 1's produce wave dies: the respawned
+  // Every attempt of iteration 1 dies after generation: the respawned
   // worker is killed again, which must fail the iteration with the
   // two-attempt history and leave G(t) exactly as iteration 0 built it.
   FaultGuard fault("produce:1:kill:*:1");
@@ -329,10 +328,10 @@ TEST(PersistentFaultTest, SecondFailureThrowsDiagnosticAndLeavesGraph) {
   churn.tick(engine.update_queue(), 80);
   try {
     engine.run_iteration();
-    FAIL() << "expected the produce wave to fail after one retry";
+    FAIL() << "expected the iteration to fail after one retry";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("produce wave failed after one retry"),
+    EXPECT_NE(what.find("iteration failed after one retry"),
               std::string::npos)
         << what;
     EXPECT_NE(what.find("shard 1"), std::string::npos) << what;
@@ -373,10 +372,10 @@ TEST(PersistentFaultTest, ConsumerExitingOnBothAttemptsFailsWithDiagnostic) {
   const std::uint64_t before = knn_graph_checksum(engine.graph());
   try {
     engine.run_iteration();
-    FAIL() << "expected the consume wave to fail after one retry";
+    FAIL() << "expected the iteration to fail after one retry";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("consume wave failed after one retry"),
+    EXPECT_NE(what.find("iteration failed after one retry"),
               std::string::npos)
         << what;
     EXPECT_NE(what.find("shard 1"), std::string::npos) << what;
@@ -462,10 +461,10 @@ TEST(PersistentFaultTest, SendToDeadWorkerReportsHowItDied) {
   FaultGuard fault("produce:1:kill:1:1");  // the respawn dies too
   try {
     engine.run_iteration();
-    FAIL() << "expected the produce wave to fail after one retry";
+    FAIL() << "expected the iteration to fail after one retry";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("produce wave failed after one retry"),
+    EXPECT_NE(what.find("iteration failed after one retry"),
               std::string::npos)
         << what;
     const std::size_t first = what.find("attempt 0: command send failed");

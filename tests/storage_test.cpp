@@ -1,9 +1,14 @@
 // Tests for storage/: block files, I/O models, partition store and cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
+#include "graph/knn_graph.h"
 #include "partition/hash_partitioner.h"
 #include "partition/range_partitioner.h"
 #include "profiles/generators.h"
@@ -265,6 +270,56 @@ TEST(PartitionStoreTest, PooledWriteAllWritesTheSameFiles) {
     ++files;
   }
   EXPECT_EQ(files, 16u);  // .in .out .prof .vtx per partition
+}
+
+TEST(PartitionStoreTest, DerivedPartitionsEqualTheStoredEdges) {
+  // A persistent shard worker derives its partitions from the G(t) it
+  // holds instead of reading them: every partition must equal what
+  // load_edges() returns after write_all(), order included (phase 2's
+  // merge-join and sampling stream depend on it). Scored neighbour lists
+  // are not in id order, so the out-edge runs need their sort.
+  Rng rng(77);
+  const VertexId n = 60;
+  const PartitionId m = 4;
+  KnnGraph graph(n, 5);
+  for (VertexId v = 0; v < n; ++v) {
+    std::vector<Neighbor> list;
+    while (list.size() < 5) {
+      const auto d = static_cast<VertexId>(rng.next_below(n));
+      const bool taken = std::any_of(
+          list.begin(), list.end(),
+          [d](const Neighbor& nb) { return nb.id == d; });
+      if (d != v && !taken) {
+        list.push_back({d, static_cast<float>(rng.next_below(1000))});
+      }
+    }
+    graph.set_neighbors(v, std::move(list));
+  }
+  const EdgeList edges = graph.to_edge_list();
+  const Digraph dg(edges);
+  std::vector<PartitionId> skewed(n);
+  for (VertexId v = 0; v < n; ++v) skewed[v] = v % (m - 1);
+  const std::vector<std::pair<std::string, PartitionAssignment>> placements =
+      {{"range", RangePartitioner{}.assign(dg, m)},
+       {"hash", HashPartitioner{}.assign(dg, m)},
+       {"one empty partition", PartitionAssignment(std::move(skewed), m)}};
+  const ReverseAdjacency reverse = build_reverse_adjacency(graph);
+  const InMemoryProfileStore profiles{std::vector<SparseProfile>(n)};
+  for (const auto& [name, assignment] : placements) {
+    const ScratchDir dir("pstore_derive");
+    PartitionStore store(dir.path());
+    store.write_all(edges, assignment, profiles);
+    for (PartitionId p = 0; p < m; ++p) {
+      const PartitionData stored = store.load_edges(p);
+      const PartitionData derived =
+          derive_partition_edges(graph, reverse, assignment, p);
+      const std::string where = name + ", partition " + std::to_string(p);
+      EXPECT_EQ(derived.id, p) << where;
+      EXPECT_EQ(derived.vertices, stored.vertices) << where;
+      EXPECT_EQ(derived.in_edges, stored.in_edges) << where;
+      EXPECT_EQ(derived.out_edges, stored.out_edges) << where;
+    }
+  }
 }
 
 TEST(PartitionStoreTest, LoadFlatDecodesTheProfilesLoadReads) {

@@ -1,21 +1,23 @@
-// Distributed shard execution behind a loopback worker agent
-// (core/worker_agent + core/shard_driver with worker_endpoints set), plus
-// unit coverage for the content-addressed file-sync formats
-// (storage/file_sync.h) the agent protocol rides on.
+// Distributed shard execution behind loopback worker agents
+// (core/worker_agent + core/shard_driver with worker_endpoints set).
 //
-// The contract under test is the tentpole determinism claim: a driver
-// whose persistent workers live behind TCP worker agents produces the
+// The contract under test is the determinism claim: a driver whose
+// persistent workers live behind TCP worker agents produces the
 // BIT-IDENTICAL graph the serial engine produces — including when a
 // remote worker is killed mid-run and the supervision layer respawns and
-// resyncs it — while the content-addressed sync re-transfers nothing for
-// partitions that did not change.
+// resyncs it — while no file crosses an agent link and an agent deletes a
+// run's directory once the run ends.
 //
 // The agents run in-process on background threads and spawn THIS binary
 // as their shard workers, so it carries a custom main() dispatching the
 // hidden --shard-worker role before gtest sees argv.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -28,81 +30,11 @@
 #include "graph/knn_graph_io.h"
 #include "profiles/generators.h"
 #include "storage/block_file.h"
-#include "storage/file_sync.h"
 #include "util/rng.h"
 #include "workloads/workload.h"
 
 namespace knnpc {
 namespace {
-
-// ----------------------------------------------------- file-sync formats --
-
-TEST(FileSyncTest, ChecksumIsContentAddressedAndStable) {
-  ScratchDir scratch("file_sync_checksum");
-  IoCounters io;
-  write_file(scratch.path() / "a.bin", std::vector<std::byte>(64, std::byte{7}),
-             io);
-  write_file(scratch.path() / "b.bin", std::vector<std::byte>(64, std::byte{7}),
-             io);
-  write_file(scratch.path() / "c.bin", std::vector<std::byte>(64, std::byte{8}),
-             io);
-  const std::uint64_t a = file_checksum(scratch.path() / "a.bin");
-  EXPECT_EQ(a, file_checksum(scratch.path() / "a.bin")) << "not deterministic";
-  EXPECT_EQ(a, file_checksum(scratch.path() / "b.bin"))
-      << "identical content must hash identically regardless of path";
-  EXPECT_NE(a, file_checksum(scratch.path() / "c.bin"));
-}
-
-TEST(FileSyncTest, ManifestScansSortedAndRoundTripsThroughWire) {
-  ScratchDir scratch("file_sync_manifest");
-  IoCounters io;
-  write_file(scratch.path() / "zz.bin", std::vector<std::byte>(10), io);
-  std::filesystem::create_directories(scratch.path() / "sub");
-  write_file(scratch.path() / "sub" / "aa.bin", std::vector<std::byte>(20),
-             io);
-
-  const std::vector<SyncFileEntry> manifest = scan_sync_root(scratch.path());
-  ASSERT_EQ(manifest.size(), 2u);
-  // Sorted by relpath — the order both sides rely on for the NEED-reply
-  // indices to mean the same entries.
-  EXPECT_EQ(manifest[0].relpath, "sub/aa.bin");
-  EXPECT_EQ(manifest[0].size, 20u);
-  EXPECT_EQ(manifest[1].relpath, "zz.bin");
-  EXPECT_EQ(manifest[1].size, 10u);
-
-  const std::vector<std::byte> wire = serialize_manifest(manifest);
-  const std::vector<SyncFileEntry> decoded = parse_manifest(wire);
-  ASSERT_EQ(decoded.size(), manifest.size());
-  for (std::size_t i = 0; i < manifest.size(); ++i) {
-    EXPECT_EQ(decoded[i].relpath, manifest[i].relpath);
-    EXPECT_EQ(decoded[i].size, manifest[i].size);
-    EXPECT_EQ(decoded[i].checksum, manifest[i].checksum);
-  }
-  // Trailing garbage is a framing bug, not something to ignore.
-  std::vector<std::byte> oversized = wire;
-  oversized.push_back(std::byte{0});
-  EXPECT_THROW((void)parse_manifest(oversized), std::runtime_error);
-}
-
-TEST(FileSyncTest, BlobRoundTripsAndUnsafeRelpathsAreRejected) {
-  FileBlob blob;
-  blob.relpath = "spools/tuples_p0_c1.bin";
-  blob.exists = true;
-  blob.bytes = {std::byte{1}, std::byte{2}, std::byte{3}};
-  const FileBlob decoded = parse_file_blob(serialize_file_blob(blob));
-  EXPECT_EQ(decoded.relpath, blob.relpath);
-  EXPECT_TRUE(decoded.exists);
-  EXPECT_EQ(decoded.bytes, blob.bytes);
-
-  // The agent places files it receives under its run dir by relpath; a
-  // malicious or corrupt relpath must never escape it.
-  EXPECT_TRUE(is_safe_relpath("plan.bin"));
-  EXPECT_TRUE(is_safe_relpath("partitions/p_000.blk"));
-  EXPECT_FALSE(is_safe_relpath("/etc/passwd"));
-  EXPECT_FALSE(is_safe_relpath("../outside"));
-  EXPECT_FALSE(is_safe_relpath("partitions/../../outside"));
-  EXPECT_FALSE(is_safe_relpath(""));
-}
 
 // ------------------------------------------------------- agent harness --
 
@@ -231,74 +163,35 @@ TEST_P(DistributedShardCountTest, LoopbackAgentBitIdenticalToSerial) {
   const std::vector<ShardedIterationStats> per_iter =
       run_distributed_churn(engine, 80, 4, serial);
 
-  // Clean run: one remote spawn per worker, no resyncs, and every
-  // iteration's sync accounting attributed to the endpoint's lowest
-  // shard (0 here — one agent owns every shard).
+  // Clean run: one remote spawn per worker and no resyncs.
   const ShardedIterationStats& last = per_iter.back();
   ASSERT_EQ(last.workers.size(), GetParam());
   for (const ShardWorkerStats& w : last.workers) {
     EXPECT_EQ(w.spawn_count, 1u) << "shard " << w.shard;
     EXPECT_EQ(w.resync_count, 0u) << "shard " << w.shard;
   }
-  // First iteration ships the whole run dir (plan + every partition).
-  EXPECT_GT(per_iter.front().workers[0].sync_files_tx, 0u);
-  EXPECT_GT(per_iter.front().workers[0].sync_bytes_tx, 0u);
-  // Later iterations still skip the unchanged plan.bin at minimum.
-  EXPECT_GT(last.workers[0].sync_files_skipped, 0u);
-  for (std::uint32_t s = 1; s < GetParam(); ++s) {
-    EXPECT_EQ(last.workers[s].sync_files_tx, 0u) << "shard " << s;
-    EXPECT_EQ(last.workers[s].sync_bytes_tx, 0u) << "shard " << s;
-    EXPECT_EQ(last.workers[s].sync_files_skipped, 0u) << "shard " << s;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, DistributedShardCountTest,
                          ::testing::Values(1u, 2u, 3u));
 
-TEST(DistributedShardTest, UnchangedPartitionsAreNeverRetransferred) {
-  // While the graph still evolves the partitioner legitimately reshapes
-  // the partition files, so they re-transfer. The invariant the
-  // content-addressed sync must hold: partition writes are deterministic
-  // in the graph, so any iteration that follows a zero-change iteration
-  // rewrites bit-identical files and must transfer nothing. (Convergence
-  // is not sticky — NN-descent sampling can nudge change_rate back off
-  // zero later — so the claim is per-iteration, not "forever after".)
-  const EngineConfig config = base_config();
-  AgentHarness agent("dist_steady_state");
-  ShardedKnnEngine engine(config, distributed_config(2, {agent.endpoint()}),
-                          clustered(80, 4));
-
-  ShardedIterationStats stats = engine.run_iteration();
-  EXPECT_GT(stats.workers[0].sync_bytes_tx, 0u)
-      << "the first sync must actually ship the run dir";
-  int zero_change_iterations = 0;
-  int verified = 0;
-  for (int i = 1; i < 30 && verified < 2; ++i) {
-    const bool prev_was_zero_change = stats.merged.change_rate == 0.0;
-    stats = engine.run_iteration();
-    if (!prev_was_zero_change) continue;
-    ++zero_change_iterations;
-    const ShardWorkerStats& w = stats.workers[0];
-    EXPECT_EQ(w.sync_bytes_tx, 0u)
-        << "iteration " << i << " followed a zero-change iteration yet "
-        << "re-transferred unchanged files";
-    EXPECT_EQ(w.sync_files_tx, 0u) << "iteration " << i;
-    EXPECT_GT(w.sync_files_skipped, 0u) << "iteration " << i;
-    EXPECT_GT(w.sync_bytes_skipped, 0u) << "iteration " << i;
-    if (w.sync_bytes_tx == 0 && w.sync_files_tx == 0) ++verified;
+/// Names of the directories directly under `dir` (empty when missing).
+std::vector<std::string> dir_entries(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    names.push_back(entry.path().filename().string());
   }
-  ASSERT_GE(zero_change_iterations, 1)
-      << "workload never reached a zero-change iteration within 30";
-  EXPECT_GE(verified, 2)
-      << "expected at least two zero-transfer steady-state iterations";
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
-TEST(DistributedShardTest, TwoAgentsRelaySpoolsAndStayBitIdentical) {
-  // Shards split across two agents with separate work roots: the
-  // cross-shard spool files must be relayed between the agents' run dirs
-  // through the driver (workers share no filesystem in the real
-  // deployment — two ScratchDirs model that), and the merged graph must
-  // still match the serial engine bit for bit.
+TEST(DistributedShardTest, TwoAgentsStayBitIdenticalWithNoSharedFiles) {
+  // Shards split across two agents with separate work roots (workers
+  // share no filesystem in the real deployment — two ScratchDirs model
+  // that): the merged graph must still match the serial engine bit for
+  // bit, and each agent's run directory holds only its own shard's
+  // scratch files.
   const EngineConfig config = base_config();
   const std::vector<std::uint64_t> serial =
       serial_churn_checksums(config, 80, 4, 3);
@@ -309,52 +202,99 @@ TEST(DistributedShardTest, TwoAgentsRelaySpoolsAndStayBitIdentical) {
       config,
       distributed_config(2, {left.endpoint(), right.endpoint()}),
       clustered(80, 4));
-  const std::vector<ShardedIterationStats> per_iter =
-      run_distributed_churn(engine, 80, 4, serial);
+  run_distributed_churn(engine, 80, 4, serial);
 
-  // Both endpoints carry sync accounting now: shard 0 for the left
-  // agent, shard 1 (its lowest — and only — shard) for the right.
-  const ShardedIterationStats& first = per_iter.front();
-  ASSERT_EQ(first.workers.size(), 2u);
-  EXPECT_GT(first.workers[0].sync_files_tx, 0u);
-  EXPECT_GT(first.workers[1].sync_files_tx, 0u);
+  const std::vector<std::string> left_runs = dir_entries(left.scratch.path());
+  const std::vector<std::string> right_runs =
+      dir_entries(right.scratch.path());
+  ASSERT_EQ(left_runs.size(), 1u);
+  ASSERT_EQ(right_runs.size(), 1u);
+  EXPECT_EQ(dir_entries(left.scratch.path() / left_runs[0]),
+            std::vector<std::string>{"worker_0"});
+  EXPECT_EQ(dir_entries(right.scratch.path() / right_runs[0]),
+            std::vector<std::string>{"worker_1"});
+}
+
+TEST(DistributedShardTest, AgentDeletesAFinishedRun) {
+  // A run's directory lives only as long as the run: once the engine is
+  // destroyed (its control links drop), the agent reaps the workers and
+  // deletes the directory, leaving its work root empty.
+  AgentHarness agent("dist_finished_run");
+  {
+    ShardedKnnEngine engine(base_config(),
+                            distributed_config(2, {agent.endpoint()}),
+                            clustered(80, 4));
+    engine.run_iteration();
+    engine.run_iteration();
+    EXPECT_FALSE(dir_entries(agent.scratch.path()).empty())
+        << "a live run has a directory under the agent's work root";
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!dir_entries(agent.scratch.path()).empty() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_TRUE(dir_entries(agent.scratch.path()).empty())
+      << "the agent kept the finished run's directory";
 }
 
 // ------------------------------------------------------ fault injection --
 
-TEST(DistributedFaultTest, RemoteWorkerKilledMidRunRespawnsAndResyncs) {
-  // Kill remote worker 1 in the consume wave of iteration 2, after it
-  // has served two full iterations: the driver must notice over TCP,
+/// Parameter: agent count. One agent hosts S=3 and loses shard 1; two
+/// agents host S=4 (shards 2 and 3 behind the second) and lose shard 3.
+class DistributedFaultTest : public ::testing::TestWithParam<std::uint32_t> {
+};
+
+TEST_P(DistributedFaultTest, RemoteWorkerKilledMidRunRespawnsAndResyncs) {
+  // Kill one remote worker at the start of phase 4 of iteration 2, after
+  // it has served two full iterations: the driver must notice over TCP,
   // kill-confirm through the agent control channel, respawn the worker
-  // behind the agent, resync the full snapshot, and land on the serial
-  // engine's exact graph — the tentpole's mid-run fault claim.
+  // behind its agent, resync the full snapshot, and land on the serial
+  // engine's exact graph every iteration — while the other workers, on
+  // either agent, serve their one command undisturbed.
+  const std::uint32_t agents = GetParam();
+  const std::uint32_t shards = agents == 1 ? 3 : 4;
+  const std::uint32_t killed = agents == 1 ? 1 : 3;
   const EngineConfig config = base_config();
   const std::vector<std::uint64_t> serial =
       serial_churn_checksums(config, 80, 4, 5);
 
-  FaultGuard fault("consume:1:kill:0:2");
-  AgentHarness agent("dist_fault_kill");
-  ShardedKnnEngine engine(config, distributed_config(3, {agent.endpoint()}),
+  FaultGuard fault("consume:" + std::to_string(killed) + ":kill:0:2");
+  std::vector<std::unique_ptr<AgentHarness>> harnesses;
+  std::vector<std::string> endpoints;
+  for (std::uint32_t a = 0; a < agents; ++a) {
+    harnesses.push_back(std::make_unique<AgentHarness>(
+        "dist_fault_kill_" + std::to_string(agents) + "_" +
+        std::to_string(a)));
+    endpoints.push_back(harnesses.back()->endpoint());
+  }
+  ShardedKnnEngine engine(config, distributed_config(shards, endpoints),
                           clustered(80, 4));
   const std::vector<ShardedIterationStats> per_iter =
       run_distributed_churn(engine, 80, 4, serial);
 
-  const ShardedIterationStats& last = per_iter.back();
-  ASSERT_EQ(last.workers.size(), 3u);
-  EXPECT_EQ(last.workers[1].spawn_count, 2u);
-  EXPECT_EQ(last.workers[1].resync_count, 1u);
-  EXPECT_EQ(last.workers[0].spawn_count, 1u);
-  EXPECT_EQ(last.workers[2].spawn_count, 1u);
-  // The respawn replayed the wave with the full 80-row snapshot, exactly
-  // like local persistent mode.
-  EXPECT_EQ(per_iter[2].workers[1].profile_rows_rx, 80u);
-  EXPECT_EQ(per_iter[2].workers[1].round_trips, 2u);
+  ASSERT_EQ(per_iter.size(), 5u);
+  const ShardedIterationStats& fault_iter = per_iter[2];
+  ASSERT_EQ(fault_iter.workers.size(), shards);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const ShardWorkerStats& w = fault_iter.workers[s];
+    EXPECT_EQ(w.spawn_count, s == killed ? 2u : 1u) << "shard " << s;
+    EXPECT_EQ(w.round_trips, s == killed ? 2u : 1u) << "shard " << s;
+  }
+  // The respawn replayed its command with the full 80-row snapshot,
+  // exactly like local persistent mode.
+  EXPECT_EQ(fault_iter.workers[killed].profile_rows_rx, 80u);
+  EXPECT_EQ(per_iter.back().workers[killed].resync_count, 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Agents, DistributedFaultTest,
+                         ::testing::Values(1u, 2u));
 
 TEST(DistributedFaultTest, SecondFailureThrowsTheLocalModeDiagnostic) {
   // Supervision parity: a remote worker that dies on every attempt must
   // fail the run with the SAME error shape local persistent mode throws
-  // — same wave string, same shard id — so operators and scripts see one
+  // — same message, same shard id — so operators and scripts see one
   // vocabulary regardless of where the workers live.
   const EngineConfig config = base_config();
   const std::vector<std::uint64_t> serial =
@@ -372,10 +312,10 @@ TEST(DistributedFaultTest, SecondFailureThrowsTheLocalModeDiagnostic) {
   churn.tick(engine.update_queue(), 80);
   try {
     engine.run_iteration();
-    FAIL() << "expected the produce wave to fail after one retry";
+    FAIL() << "expected the iteration to fail after one retry";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("produce wave failed after one retry"),
+    EXPECT_NE(what.find("iteration failed after one retry"),
               std::string::npos)
         << what;
     EXPECT_NE(what.find("shard 1"), std::string::npos) << what;

@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
                   "thread");
   opts.add_double("worker-timeout",
                   "persistent mode: seconds one worker may take to answer "
-                  "a wave command before it is killed and retried "
+                  "its iteration command before it is killed and retried "
                   "(< 0 = no deadline)",
                   600.0);
   opts.add_string("worker-endpoint",
@@ -121,20 +121,21 @@ int main(int argc, char** argv) {
                   "");
   opts.add_double("agent-timeout",
                   "distributed mode: seconds for agent connects and each "
-                  "control round-trip (sync, spool relay, remote kill)",
+                  "control round-trip (connect and remote kill)",
                   30.0);
   opts.add_string("shard-stats-json",
                   "with --shards > 1: write per-shard worker stats "
-                  "(supervision, channel traffic, distributed sync "
-                  "counters) to this file",
+                  "(phase timings, supervision, channel traffic) to this "
+                  "file",
                   "");
   opts.add_string("worker-agent",
                   "run as a worker agent on host:port (serves remote "
                   "drivers; all other engine flags are ignored)",
                   "");
   opts.add_string("agent-workdir",
-                  "worker agent: root directory for per-run files "
-                  "(required with --worker-agent)",
+                  "worker agent: root directory for per-run scratch "
+                  "files, deleted when the run ends (required with "
+                  "--worker-agent)",
                   "");
   opts.add_string("agent-port-file",
                   "worker agent: write the bound port here atomically "

@@ -352,8 +352,7 @@ IterationStats KnnEngine::run_iteration() {
       assignment = make_partitioner(config_.partitioner)->assign(digraph, m);
       impl_->last_assignment = assignment;
     }
-    store.write_all(edge_list, assignment, profiles_,
-                    /*include_profiles=*/true, impl_->pool.get());
+    store.write_all(edge_list, assignment, profiles_, impl_->pool.get());
     if (config_.record_partition_cost) {
       stats.partition_cost_total = partition_cost(digraph, assignment).total;
     }

@@ -94,10 +94,12 @@ struct EngineConfig {
   /// O(samples * n) similarities per iteration — observability, not part
   /// of the pipeline itself.
   std::size_t recall_samples = 0;
-  /// Phase-4 similarity kernel backend: "auto" | "scalar" | "simd"
+  /// Backend of phase 4's fallback merge: "auto" | "scalar" | "simd"
   /// (profiles/similarity_kernels.h; the KNNPC_KERNEL env var overrides
-  /// "auto"). Scores are bit-identical across backends, so this is a pure
-  /// speed knob — golden checksums hold either way.
+  /// "auto"). Only sources whose largest item reaches kItemTableBound
+  /// use it; the rest are scored through the item table. Scores are
+  /// bit-identical on every path, so this is a pure speed knob — golden
+  /// checksums hold either way.
   std::string kernel = "auto";
   /// Score phase 4 over u16-quantized profile weights
   /// (profiles/flat_profile.h): halves the flat weight payload but is NOT

@@ -69,6 +69,17 @@ void FlatProfileSet::reserve(std::size_t users, std::size_t entries) {
   }
 }
 
+void FlatProfileSet::clear() {
+  ids_.clear();
+  offsets_.assign(1, 0);
+  items_.clear();
+  weights_.clear();
+  qcodes_.clear();
+  qscales_.clear();
+  norms_.clear();
+  means_.clear();
+}
+
 void FlatProfileSet::add(VertexId v, const SparseProfile& p) {
   if (!ids_.empty() && v <= ids_.back()) {
     throw std::invalid_argument(

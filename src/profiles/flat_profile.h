@@ -70,6 +70,10 @@ class FlatProfileSet {
 
   void reserve(std::size_t users, std::size_t entries);
 
+  /// Empties the set but keeps its capacity, so a set reused for one
+  /// profile at a time (a beam-search query) stops allocating once grown.
+  void clear();
+
   /// Packs `p` under vertex id `v`; ids must arrive strictly ascending.
   void add(VertexId v, const SparseProfile& p);
 

@@ -1,31 +1,59 @@
 #include "serve/knn_server.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
 
 #include "graph/knn_graph_delta.h"
 #include "graph/knn_graph_io.h"
+#include "profiles/flat_profile.h"
 #include "profiles/profile_delta.h"
+#include "profiles/similarity_kernels.h"
 
 namespace knnpc {
 
-namespace {
+/// Beam-search state reused across one Reader's queries: once grown, a
+/// query allocates nothing but its result.
+struct BeamSearchContext {
+  /// Beam ordering: better = higher score, ties broken towards the lower
+  /// id — the same (score desc, id asc) rule the engine's top-K uses, so
+  /// query results are deterministic per snapshot.
+  struct Candidate {
+    float score = 0.0f;
+    VertexId id = kInvalidVertex;
+    bool expanded = false;
+  };
+  static bool better(const Candidate& a, const Candidate& b) noexcept {
+    if (a.score != b.score) return a.score > b.score;
+    return a.id < b.id;
+  }
 
-/// Beam ordering: better = higher score, ties broken towards the lower
-/// id — the same (score desc, id asc) rule the engine's top-K uses, so
-/// query results are deterministic per snapshot.
-struct BeamCandidate {
-  float score = 0.0f;
-  VertexId id = kInvalidVertex;
-  bool expanded = false;
+  /// Starts a query over a snapshot of n vertices. Marks stamped with an
+  /// older epoch read as unvisited; every mark is reset when n changes or
+  /// the epoch would wrap.
+  void begin(VertexId n) {
+    if (visited.size() != n ||
+        epoch == std::numeric_limits<std::uint8_t>::max()) {
+      visited.assign(n, 0);
+      epoch = 0;
+    }
+    ++epoch;
+  }
+
+  /// The current query, packed as one row: its items go into `items`.
+  FlatProfileSet query;
+  ItemTable items;
+  KernelScratch scratch;
+  /// visited[v] == epoch: v was offered during the current query. A byte
+  /// per vertex keeps a 20k-user snapshot's marks in 20 KB, at the price
+  /// of one reset per 255 queries.
+  std::vector<std::uint8_t> visited;
+  std::uint8_t epoch = 0;
+  std::vector<Candidate> cands;  // the beam, best first
 };
 
-bool beam_better(const BeamCandidate& a, const BeamCandidate& b) noexcept {
-  if (a.score != b.score) return a.score > b.score;
-  return a.id < b.id;
-}
+namespace {
 
 /// splitmix64 finaliser — decorrelates seed picks from any periodic
 /// structure in the id space (synthetic workloads assign users to
@@ -81,31 +109,40 @@ std::vector<VertexId> compute_seeds(std::span<const PartitionId> partition_of,
   return seeds;
 }
 
-}  // namespace
-
 QueryResult beam_search(const ServeSnapshot& snapshot,
                         const SparseProfile& query, std::uint32_t k,
-                        std::uint32_t search_l) {
+                        std::uint32_t search_l, BeamSearchContext& ctx) {
+  using Candidate = BeamSearchContext::Candidate;
   QueryResult out;
   out.stats.version = snapshot.version;
   const VertexId n = snapshot.graph.num_vertices();
   if (n == 0 || k == 0) return out;
   const std::size_t beam = std::max<std::uint32_t>(search_l, k);
 
-  std::vector<BeamCandidate> cands;
+  ctx.begin(n);
+  ctx.query.clear();
+  ctx.query.add(0, query);
+  const ItemTable::Source source(ctx.items, ctx.query.view(0));
+  std::vector<Candidate>& cands = ctx.cands;
+  cands.clear();
   cands.reserve(beam + 1);
-  std::unordered_set<VertexId> scored;
-  scored.reserve(beam * 8);
 
   auto offer = [&](VertexId v) {
-    if (!scored.insert(v).second) return;
+    if (ctx.visited[v] == ctx.epoch) return;
+    ctx.visited[v] = ctx.epoch;
     ++out.stats.scored;
-    BeamCandidate c{
-        similarity(snapshot.measure, query, snapshot.profiles.get(v)), v,
-        false};
-    if (cands.size() >= beam && !beam_better(c, cands.back())) return;
-    cands.insert(
-        std::lower_bound(cands.begin(), cands.end(), c, beam_better), c);
+    const SparseProfile& profile = snapshot.profiles.get(v);
+    const Candidate c{
+        source.indexed()
+            ? source.score(profile, snapshot.measure, ctx.scratch)
+            : similarity(snapshot.measure, query, profile),
+        v, false};
+    if (cands.size() >= beam && !BeamSearchContext::better(c, cands.back())) {
+      return;
+    }
+    cands.insert(std::lower_bound(cands.begin(), cands.end(), c,
+                                  BeamSearchContext::better),
+                 c);
     if (cands.size() > beam) cands.pop_back();
   };
 
@@ -117,7 +154,7 @@ QueryResult beam_search(const ServeSnapshot& snapshot,
   // the diskAnnSearchInternal convergence condition.
   for (;;) {
     auto it = std::find_if(cands.begin(), cands.end(),
-                           [](const BeamCandidate& c) { return !c.expanded; });
+                           [](const Candidate& c) { return !c.expanded; });
     if (it == cands.end()) break;
     it->expanded = true;
     const VertexId v = it->id;  // `it` is invalidated by offer() below
@@ -132,6 +169,15 @@ QueryResult beam_search(const ServeSnapshot& snapshot,
     out.neighbors.push_back({cands[i].id, cands[i].score});
   }
   return out;
+}
+
+}  // namespace
+
+QueryResult beam_search(const ServeSnapshot& snapshot,
+                        const SparseProfile& query, std::uint32_t k,
+                        std::uint32_t search_l) {
+  BeamSearchContext context;
+  return beam_search(snapshot, query, k, search_l, context);
 }
 
 KnnServer::KnnServer(ServeConfig config)
@@ -258,22 +304,29 @@ KnnServer::Reader KnnServer::reader() const {
       " reader slots are taken (ServeConfig::max_readers)");
 }
 
+KnnServer::Reader::Reader(const KnnServer* server, std::uint32_t slot)
+    : server_(server),
+      slot_(slot),
+      context_(std::make_unique<BeamSearchContext>()) {}
+
 KnnServer::Reader::Reader(Reader&& other) noexcept
-    : server_(other.server_), slot_(other.slot_) {
-  other.server_ = nullptr;
-}
+    : server_(std::exchange(other.server_, nullptr)),
+      slot_(other.slot_),
+      context_(std::move(other.context_)) {}
 
 KnnServer::Reader& KnnServer::Reader::operator=(Reader&& other) noexcept {
   if (this != &other) {
-    this->~Reader();
-    server_ = other.server_;
+    give_back_slot();
+    server_ = std::exchange(other.server_, nullptr);
     slot_ = other.slot_;
-    other.server_ = nullptr;
+    context_ = std::move(other.context_);
   }
   return *this;
 }
 
-KnnServer::Reader::~Reader() {
+KnnServer::Reader::~Reader() { give_back_slot(); }
+
+void KnnServer::Reader::give_back_slot() noexcept {
   if (server_ == nullptr) return;
   server_->hazard_[slot_].store(nullptr, std::memory_order_release);
   server_->slot_taken_[slot_].store(false, std::memory_order_release);
@@ -323,7 +376,7 @@ QueryResult KnnServer::Reader::query(const SparseProfile& query_profile,
     throw std::logic_error("KnnServer: nothing published yet");
   }
   if (search_l == 0) search_l = server_->config_.search_l;
-  return beam_search(*snap, query_profile, k, search_l);
+  return beam_search(*snap, query_profile, k, search_l, *context_);
 }
 
 std::uint64_t KnnServer::Reader::version() const {

@@ -16,14 +16,19 @@
 //     bit-for-bit (knn_server_test pins this).
 //   - query(profile, k): the ad-hoc read, for profiles not in the index.
 //     Graph-guided beam search in the diskAnnSearchInternal shape: a
-//     sorted candidate queue bounded by `search_l`, a visited set, seeds
-//     drawn from every partition's representatives so the walk starts in
-//     the partitions whose users look most like the query, expansion over
-//     both edge directions (out-neighbours + the snapshot's precomputed
-//     reverse adjacency). Approximate by construction: recall is a
-//     function of `search_l` (knn_server_test gates >= 95% @ k=10, and
-//     the benchmark harness's serve-churn workload reports it as
-//     query_recall), and results are deterministic per snapshot but
+//     sorted candidate queue bounded by `search_l`, epoch-stamped visited
+//     marks, seeds drawn from every partition's representatives so the
+//     walk starts in the partitions whose users look most like the query,
+//     expansion over both edge directions (out-neighbours + the
+//     snapshot's precomputed reverse adjacency). The query's items are
+//     indexed once in a direct-addressed ItemTable
+//     (profiles/similarity_kernels.h) and every offered vertex is scored
+//     through it with phase 4's replay, bit-identical to similarity().
+//     Each Reader keeps that table, the marks and the queue in a search
+//     context it reuses from query to query. Approximate by construction:
+//     recall is a function of `search_l` (knn_server_test gates >= 95% @
+//     k=10, and the benchmark harness's serve-churn workload reports it
+//     as query_recall), and results are deterministic per snapshot but
 //     NOT covered by the engine's bit-identity contract.
 //
 // Thread-safety contract:
@@ -131,11 +136,19 @@ struct QueryResult {
 };
 
 /// Pure beam search over one snapshot — deterministic for a given
-/// (snapshot, query, k, search_l). Reader::query is the pinned wrapper;
-/// this entry point exists for tests and offline evaluation.
+/// (snapshot, query, k, search_l). Reader::query is the pinned wrapper,
+/// with the reader's reused search context; this entry point builds a
+/// context of its own per call, and returns exactly what Reader::query
+/// returns on the same snapshot. It exists for tests and offline
+/// evaluation.
 QueryResult beam_search(const ServeSnapshot& snapshot,
                         const SparseProfile& query, std::uint32_t k,
                         std::uint32_t search_l);
+
+/// Beam-search state a Reader reuses across queries (the query's item
+/// table, the visited marks and the candidate queue); defined in
+/// knn_server.cpp.
+struct BeamSearchContext;
 
 class KnnServer final : public SnapshotSink {
  public:
@@ -198,11 +211,12 @@ class KnnServer final : public SnapshotSink {
   PublishStats last_publish_{};
 };
 
-/// One registered reader: a hazard slot plus the two query paths. Use
-/// from ONE thread at a time; create one per query thread. Reads pin the
-/// current snapshot for their duration only — a Reader never blocks the
-/// publisher and never observes a half-applied publication (it sees the
-/// old generation or the new one, atomically).
+/// One registered reader: a hazard slot, the two query paths and the
+/// search context query() reuses. Use from ONE thread at a time; create
+/// one per query thread. Reads pin the current snapshot for their
+/// duration only — a Reader never blocks the publisher and never observes
+/// a half-applied publication (it sees the old generation or the new one,
+/// atomically).
 class KnnServer::Reader {
  public:
   Reader(Reader&& other) noexcept;
@@ -253,15 +267,18 @@ class KnnServer::Reader {
 
  private:
   friend class KnnServer;
-  Reader(const KnnServer* server, std::uint32_t slot)
-      : server_(server), slot_(slot) {}
+  Reader(const KnnServer* server, std::uint32_t slot);
 
   /// Hazard-pointer acquire: announce then re-validate until stable.
   [[nodiscard]] const ServeSnapshot* acquire() const;
   void release() const;
+  /// Clears the hazard slot and frees it for the next reader().
+  void give_back_slot() noexcept;
 
   const KnnServer* server_ = nullptr;
   std::uint32_t slot_ = 0;
+  /// Mutated by the const query(): the Reader is a one-thread handle.
+  std::unique_ptr<BeamSearchContext> context_;
 };
 
 }  // namespace knnpc

@@ -54,7 +54,7 @@ std::vector<std::byte> PartitionStore::fetch(const fs::path& path) const {
 void PartitionStore::write_all(const EdgeList& graph,
                                const PartitionAssignment& assignment,
                                const ProfileStore& profiles,
-                               bool include_profiles, ThreadPool* pool) {
+                               ThreadPool* pool) {
   if (graph.num_vertices != assignment.num_vertices()) {
     throw std::invalid_argument(
         "PartitionStore::write_all: graph/assignment size mismatch");
@@ -90,15 +90,13 @@ void PartitionStore::write_all(const EdgeList& graph,
     for (VertexId v = 0; v < n; ++v) {
       const PartitionId p = assignment.owner(v);
       ++member_count[p];
-      if (include_profiles) {
-        packed_bytes[p] += packed_profile_bytes(profiles.get(v));
-      }
+      packed_bytes[p] += packed_profile_bytes(profiles.get(v));
     }
     for (PartitionId p = 0; p < m_; ++p) {
       in_edges[p].reserve(in_count[p]);
       out_edges[p].reserve(out_count[p]);
       members[p].reserve(member_count[p]);
-      if (include_profiles) packed[p].resize(packed_bytes[p]);
+      packed[p].resize(packed_bytes[p]);
     }
   }
   for (const Edge& e : graph.edges) {
@@ -127,10 +125,8 @@ void PartitionStore::write_all(const EdgeList& graph,
       std::sort(out_edges[p].begin(), out_edges[p].end());
       put(p, ".in", std::as_bytes(std::span(in_edges[p])));
       put(p, ".out", std::as_bytes(std::span(out_edges[p])));
-      if (include_profiles) {
-        pack_profiles_into(profiles, members[p], packed[p]);
-        put(p, ".prof", packed[p]);
-      }
+      pack_profiles_into(profiles, members[p], packed[p]);
+      put(p, ".prof", packed[p]);
       // Vertex membership file (ascending ids).
       put(p, ".vtx", std::as_bytes(std::span(members[p])));
     }
@@ -180,8 +176,7 @@ PartitionData derive_partition_edges(const KnnGraph& graph,
 
 void PartitionStore::write_all_streaming(
     const EdgeList& graph, const PartitionAssignment& assignment,
-    const ProfileStore& profiles, std::size_t sort_buffer_bytes,
-    bool include_profiles) {
+    const ProfileStore& profiles, std::size_t sort_buffer_bytes) {
   if (graph.num_vertices != assignment.num_vertices()) {
     throw std::invalid_argument(
         "PartitionStore::write_all_streaming: size mismatch");
@@ -231,14 +226,12 @@ void PartitionStore::write_all_streaming(
   IoCounters raw;
   for (PartitionId p = 0; p < m_; ++p) {
     const auto members = assignment.members(p);
-    if (include_profiles) {
-      std::vector<SparseProfile> member_profiles;
-      member_profiles.reserve(members.size());
-      for (VertexId v : members) member_profiles.push_back(profiles.get(v));
-      const auto prof_bytes = pack_profiles(member_profiles);
-      write_file(file(p, ".prof"), prof_bytes, raw);
-      io_.charge_write(prof_bytes.size());
-    }
+    std::vector<SparseProfile> member_profiles;
+    member_profiles.reserve(members.size());
+    for (VertexId v : members) member_profiles.push_back(profiles.get(v));
+    const auto prof_bytes = pack_profiles(member_profiles);
+    write_file(file(p, ".prof"), prof_bytes, raw);
+    io_.charge_write(prof_bytes.size());
     const auto member_bytes = to_bytes(members);
     write_file(file(p, ".vtx"), member_bytes, raw);
     io_.charge_write(member_bytes.size());

@@ -83,17 +83,12 @@ class PartitionStore {
   /// (v,d) to owner(v) as out-edge — i.e. every partition holds both edge
   /// directions of its own vertices, as the paper specifies.
   ///
-  /// `include_profiles = false` skips the .prof files entirely; load()
-  /// throws on such a store, and load_edges() is the supported read path.
-  /// No library caller passes false.
-  ///
   /// A non-null `pool` sorts, packs and writes the m partitions in
   /// parallel. Every buffer is sized from the edge and profile counts and
   /// allocated by the calling thread; pool threads only fill and write
   /// it. The files and byte counts are the same either way.
   void write_all(const EdgeList& graph, const PartitionAssignment& assignment,
-                 const ProfileStore& profiles, bool include_profiles = true,
-                 ThreadPool* pool = nullptr);
+                 const ProfileStore& profiles, ThreadPool* pool = nullptr);
 
   /// Low-memory variant of write_all: edges stream to per-partition files
   /// through a bounded buffer (storage/shard_writer.h) and each edge file
@@ -103,8 +98,7 @@ class PartitionStore {
   void write_all_streaming(const EdgeList& graph,
                            const PartitionAssignment& assignment,
                            const ProfileStore& profiles,
-                           std::size_t sort_buffer_bytes = 4u << 20,
-                           bool include_profiles = true);
+                           std::size_t sort_buffer_bytes = 4u << 20);
 
   /// Loads one partition from disk (three file reads, charged to the
   /// accountant). Throws when the partition was never written.

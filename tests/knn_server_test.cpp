@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/shard_driver.h"
 #include "graph/knn_graph_io.h"
 #include "profiles/generators.h"
+#include "profiles/similarity_kernels.h"
 #include "serve/knn_server.h"
 #include "util/rng.h"
 
@@ -33,6 +35,10 @@ std::vector<SparseProfile> make_profiles(VertexId n, std::uint64_t seed,
 void publish(KnnServer& server, const KnnGraph& graph,
              const InMemoryProfileStore& profiles, std::uint32_t iter) {
   server.publish(graph, profiles, {}, iter);
+}
+
+bool same_bits(float a, float b) {
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
 }
 
 TEST(KnnServerTest, UnpublishedServerThrowsOnReads) {
@@ -179,6 +185,86 @@ TEST(KnnServerTest, BeamRecallOnConvergedWorkload) {
   EXPECT_GE(recall, 0.95) << hits << "/" << wanted;
 }
 
+TEST(KnnServerTest, BeamScoresEqualSimilarityForEveryMeasure) {
+  // Beam search scores through the query's item table with phase 4's
+  // replay; every returned score must be similarity() bit for bit. One
+  // Reader answers all queries, so a table left dirty by one query would
+  // corrupt the next one's scores.
+  const VertexId n = 150;
+  const InMemoryProfileStore profiles{make_profiles(n, 29)};
+  Rng rng(31);
+  const KnnGraph graph = random_knn_graph(n, 6, rng);
+  std::vector<SparseProfile> queries;
+  for (VertexId u = 0; u < n; u += 9) queries.push_back(profiles.get(u));
+  for (const SparseProfile& off_index : make_profiles(12, 37)) {
+    queries.push_back(off_index);
+  }
+  queries.emplace_back();  // empty query
+  // Past kItemTableBound: the query is scored through similarity().
+  queries.push_back(SparseProfile({{3, 1.0f}, {kItemTableBound, 2.0f}}));
+  queries.push_back(profiles.get(1));
+  for (const SimilarityMeasure measure : kAllSimilarityMeasures) {
+    ServeConfig config;
+    config.measure = measure;
+    KnnServer server(config);
+    publish(server, graph, profiles, 0);
+    KnnServer::Reader reader = server.reader();
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const QueryResult got = reader.query(queries[q], 10, 32);
+      ASSERT_FALSE(got.neighbors.empty());
+      for (const Neighbor& nb : got.neighbors) {
+        EXPECT_TRUE(same_bits(
+            nb.score, similarity(measure, queries[q], profiles.get(nb.id))))
+            << similarity_name(measure) << " query " << q << " vertex "
+            << nb.id;
+      }
+    }
+  }
+}
+
+TEST(KnnServerTest, ReaderAnswersExactlyWhatAFreshBeamSearchDoes) {
+  // A Reader reuses one search context across queries; beam_search()
+  // builds a new one per call. The first query stamps every vertex of a
+  // 60-vertex snapshot with the context's first epoch; a publish that
+  // changes n must then reset those marks, or the next query would skip
+  // them. The 600 queries that follow cross the marks' epoch wrap (every
+  // 255 queries) twice.
+  const std::vector<SparseProfile> small = make_profiles(60, 41);
+  const std::vector<SparseProfile> large = make_profiles(90, 43);
+  const std::vector<SparseProfile> off_index = make_profiles(30, 47);
+  Rng rng(53);
+  KnnServer server;
+  publish(server, random_knn_graph(60, 5, rng), InMemoryProfileStore{small},
+          0);
+  KnnServer::Reader reader = server.reader();
+  KnnServer::Reader pinner = server.reader();
+  auto expect_fresh = [&](const SparseProfile& query, int i) {
+    const QueryResult got = reader.query(query, 5, 12);
+    const KnnServer::Reader::Pin pin = pinner.pin();
+    const QueryResult fresh = beam_search(*pin.get(), query, 5, 12);
+    ASSERT_EQ(got.stats.version, fresh.stats.version) << "query " << i;
+    ASSERT_EQ(got.stats.scored, fresh.stats.scored) << "query " << i;
+    ASSERT_EQ(got.stats.expanded, fresh.stats.expanded) << "query " << i;
+    ASSERT_EQ(got.neighbors.size(), fresh.neighbors.size()) << "query " << i;
+    for (std::size_t r = 0; r < got.neighbors.size(); ++r) {
+      ASSERT_EQ(got.neighbors[r].id, fresh.neighbors[r].id) << "query " << i;
+      ASSERT_TRUE(same_bits(got.neighbors[r].score, fresh.neighbors[r].score))
+          << "query " << i;
+    }
+  };
+  expect_fresh(small[0], 0);
+  publish(server, random_knn_graph(90, 5, rng), InMemoryProfileStore{large},
+          1);
+  ASSERT_TRUE(server.last_publish().full);  // n changed: 60 -> 90
+  for (int i = 1; i <= 600; ++i) {
+    expect_fresh(i % 3 == 0 ? off_index[i % 30] : large[(i * 7) % 90], i);
+  }
+  // Back to 60 vertices: a shrinking n resets the marks too.
+  publish(server, random_knn_graph(60, 5, rng), InMemoryProfileStore{small},
+          2);
+  for (int i = 601; i <= 700; ++i) expect_fresh(small[(i * 7) % 60], i);
+}
+
 TEST(KnnServerTest, ConcurrentReadersNeverObserveTornSnapshot) {
   const VertexId n = 200;
   const std::uint32_t k = 6;
@@ -196,16 +282,26 @@ TEST(KnnServerTest, ConcurrentReadersNeverObserveTornSnapshot) {
     readers.emplace_back([&] {
       KnnServer::Reader reader = server.reader();
       std::uint64_t last_version = 0;
+      std::size_t next_query = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         if (!server.has_snapshot()) continue;
-        const KnnServer::Reader::Pin pin = reader.pin();
-        if (pin.get() == nullptr) continue;
-        // Torn-snapshot canary: the checksum stamped at publish time must
-        // always match a recomputation over the pinned graph.
-        ASSERT_EQ(knn_graph_checksum(pin->graph), pin->graph_checksum);
-        // Versions are monotone per reader.
-        ASSERT_GE(pin->version, last_version);
-        last_version = pin->version;
+        {
+          const KnnServer::Reader::Pin pin = reader.pin();
+          if (pin.get() == nullptr) continue;
+          // Torn-snapshot canary: the checksum stamped at publish time
+          // must always match a recomputation over the pinned graph.
+          ASSERT_EQ(knn_graph_checksum(pin->graph), pin->graph_checksum);
+          // Versions are monotone per reader.
+          ASSERT_GE(pin->version, last_version);
+          last_version = pin->version;
+        }
+        // Every reader queries through its own search context while the
+        // others do and the main thread publishes; the readers' item
+        // tables and visited marks must share nothing (TSan checks this).
+        const QueryResult got =
+            reader.query(base[next_query++ % base.size()], k);
+        ASSERT_GE(got.stats.version, last_version);
+        ASSERT_FALSE(got.neighbors.empty());
         reads.fetch_add(1, std::memory_order_relaxed);
       }
     });

@@ -152,7 +152,7 @@ TEST(FlatProfileSetTest, LookupConventions) {
   FlatProfileSet::View v;
   EXPECT_TRUE(set.find(3, v));
   EXPECT_FALSE(set.find(4, v));
-  EXPECT_THROW(set.view(4), std::out_of_range);
+  EXPECT_THROW((void)set.view(4), std::out_of_range);
   EXPECT_THROW(set.add(3, prof({})), std::invalid_argument);
 }
 
@@ -484,6 +484,239 @@ TEST(ScoreBatchTest, ScoresCandidatesAgainstBothSetsOfAPair) {
                            SimilarityMeasure::Cosine,
                            KernelBackend::Scalar, out.data(), scratch),
                std::logic_error);
+}
+
+// ---------------------------------------------------------- table path --
+//
+// score_batch scores through the calling thread's ItemTable. Each case
+// runs a sequence of batches on one thread, so a table left dirty by one
+// source (a skipped reset) corrupts a later source's matches; every score
+// must equal similarity() bit for bit.
+
+/// (source, candidates) batches, scored in order.
+using Batches = std::vector<std::pair<VertexId, std::vector<VertexId>>>;
+
+/// Profile holding exactly `items` (ascending), weights of magnitude in
+/// [0.5, 5) and random sign: never zero, so quantized rows keep every
+/// entry when rebuilt as SparseProfiles.
+SparseProfile profile_of_items(const std::vector<ItemId>& items, Rng& rng) {
+  std::vector<ProfileEntry> entries;
+  for (const ItemId item : items) {
+    const float w = static_cast<float>(0.5 + rng.next_double() * 4.5);
+    entries.push_back({item, rng.next_below(2) == 0 ? w : -w});
+  }
+  return prof(std::move(entries));
+}
+
+/// Every profile of `set` rebuilt from its stored (for a quantized set,
+/// dequantized) weights — what similarity() must agree with.
+std::vector<SparseProfile> stored_profiles(const FlatProfileSet& set,
+                                           VertexId n) {
+  std::vector<SparseProfile> out;
+  for (VertexId v = 0; v < n; ++v) {
+    const FlatProfileSet::View view = set.view(v);
+    std::vector<ProfileEntry> entries;
+    for (std::uint32_t i = 0; i < view.size; ++i) {
+      entries.push_back({view.items[i], view.weights[i]});
+    }
+    out.push_back(prof(std::move(entries)));
+    EXPECT_EQ(out.back().size(), view.size) << "a stored weight is zero";
+  }
+  return out;
+}
+
+/// Runs `batches` through score_batch over profiles packed under ids
+/// 0..n-1, for every measure, and checks each score against similarity()
+/// on the stored weights.
+void expect_batches_match_similarity(
+    const std::vector<SparseProfile>& profiles, const Batches& batches,
+    bool quantize = false) {
+  const FlatProfileSet set = flatten(profiles, quantize);
+  const std::vector<SparseProfile> stored =
+      stored_profiles(set, static_cast<VertexId>(profiles.size()));
+  KernelScratch scratch;
+  std::vector<float> out;
+  for (const SimilarityMeasure m : kAllSimilarityMeasures) {
+    for (const auto& [src, candidates] : batches) {
+      out.assign(candidates.size(), -1.0f);
+      score_batch(set, nullptr, src, candidates, m, KernelBackend::Scalar,
+                  out.data(), scratch);
+      for (std::size_t c = 0; c < candidates.size(); ++c) {
+        EXPECT_TRUE(bit_equal(
+            out[c], similarity(m, stored[src], stored[candidates[c]])))
+            << similarity_name(m) << " source " << src << " candidate "
+            << candidates[c] << (quantize ? " (quantized)" : "");
+      }
+    }
+  }
+}
+
+/// Every profile as a source, in id order, against every profile.
+Batches all_pairs(VertexId n) {
+  std::vector<VertexId> everyone(n);
+  for (VertexId v = 0; v < n; ++v) everyone[v] = v;
+  Batches batches;
+  for (VertexId s = 0; s < n; ++s) batches.emplace_back(s, everyone);
+  return batches;
+}
+
+TEST(TablePathTest, EveryMeasureMatchesSimilarityUnquantizedAndQuantized) {
+  Rng rng(43);
+  std::vector<SparseProfile> profiles;
+  for (int i = 0; i < 40; ++i) {
+    std::vector<ItemId> items;
+    for (ItemId item = 0; item < 160; ++item) {
+      if (rng.next_below(6) == 0) items.push_back(item);
+    }
+    profiles.push_back(profile_of_items(items, rng));
+  }
+  const Batches batches = all_pairs(static_cast<VertexId>(profiles.size()));
+  expect_batches_match_similarity(profiles, batches, /*quantize=*/false);
+  expect_batches_match_similarity(profiles, batches, /*quantize=*/true);
+}
+
+TEST(TablePathTest, SparseProfileCandidatesMatchSimilarity) {
+  // Beam search's overload: the candidate is a SparseProfile read in
+  // place. One table serves every source in turn.
+  Rng rng(47);
+  std::vector<SparseProfile> profiles;
+  for (const std::size_t len : kAdversarialLengths) {
+    profiles.push_back(random_profile(len, 2, rng));
+  }
+  const FlatProfileSet set = flatten(profiles);
+  ItemTable table;
+  KernelScratch scratch;
+  for (const SimilarityMeasure m : kAllSimilarityMeasures) {
+    for (VertexId s = 0; s < profiles.size(); ++s) {
+      const ItemTable::Source source(table, set.view(s));
+      ASSERT_TRUE(source.indexed());
+      for (const SparseProfile& candidate : profiles) {
+        EXPECT_TRUE(bit_equal(source.score(candidate, m, scratch),
+                              similarity(m, profiles[s], candidate)))
+            << similarity_name(m) << " source length " << profiles[s].size()
+            << " candidate length " << candidate.size();
+      }
+    }
+  }
+}
+
+TEST(TablePathTest, EmptyProfilesOnEitherSide) {
+  Rng rng(53);
+  const std::vector<SparseProfile> profiles = {
+      prof({}),
+      profile_of_items({0, 2, 4, 6, 8}, rng),
+      profile_of_items({1, 2, 3, 8, 9}, rng),
+      profile_of_items({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, rng),
+      prof({}),
+  };
+  // Empty sources between non-empty ones, empty candidates in every run.
+  expect_batches_match_similarity(profiles, {{1, {0, 2, 3, 4}},
+                                             {0, {1, 2, 3, 4, 0}},
+                                             {2, {0, 1, 3}},
+                                             {4, {3, 0}},
+                                             {3, {4, 1, 2, 3}},
+                                             {0, {3}}});
+}
+
+TEST(TablePathTest, ItemZeroAndTheFallbackBound) {
+  Rng rng(59);
+  const ItemId bound = kItemTableBound;
+  const std::vector<SparseProfile> profiles = {
+      profile_of_items({0}, rng),
+      profile_of_items({0, 5, bound - 1}, rng),  // largest item indexed
+      profile_of_items({0, 7, bound}, rng),      // at the bound: merge
+      profile_of_items({bound - 1, bound, bound + 9}, rng),
+      profile_of_items({1, 5, 7}, rng),
+      profile_of_items({0, 1, 5, 7, bound - 1, bound + 9}, rng),
+  };
+  const FlatProfileSet set = flatten(profiles);
+  ItemTable table;
+  const std::vector<bool> indexed = {true, true, false, false, true, false};
+  for (VertexId v = 0; v < profiles.size(); ++v) {
+    const ItemTable::Source source(table, set.view(v));
+    EXPECT_EQ(source.indexed(), indexed[v]) << "profile " << v;
+  }
+  expect_batches_match_similarity(
+      profiles, all_pairs(static_cast<VertexId>(profiles.size())));
+}
+
+TEST(TablePathTest, CandidatesAboveTheSourcesLargestItem) {
+  Rng rng(61);
+  const std::vector<SparseProfile> profiles = {
+      profile_of_items({0, 2, 4, 6}, rng),
+      profile_of_items({1, 3, 5}, rng),
+      profile_of_items({1, 3, 5, 6, 100, 5000}, rng),
+      profile_of_items({0, 2, 4, 60000}, rng),
+      profile_of_items({7, 8, 9000}, rng),
+  };
+  expect_batches_match_similarity(
+      profiles, {{0, {1, 2, 3, 4}}, {1, {2, 3, 4, 0}}, {0, {2}}, {1, {3}}});
+  // A table sized for a small source never reads past it: candidate
+  // items beyond the largest source item end the lookup.
+  const FlatProfileSet set = flatten(profiles);
+  ItemTable table;
+  KernelScratch scratch;
+  for (const VertexId src : {VertexId{0}, VertexId{1}}) {
+    const ItemTable::Source source(table, set.view(src));
+    for (VertexId d = 0; d < profiles.size(); ++d) {
+      EXPECT_TRUE(bit_equal(
+          source.score(set.view(d), SimilarityMeasure::Cosine, scratch),
+          similarity(SimilarityMeasure::Cosine, profiles[src], profiles[d])))
+          << "source " << src << " candidate " << d;
+    }
+  }
+}
+
+TEST(TablePathTest, OneCandidateRunsAndLongRuns) {
+  Rng rng(67);
+  ProfileGenConfig config;
+  config.num_users = 300;
+  config.num_items = 400;
+  const std::vector<SparseProfile> profiles = uniform_profiles(config, rng);
+  const auto n = static_cast<VertexId>(profiles.size());
+  Batches batches;
+  for (VertexId s = 0; s < n; ++s) {
+    batches.push_back({s, {(s * 7 + 1) % n}});  // one candidate per run
+  }
+  for (const Batches::value_type& run : all_pairs(n)) {
+    if (run.first % 50 == 0) batches.push_back(run);  // n candidates
+  }
+  expect_batches_match_similarity(profiles, batches);
+}
+
+TEST(TablePathTest, BackToBackSourcesSharingAndNotSharingItems) {
+  Rng rng(71);
+  std::vector<ItemId> evens;
+  std::vector<ItemId> odds;
+  for (ItemId i = 10; i < 30; ++i) (i % 2 == 0 ? evens : odds).push_back(i);
+  std::vector<ItemId> evens_and_some_odds = evens;
+  evens_and_some_odds.insert(evens_and_some_odds.end(), {11, 13});
+  std::sort(evens_and_some_odds.begin(), evens_and_some_odds.end());
+  const std::vector<SparseProfile> profiles = {
+      profile_of_items(evens, rng),
+      profile_of_items(evens_and_some_odds, rng),  // shares with 0
+      profile_of_items(odds, rng),                 // disjoint from 0
+      profile_of_items({10, 11, 12, 13, 28, 29}, rng),
+  };
+  expect_batches_match_similarity(
+      profiles, {{0, {1, 2, 3}}, {1, {0, 2, 3}}, {2, {0, 1, 3}},
+                 {0, {2, 3}}, {2, {3, 0}}, {3, {0, 1, 2}}});
+
+  // A batch that throws part-way (a candidate outside the loaded pair)
+  // still leaves the thread's table clean for the next source.
+  const FlatProfileSet set = flatten(profiles);
+  KernelScratch scratch;
+  std::vector<float> out(2);
+  const std::vector<VertexId> with_stranger = {3, 99};
+  EXPECT_THROW(score_batch(set, nullptr, 1, with_stranger,
+                           SimilarityMeasure::CommonItems,
+                           KernelBackend::Scalar, out.data(), scratch),
+               std::logic_error);
+  const std::vector<VertexId> candidates = {0, 3};
+  score_batch(set, nullptr, 2, candidates, SimilarityMeasure::CommonItems,
+              KernelBackend::Scalar, out.data(), scratch);
+  EXPECT_EQ(out[0], 0.0f);  // odds share nothing with evens
+  EXPECT_EQ(out[1], 3.0f);  // 11, 13, 29
 }
 
 // ------------------------------------------------------ golden replay --

@@ -257,8 +257,7 @@ TEST(PartitionStoreTest, PooledWriteAllWritesTheSameFiles) {
   PartitionStore pooled(pooled_dir.path());
   ThreadPool pool(3);
   serial.write_all(fx.graph, hashed, fx.profiles);
-  pooled.write_all(fx.graph, hashed, fx.profiles, /*include_profiles=*/true,
-                   &pool);
+  pooled.write_all(fx.graph, hashed, fx.profiles, &pool);
   EXPECT_EQ(serial.io().counters(), pooled.io().counters());
   std::size_t files = 0;
   for (const auto& entry :

@@ -9,7 +9,7 @@
 //   knnpc_run --users=50000 --shards=4 --checkpoint --workdir=/tmp/run
 //   knnpc_run --users=50000 --shards=4 --iters=10 --worker-mode=persistent
 //   knnpc_run --worker-agent=127.0.0.1:7070 --agent-workdir=/tmp/agent
-//   knnpc_run --users=50000 --shards=4 --worker-mode=persistent \
+//   knnpc_run --users=50000 --shards=4 --worker-mode=persistent
 //             --worker-endpoint=127.0.0.1:7070
 //
 // With --csv the per-iteration table is machine-readable. --shards=S runs
@@ -154,8 +154,9 @@ int main(int argc, char** argv) {
   opts.add_flag("mmap", "mmap partition files");
   opts.add_flag("spill-scores", "spill phase-4 scores to disk");
   opts.add_string("kernel",
-                  "phase-4 similarity kernel backend (auto | scalar | "
-                  "simd); KNNPC_KERNEL overrides auto",
+                  "phase-4 fallback merge backend for sources with an "
+                  "item id >= 2^20 (auto | scalar | simd); KNNPC_KERNEL "
+                  "overrides auto",
                   "auto");
   opts.add_flag("quantize-profiles",
                 "score phase 4 over u16-quantized profile weights "

@@ -470,12 +470,12 @@ IterationStats KnnEngine::run_iteration() {
       scores.assign(tuples.size(), 0.0f);
       {
         ScopedAccumulator score_timing(&stats.knn_score_s);
-        // Runs of equal s batch naturally: one source-profile lookup and
-        // one warm source row per run. (Serial bundles are grouped by
-        // source user in emission order; threaded ones follow their
-        // tables' slot order, with shorter runs.) Each (i, score) pairing
-        // depends on the tuple alone, so neither the bundle order nor the
-        // parallel split can change results.
+        // Runs of equal s share one source-profile lookup and one warm
+        // source row. The bundles are not grouped by source: serial ones
+        // follow the merge-join's bridge order, about 1.3 tuples a run,
+        // and threaded ones their tables' slot order, with shorter runs.
+        // Each (i, score) pairing depends on the tuple alone, so neither
+        // the bundle order nor the parallel split can change results.
         auto score_range = [&](std::size_t lo, std::size_t hi) {
           KernelScratch scratch;
           std::vector<VertexId> cands;

@@ -162,22 +162,133 @@ struct ShardOutput {
   std::uint64_t changed = 0;
 };
 
-/// Phases 2-4 for shard `w` against `graph` = G(t), whose in-lists are
-/// `reverse` (build_reverse_adjacency; thread mode builds it once for all
-/// shards).
+/// Whether run_shard's phase 2 walks partitions rather than the shard's
+/// own sources, and so needs G(t)'s in-lists and a TupleTable bound:
+/// sampled runs (a source-major walk cannot reproduce
+/// candidate_sample_rng, which draws one stream per partition in
+/// merge-join order) and runs with include_reverse (whose reversed
+/// candidates the source walk does not emit).
+bool shard_walks_partitions(const EngineConfig& config) {
+  return config.sample_rate < 1.0 || config.include_reverse;
+}
+
+/// Phase 2 of a shard when nothing is sampled and nothing reversed: walks
+/// the owned sources in ascending order, each one's candidates together
+/// (source_candidates), and keeps the first copy of each (s, d) by an
+/// n-entry stamp array (seen[d] == s + 1) — no hash table. Every pair
+/// bundle therefore comes out grouped by source. Counts candidate_tuples
+/// as the candidates of the owned sources. Returns the unique count.
+std::uint64_t shard_candidates_by_source(const ShardContext& ctx,
+                                         std::span<const VertexId> members,
+                                         const KnnGraph& graph,
+                                         TupleShardWriter& pair_writer,
+                                         ShardWorkerStats& worker) {
+  const EngineConfig& config = ctx.config;
+  const PartitionId m = ctx.assignment.num_partitions();
+  std::vector<VertexId> seen(graph.num_vertices(), 0);
+  std::uint64_t generated = 0;
+  std::uint64_t unique = 0;
+  for (const VertexId s : members) {
+    const PartitionId part = ctx.assignment.owner(s);
+    auto keep = [&](Tuple t) {
+      if (seen[t.d] == s + 1) return;
+      seen[t.d] = s + 1;
+      ++unique;
+      pair_writer.add(pi_pair_slot(part, ctx.assignment.owner(t.d), m), t);
+    };
+    generated += source_candidates(config, ctx.iteration, graph, s, keep);
+  }
+  worker.stats.candidate_tuples += generated;
+  worker.spooled_tuples += generated;
+  return unique;
+}
+
+/// Phase 2 of shard `w` when candidates are sampled or reversed: derives
+/// the m edges-only partitions from G(t) one at a time
+/// (derive_partition_edges over `reverse`), runs the candidate rules over
+/// every one of them plus the restarts, and keeps the candidates whose
+/// source it owns (with include_reverse also each reversed candidate
+/// whose source it owns), deduplicated in a TupleTable sized
+/// `table_bound` (candidate_bounds). Counts candidate_tuples for
+/// partitions p ≡ w (mod S) and the owned users' restarts. Returns the
+/// unique count.
+std::uint64_t shard_candidates_by_partition(const ShardContext& ctx,
+                                            std::uint32_t w,
+                                            std::span<const VertexId> members,
+                                            const KnnGraph& graph,
+                                            const ReverseAdjacency& reverse,
+                                            std::uint64_t table_bound,
+                                            TupleShardWriter& pair_writer,
+                                            ShardWorkerStats& worker) {
+  const EngineConfig& config = ctx.config;
+  const VertexId n = graph.num_vertices();
+  const PartitionId m = ctx.assignment.num_partitions();
+  IterationStats& stats = worker.stats;
+  TupleTable table(static_cast<std::size_t>(table_bound));
+  // The inserts are bound by the table's cache misses; a small window
+  // prefetches each tuple's slot before it is inserted, in order.
+  std::array<Tuple, 32> window;
+  std::size_t pending = 0;
+  auto drain = [&] {
+    for (std::size_t i = 0; i < pending; ++i) table.prefetch(window[i]);
+    for (std::size_t i = 0; i < pending; ++i) {
+      const Tuple t = window[i];
+      if (table.insert(t)) {
+        pair_writer.add(pi_pair_slot(ctx.assignment.owner(t.s),
+                                     ctx.assignment.owner(t.d), m),
+                        t);
+      }
+    }
+    pending = 0;
+  };
+  auto insert = [&](Tuple t) {
+    ++worker.spooled_tuples;
+    window[pending++] = t;
+    if (pending == window.size()) drain();
+  };
+  auto keep = [&](Tuple t) {
+    if (ctx.shard_owner.owner(t.s) == w) insert(t);
+    if (config.include_reverse && ctx.shard_owner.owner(t.d) == w) {
+      insert(Tuple{t.d, t.s});
+    }
+  };
+  for (PartitionId p = 0; p < m; ++p) {
+    const std::uint64_t generated = partition_candidates(
+        config, ctx.iteration,
+        derive_partition_edges(graph, reverse, ctx.assignment, p), keep);
+    if (p % ctx.shards == w) stats.candidate_tuples += generated;
+  }
+  if (config.include_reverse) {
+    // A restart (s, d) reverses into d's shard: every user's restarts.
+    for (VertexId s = 0; s < n; ++s) {
+      const std::uint64_t generated =
+          restart_candidates(config, ctx.iteration, n, s, keep);
+      if (ctx.shard_owner.owner(s) == w) stats.candidate_tuples += generated;
+    }
+  } else {
+    for (const VertexId s : members) {
+      stats.candidate_tuples +=
+          restart_candidates(config, ctx.iteration, n, s, keep);
+    }
+  }
+  drain();
+  return table.size();
+}
+
+/// Phases 2-4 for shard `w` against `graph` = G(t). `reverse` holds
+/// G(t)'s in-lists (build_reverse_adjacency; thread mode builds them once
+/// for all shards) and `table_bound` sizes the TupleTable; both are read
+/// only when shard_walks_partitions(config), and `reverse` is null
+/// otherwise.
 ///
-/// Phase 2 derives the m edges-only partitions from G(t) one at a time
-/// (derive_partition_edges), runs the candidate rules over every one of
-/// them plus the random restarts, and keeps the candidates whose source
-/// user it owns (with include_reverse also each reversed candidate whose
-/// source it owns), deduplicating them into one TupleTable sized
-/// `table_bound` (candidate_bounds). That is exactly the serial engine's
-/// candidate multiset restricted to the shard's users, and dedup and top-K
-/// depend only on the set. The shard counts candidate_tuples only for
-/// partitions p ≡ w (mod S) and its own users' restarts, so the merged
-/// count is the serial engine's. Phases 3-4 then build the shard's own PI
-/// graph and schedule, stream the partitions through a private cache and
-/// keep top-K for the owned users only.
+/// Phase 2 generates exactly the serial engine's candidate multiset
+/// restricted to the sources the shard owns, and dedup and top-K depend
+/// only on the set. Runs that neither sample nor reverse walk the owned
+/// sources (shard_candidates_by_source); the others walk every partition
+/// (shard_candidates_by_partition). Either way the merged
+/// candidate_tuples is the serial engine's. Phases 3-4 then build the
+/// shard's own PI graph and schedule, stream the partitions through a
+/// private cache and keep top-K for the owned users only.
 ///
 /// Phase 4 reads profiles from `store` (thread mode: full partition loads)
 /// or, when `local_profiles` is non-null, from that worker-local P(t)
@@ -188,7 +299,7 @@ struct ShardOutput {
 /// at the start of phase 4.
 ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
                       std::span<const VertexId> members,
-                      const KnnGraph& graph, const ReverseAdjacency& reverse,
+                      const KnnGraph& graph, const ReverseAdjacency* reverse,
                       std::uint64_t table_bound, const PartitionStore* store,
                       const ProfileStore* local_profiles, ThreadPool* pool,
                       IoAccountant* io, ShardWorkerStats& worker,
@@ -210,55 +321,17 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
                                io);
   {
     ScopedAccumulator timing(&stats.timings.hash_s);
-    TupleTable table(static_cast<std::size_t>(table_bound));
-    // The inserts are bound by the table's cache misses; a small window
-    // prefetches each tuple's slot before it is inserted, in order.
-    std::array<Tuple, 32> window;
-    std::size_t pending = 0;
-    auto drain = [&] {
-      for (std::size_t i = 0; i < pending; ++i) table.prefetch(window[i]);
-      for (std::size_t i = 0; i < pending; ++i) {
-        const Tuple t = window[i];
-        if (table.insert(t)) {
-          pair_writer.add(pi_pair_slot(ctx.assignment.owner(t.s),
-                                       ctx.assignment.owner(t.d), m),
-                          t);
-        }
-      }
-      pending = 0;
-    };
-    auto insert = [&](Tuple t) {
-      ++worker.spooled_tuples;
-      window[pending++] = t;
-      if (pending == window.size()) drain();
-    };
-    auto keep = [&](Tuple t) {
-      if (ctx.shard_owner.owner(t.s) == w) insert(t);
-      if (config.include_reverse && ctx.shard_owner.owner(t.d) == w) {
-        insert(Tuple{t.d, t.s});
-      }
-    };
-    for (PartitionId p = 0; p < m; ++p) {
-      const std::uint64_t generated = partition_candidates(
-          config, ctx.iteration,
-          derive_partition_edges(graph, reverse, ctx.assignment, p), keep);
-      if (p % S == w) stats.candidate_tuples += generated;
-    }
-    if (config.include_reverse) {
-      // A restart (s, d) reverses into d's shard: every user's restarts.
-      for (VertexId s = 0; s < n; ++s) {
-        const std::uint64_t generated =
-            restart_candidates(config, ctx.iteration, n, s, keep);
-        if (ctx.shard_owner.owner(s) == w) stats.candidate_tuples += generated;
-      }
-    } else {
-      for (const VertexId s : members) {
-        stats.candidate_tuples +=
-            restart_candidates(config, ctx.iteration, n, s, keep);
-      }
-    }
-    drain();
-    stats.unique_tuples = table.size();
+    // The one fork in the shard body: a source-major walk cannot
+    // reproduce candidate_sample_rng, which draws one stream per
+    // partition in merge-join order, so sampled runs keep the partition
+    // walk and its TupleTable, and so do runs with include_reverse
+    // (shard_walks_partitions).
+    stats.unique_tuples =
+        shard_walks_partitions(config)
+            ? shard_candidates_by_partition(ctx, w, members, graph, *reverse,
+                                            table_bound, pair_writer, worker)
+            : shard_candidates_by_source(ctx, members, graph, pair_writer,
+                                         worker);
     pair_writer.finish();
   }
   if (fault_point) fault_point("produce");
@@ -335,8 +408,10 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
       scores.assign(tuples.size(), 0.0f);
       {
         ScopedAccumulator score_timing(&stats.knn_score_s);
-        // Same run-batched kernel dispatch as the engine: tuples arrive
-        // grouped by source user, so each run shares one source lookup.
+        // Same run-batched kernel dispatch as the engine: each run of
+        // equal s shares one source lookup. The source walk's bundles are
+        // grouped by source, one run per source; the partition walk's have
+        // short runs.
         auto score_range = [&](std::size_t lo, std::size_t hi) {
           KernelScratch scratch;
           std::vector<VertexId> cands;
@@ -411,8 +486,9 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
   return {std::move(next), changed};
 }
 
-/// Every shard's TupleTable size (candidate_bounds under the shard
-/// split), computed on the calling thread from G(t)'s degrees.
+/// Every shard's TupleTable size on the partition walk (candidate_bounds
+/// under the shard split), computed on the calling thread from G(t)'s
+/// degrees.
 std::vector<std::uint64_t> shard_table_bounds(
     const EngineConfig& config, const KnnGraph& graph,
     const PartitionAssignment& shard_owner) {
@@ -1231,10 +1307,14 @@ int persistent_worker_main(const fs::path& work_dir,
     worker.stats.iteration = iteration;
     worker.stats.threads_used = plan.threads_per_shard;
     IoAccountant io(config.io_model);
-    const std::uint64_t table_bound =
-        shard_table_bounds(config, graph, *shard_owner)[shard];
+    std::uint64_t table_bound = 0;
+    std::optional<ReverseAdjacency> reverse;
+    if (shard_walks_partitions(config)) {
+      table_bound = shard_table_bounds(config, graph, *shard_owner)[shard];
+      reverse = build_reverse_adjacency(graph);
+    }
     const ShardOutput out = run_shard(
-        ctx, shard, members, graph, build_reverse_adjacency(graph),
+        ctx, shard, members, graph, reverse ? &*reverse : nullptr,
         table_bound, /*store=*/nullptr, &local_profiles, pool.get(), &io,
         worker,
         [&](const char* point) {
@@ -1630,13 +1710,16 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
     }
   } else {
     // ---- Thread mode: one thread per shard, each with its own pool and
-    // I/O accountant; the tables are sized and G(t)'s in-lists built here,
-    // on the calling thread.
+    // I/O accountant; on the partition walk the tables are sized and
+    // G(t)'s in-lists built here, on the calling thread.
     const ShardContext ctx{config_,    iteration_,  S,
                            assignment, shard_owner, impl_->work_dir};
-    const std::vector<std::uint64_t> table_bounds =
-        shard_table_bounds(config_, graph_, shard_owner);
-    const ReverseAdjacency reverse = build_reverse_adjacency(graph_);
+    std::vector<std::uint64_t> table_bounds(S, 0);
+    std::optional<ReverseAdjacency> reverse;
+    if (shard_walks_partitions(config_)) {
+      table_bounds = shard_table_bounds(config_, graph_, shard_owner);
+      reverse = build_reverse_adjacency(graph_);
+    }
     std::vector<std::unique_ptr<IoAccountant>> worker_io;
     worker_io.reserve(S);
     for (std::uint32_t s = 0; s < S; ++s) {
@@ -1651,8 +1734,9 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
       threads.emplace_back([&, w] {
         try {
           ShardOutput shard_out =
-              run_shard(ctx, w, shard_members[w], graph_, reverse,
-                        table_bounds[w], &*store, /*local_profiles=*/nullptr,
+              run_shard(ctx, w, shard_members[w], graph_,
+                        reverse ? &*reverse : nullptr, table_bounds[w],
+                        &*store, /*local_profiles=*/nullptr,
                         impl_->pools[w].get(), worker_io[w].get(),
                         out.workers[w], /*fault_point=*/{});
           change_counts[w] = shard_out.changed;

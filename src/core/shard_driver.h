@@ -10,13 +10,17 @@
 //   driver   phase 1: partition G(t) once and split the user universe
 //            into S shards with a src/partition partitioner (thread mode
 //            also writes the shared partition store its phase 4 reads).
-//   worker w phase 2: derive each edges-only partition from G(t)
-//            (storage/partition_store.h's derive_partition_edges), run
-//            the candidate rules over all m partitions and keep the
-//            candidates whose source user it owns, deduplicated into its
-//            own hash table H_w; phases 3-4: build its own PI graph +
-//            schedule, stream the partitions through a private 2-slot
-//            cache, and keep top-K for its users only.
+//   worker w phase 2: walk its own source users in ascending order and
+//            emit each one's candidates together from G(t)
+//            (core/tuple_generation.h's source_candidates), keeping the
+//            first copy of each (s, d) by an n-entry stamp array — no
+//            hash table, no partition derived. Sampled runs and runs
+//            with include_reverse instead derive every edges-only
+//            partition from G(t), run the partition rules over all m and
+//            keep the candidates whose source it owns in a TupleTable;
+//            phases 3-4: build its own PI graph + schedule, stream the
+//            partitions through a private 2-slot cache, and keep top-K
+//            for its users only.
 //   driver   merge the per-shard graphs (core/sharded_knn_graph.h's
 //            ShardedKnnGraph) and run phase 5 on the shared profiles.
 //
@@ -28,10 +32,10 @@
 // order (core/topk.cpp) — and (b) phase 2 generates a
 // decomposition-independent candidate set: sampling and restart RNG
 // streams are derived per partition / per user (core/tuple_generation.h),
-// and worker w keeps exactly the serial engine's candidates whose source
-// w owns, so all tuples of a given source user meet in one table.
+// and worker w generates exactly the serial engine's candidates whose
+// source w owns, so all tuples of a given source user meet in one worker.
 // shard_driver_test asserts the contract for S in {1,2,3,5}, including
-// the spill-scores path.
+// the spill-scores, sampled and reverse-candidate paths.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +84,7 @@ enum class ShardWorkerMode {
   /// changed-rows knn_graph_delta, P(t) as a changed-users profile_delta
   /// — and the worker runs the shard body and replies ITERATION_DONE with
   /// stats + ShardResult inline. Workers exchange nothing with each other
-  /// and read no partition file: they derive their partitions from their
+  /// and read no partition file: they generate candidates from their
   /// G(t) copy and score from their P(t) copy, so the driver writes no
   /// partition store in this mode. Supervision: a worker that dies,
   /// replies garbage, or exceeds `worker_timeout_s` on its command is
@@ -148,7 +152,9 @@ struct ShardWorkerStats {
   std::uint32_t shard = 0;
   /// Users this shard owns (its top-K responsibility).
   VertexId users = 0;
-  /// Candidates this worker kept for its own users, before dedup.
+  /// Candidates this worker kept for its own users, before dedup: every
+  /// generated candidate whose source it owns, reversed ones included
+  /// (include_reverse).
   std::uint64_t spooled_tuples = 0;
   /// Wall time of this worker's phase 2 (produce_s) and phases 3-4
   /// (consume_s).
@@ -187,7 +193,12 @@ struct ShardWorkerStats {
   std::uint64_t sync_files_skipped = 0;
   std::uint64_t sync_bytes_skipped = 0;
   /// This worker's share of the merged counters (sum_iteration_stats
-  /// folds these into ShardedIterationStats::merged).
+  /// folds these into ShardedIterationStats::merged). Its
+  /// candidate_tuples counts the candidates generated for its own
+  /// sources; on the partition walk (sample_rate < 1 or include_reverse)
+  /// it counts those of the partitions p ≡ w (mod S) plus its own users'
+  /// restarts instead. The merged count is the serial engine's either
+  /// way.
   IterationStats stats;
 
   [[nodiscard]] double wall_s() const noexcept {

@@ -112,10 +112,11 @@ std::uint64_t merge_join_tuples(std::span<const Edge> in_edges,
 /// before sampling (the partition's IterationStats::candidate_tuples).
 ///
 /// The serial engine, the threaded engine and the shard driver's
-/// workers all call this, so every executor that processes partition p
-/// draws the same stream and emits the same candidates — the thread- and
-/// shard-count determinism contracts rest on it. Adding the reverse of a
-/// candidate (EngineConfig::include_reverse) is left to the caller.
+/// workers' partition walk (sampled or reversed runs) all call this, so
+/// every executor that processes partition p draws the same stream and
+/// emits the same candidates — the thread- and shard-count determinism
+/// contracts rest on it. Adding the reverse of a candidate
+/// (EngineConfig::include_reverse) is left to the caller.
 template <typename Emit>
 std::uint64_t partition_candidates(const EngineConfig& config,
                                    std::uint32_t iteration,
@@ -152,14 +153,49 @@ std::uint64_t restart_candidates(const EngineConfig& config,
   return generated;
 }
 
+// Source-major rule. A process that holds G(t) in memory can walk one
+// source user at a time instead of merge-joining partitions:
+// source_candidates emits, for one source s, exactly the multiset of
+// candidates with source s that partition_candidates over all m
+// partitions plus restart_candidates for every user emit, provided
+// nothing is sampled (candidate_sample_rng draws one stream per
+// partition, in merge-join order, which no per-source walk reproduces)
+// and nothing reversed (the reverses of (x, s) are left to the
+// partition walk). All of s's candidates come out together, so the
+// caller can dedup them with an n-entry stamp array instead of a hash
+// table (the shard driver's workers do).
+
+/// The candidates with source s: every two-hop path s -> v -> d (d != s),
+/// every direct edge s -> v of G(t), and s's restarts. Calls
+/// `emit(Tuple{s, d})` for each and returns their count, s's share of
+/// IterationStats::candidate_tuples.
+template <typename Emit>
+std::uint64_t source_candidates(const EngineConfig& config,
+                                std::uint32_t iteration,
+                                const KnnGraph& graph, VertexId s,
+                                Emit&& emit) {
+  std::uint64_t generated = 0;
+  for (const Neighbor& v : graph.neighbors(s)) {
+    for (const Neighbor& d : graph.neighbors(v.id)) {
+      if (d.id == s) continue;
+      emit(Tuple{s, d.id});
+      ++generated;
+    }
+    emit(Tuple{s, v.id});
+    ++generated;
+  }
+  return generated + restart_candidates(config, iteration,
+                                        graph.num_vertices(), s, emit);
+}
+
 /// Upper bound of the phase-2 candidates each of `shards` source-user
 /// shards keeps, when shard `shard_of(s)` keeps the candidates (s, *):
 /// edge (u, w) of G(t) bridges (u, x) for every out-edge (w, x) and is
 /// itself a direct candidate; with include_reverse, w also receives
 /// (w, y) for every in-edge (y, u), and a restart (s, d) reverses into
 /// any shard. A TupleTable sized with its shard's bound never grows. The
-/// threaded engine's phase 2 and the shard driver's workers both size
-/// their tables from this.
+/// threaded engine's phase 2 and the shard driver's partition walk both
+/// size their tables from this.
 template <typename ShardOf>
 std::vector<std::uint64_t> candidate_bounds(const EngineConfig& config,
                                             const KnnGraph& graph,

@@ -149,8 +149,8 @@ class PartitionStore {
 /// same order — vertices ascending, in-edges (s, v) by (v, s), out-edges
 /// (v, d) by (v, d). `reverse` is build_reverse_adjacency(graph); callers
 /// deriving several partitions build it once. A process that holds G(t)
-/// and the partition map (a persistent shard worker) runs phase 2 from
-/// these without any partition file.
+/// and the partition map (a shard worker on a sampled or reversed run)
+/// runs phase 2 from these without any partition file.
 PartitionData derive_partition_edges(const KnnGraph& graph,
                                      const ReverseAdjacency& reverse,
                                      const PartitionAssignment& assignment,

@@ -95,22 +95,28 @@ TEST_P(ShardCountTest, SpillScoresPathBitIdentical) {
   }
 }
 
-TEST_P(ShardCountTest, SamplingAndReverseCandidatesBitIdentical) {
-  EngineConfig config = base_config();
-  config.sample_rate = 0.5;
-  config.include_reverse = true;
-  const SerialRun serial = run_serial(config, 90, 5, 2);
+TEST_P(ShardCountTest, ReverseCandidatesSampledOrNotBitIdentical) {
+  // With include_reverse the workers walk every partition, sampled or
+  // not; at rho = 1 every user's restarts reverse into their targets'
+  // shards unsampled.
+  for (const double sample_rate : {0.5, 1.0}) {
+    EngineConfig config = base_config();
+    config.sample_rate = sample_rate;
+    config.include_reverse = true;
+    const SerialRun serial = run_serial(config, 90, 5, 2);
 
-  ShardConfig shard_config;
-  shard_config.shards = GetParam();
-  ShardedKnnEngine sharded(config, shard_config, clustered(90, 5, 21));
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    const ShardedIterationStats stats = sharded.run_iteration();
-    EXPECT_EQ(knn_graph_checksum(sharded.graph()), serial.checksums[i])
-        << "S=" << GetParam() << " iteration " << i;
-    EXPECT_EQ(stats.merged.candidate_tuples,
-              serial.stats[i].candidate_tuples);
-    EXPECT_EQ(stats.merged.unique_tuples, serial.stats[i].unique_tuples);
+    ShardConfig shard_config;
+    shard_config.shards = GetParam();
+    ShardedKnnEngine sharded(config, shard_config, clustered(90, 5, 21));
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      const ShardedIterationStats stats = sharded.run_iteration();
+      EXPECT_EQ(knn_graph_checksum(sharded.graph()), serial.checksums[i])
+          << "S=" << GetParam() << " rho=" << sample_rate << " iteration "
+          << i;
+      EXPECT_EQ(stats.merged.candidate_tuples,
+                serial.stats[i].candidate_tuples);
+      EXPECT_EQ(stats.merged.unique_tuples, serial.stats[i].unique_tuples);
+    }
   }
 }
 
@@ -194,15 +200,18 @@ TEST(ShardDriverTest, WorkerStatsPartitionTheWork) {
 
   ASSERT_EQ(stats.workers.size(), 3u);
   VertexId users = 0;
+  std::uint64_t candidates = 0;
   std::uint64_t unique = 0;
   for (const ShardWorkerStats& w : stats.workers) {
     users += w.users;
+    candidates += w.stats.candidate_tuples;
     unique += w.stats.unique_tuples;
     EXPECT_EQ(w.stats.threads_used, sharded.threads_per_shard());
     EXPECT_GT(w.spooled_tuples, 0u);
     EXPECT_GE(w.spooled_tuples, w.stats.unique_tuples);
   }
   EXPECT_EQ(users, 80u);
+  EXPECT_EQ(candidates, stats.merged.candidate_tuples);
   EXPECT_EQ(unique, stats.merged.unique_tuples);
   EXPECT_EQ(stats.merged.threads_used,
             3u * sharded.threads_per_shard());

@@ -172,6 +172,23 @@ TEST_P(PersistentShardCountTest, ChurnWorkloadBitIdenticalToSerial) {
   }
 }
 
+TEST_P(PersistentShardCountTest, UnsampledReverseCandidatesMatchSerial) {
+  EngineConfig config = base_config();
+  config.include_reverse = true;
+  KnnEngine serial(config, clustered(90, 5));
+  ShardedKnnEngine engine(config, persistent_config(GetParam()),
+                          clustered(90, 5));
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    const IterationStats want = serial.run_iteration();
+    const ShardedIterationStats got = engine.run_iteration();
+    EXPECT_EQ(knn_graph_checksum(engine.graph()),
+              knn_graph_checksum(serial.graph()))
+        << "S=" << GetParam() << " iteration " << i;
+    EXPECT_EQ(got.merged.candidate_tuples, want.candidate_tuples);
+    EXPECT_EQ(got.merged.unique_tuples, want.unique_tuples);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(ShardCounts, PersistentShardCountTest,
                          ::testing::Values(1u, 2u, 3u, 5u));
 

@@ -73,10 +73,13 @@ FlatProfileSet flatten(const std::vector<SparseProfile>& profiles,
   if (std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b)) {
     return ::testing::AssertionSuccess();
   }
+  // Each << on an AssertionResult formats into a fresh Message, so a
+  // std::hex there would not reach the next operand: format the bits first.
+  std::ostringstream bits;
+  bits << std::hex << "0x" << std::bit_cast<std::uint32_t>(a) << " vs 0x"
+       << std::bit_cast<std::uint32_t>(b);
   return ::testing::AssertionFailure()
-         << a << " != " << b << " (bits 0x" << std::hex
-         << std::bit_cast<std::uint32_t>(a) << " vs 0x"
-         << std::bit_cast<std::uint32_t>(b) << ")";
+         << a << " != " << b << " (bits " << bits.str() << ")";
 }
 
 /// The adversarial length set: empty, singletons, the SIMD window size

@@ -272,11 +272,12 @@ TEST(PartitionStoreTest, PooledWriteAllWritesTheSameFiles) {
 }
 
 TEST(PartitionStoreTest, DerivedPartitionsEqualTheStoredEdges) {
-  // A persistent shard worker derives its partitions from the G(t) it
-  // holds instead of reading them: every partition must equal what
-  // load_edges() returns after write_all(), order included (phase 2's
-  // merge-join and sampling stream depend on it). Scored neighbour lists
-  // are not in id order, so the out-edge runs need their sort.
+  // A shard worker on a sampled or reversed run derives its partitions
+  // from the G(t) it holds instead of reading them: every partition must
+  // equal what load_edges() returns after write_all(), order included
+  // (phase 2's merge-join and sampling stream depend on it). Scored
+  // neighbour lists are not in id order, so the out-edge runs need their
+  // sort.
   Rng rng(77);
   const VertexId n = 60;
   const PartitionId m = 4;

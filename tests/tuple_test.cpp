@@ -1,13 +1,19 @@
 // Tests for core/tuple_table and core/tuple_generation: dedup semantics
-// (phase 2) and the sorted merge-join (phase 1's payoff).
+// (phase 2), the sorted merge-join (phase 1's payoff) and the source-major
+// walk that must emit the partition walk's candidates source by source.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/tuple_generation.h"
 #include "core/tuple_table.h"
 #include "graph/generators.h"
+#include "graph/knn_graph.h"
+#include "partition/assignment.h"
+#include "storage/partition_store.h"
 #include "util/rng.h"
 
 namespace knnpc {
@@ -152,6 +158,131 @@ TEST(MergeJoinTest, ReferenceGeneratorCountsRingCorrectly) {
   std::size_t emitted = 0;
   all_bridge_tuples(g, [&](Tuple) { ++emitted; });
   EXPECT_EQ(emitted, 10u);
+}
+
+// ------------------------------------------------------ source-major walk --
+
+/// Random lists of `k` distinct neighbours that never point at vertex 0
+/// (a vertex with no in-edges), plus a mutual pair 1 <-> 2 and four
+/// bridges from 1 to 9 (through 2, 5, 6 and 7). Needs n >= 10, k == 4.
+KnnGraph walk_test_graph(VertexId n, std::uint64_t seed) {
+  const std::uint32_t k = 4;
+  Rng rng(seed);
+  KnnGraph graph(n, k);
+  for (VertexId u = 0; u < n; ++u) {
+    std::vector<Neighbor> list;
+    while (list.size() < k) {
+      const auto v = static_cast<VertexId>(1 + rng.next_below(n - 1));
+      const bool taken = std::any_of(list.begin(), list.end(),
+                                     [&](const Neighbor& e) {
+                                       return e.id == v;
+                                     });
+      if (v == u || taken) continue;
+      list.push_back({v, static_cast<float>(list.size())});
+    }
+    graph.set_neighbors(u, std::move(list));
+  }
+  graph.set_neighbors(1, {{2, 0.9f}, {5, 0.8f}, {6, 0.7f}, {7, 0.6f}});
+  graph.set_neighbors(2, {{1, 0.9f}, {3, 0.5f}, {4, 0.4f}, {9, 0.3f}});
+  for (const VertexId v : {5u, 6u, 7u}) {
+    graph.set_neighbors(v, {{9, 0.5f}, {3, 0.4f}, {4, 0.3f}, {8, 0.2f}});
+  }
+  return graph;
+}
+
+/// Each source's candidate destinations, sorted (a multiset per source),
+/// and the candidates generated.
+struct CandidatesBySource {
+  std::vector<std::vector<VertexId>> of;
+  std::uint64_t generated = 0;
+};
+
+void sort_lists(CandidatesBySource& out) {
+  for (std::vector<VertexId>& list : out.of) {
+    std::sort(list.begin(), list.end());
+  }
+}
+
+/// The partition path: every derived partition through
+/// partition_candidates plus every user's restarts, each candidate filed
+/// under its source.
+CandidatesBySource partition_walk(const EngineConfig& config,
+                                  std::uint32_t iteration,
+                                  const KnnGraph& graph,
+                                  const PartitionAssignment& assignment) {
+  const VertexId n = graph.num_vertices();
+  const ReverseAdjacency reverse = build_reverse_adjacency(graph);
+  CandidatesBySource out;
+  out.of.resize(n);
+  auto keep = [&](Tuple t) { out.of[t.s].push_back(t.d); };
+  for (PartitionId p = 0; p < assignment.num_partitions(); ++p) {
+    out.generated += partition_candidates(
+        config, iteration,
+        derive_partition_edges(graph, reverse, assignment, p), keep);
+  }
+  for (VertexId s = 0; s < n; ++s) {
+    out.generated += restart_candidates(config, iteration, n, s, keep);
+  }
+  sort_lists(out);
+  return out;
+}
+
+/// The source-major walk over every source.
+CandidatesBySource source_walk(const EngineConfig& config,
+                               std::uint32_t iteration,
+                               const KnnGraph& graph) {
+  const VertexId n = graph.num_vertices();
+  CandidatesBySource out;
+  out.of.resize(n);
+  for (VertexId s = 0; s < n; ++s) {
+    auto keep = [&](Tuple t) {
+      EXPECT_EQ(t.s, s);
+      out.of[s].push_back(t.d);
+    };
+    out.generated += source_candidates(config, iteration, graph, s, keep);
+  }
+  sort_lists(out);
+  return out;
+}
+
+PartitionAssignment spread(VertexId n, PartitionId m) {
+  std::vector<PartitionId> owner(n);
+  for (VertexId v = 0; v < n; ++v) owner[v] = (v * 7 + v / 3) % m;
+  return PartitionAssignment(std::move(owner), m);
+}
+
+TEST(SourceWalkTest, EmitsThePartitionWalksCandidatesPerSource) {
+  KnnGraph pair(2, 1);
+  pair.set_neighbors(0, {{1, 0.5f}});
+  pair.set_neighbors(1, {{0, 0.5f}});
+  const KnnGraph graph = walk_test_graph(40, 31);
+  ASSERT_TRUE(build_reverse_adjacency(graph).in_neighbors(0).empty());
+
+  for (const KnnGraph* g : {&graph, static_cast<const KnnGraph*>(&pair)}) {
+    const PartitionAssignment assignment = spread(g->num_vertices(), 4);
+    for (const std::uint32_t restarts : {0u, 2u}) {
+      EngineConfig config;
+      config.seed = 5;
+      config.random_candidates = restarts;
+      const std::string where = "n=" + std::to_string(g->num_vertices()) +
+                                " restarts=" + std::to_string(restarts);
+      const CandidatesBySource want =
+          partition_walk(config, 3, *g, assignment);
+      const CandidatesBySource got = source_walk(config, 3, *g);
+      EXPECT_EQ(got.generated, want.generated) << where;
+      ASSERT_EQ(got.of.size(), want.of.size()) << where;
+      for (VertexId s = 0; s < g->num_vertices(); ++s) {
+        EXPECT_EQ(got.of[s], want.of[s]) << where << " source " << s;
+      }
+      if (g == &graph) {
+        // The mutual pair emits no self-candidate; the four bridges emit
+        // (1, 9) four times.
+        const std::vector<VertexId>& one = got.of[1];
+        EXPECT_EQ(std::count(one.begin(), one.end(), 1u), 0) << where;
+        EXPECT_GE(std::count(one.begin(), one.end(), 9u), 4) << where;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -456,7 +456,6 @@ IterationStats KnnEngine::run_iteration() {
     PartitionCache cache(config_.memory_slots, [&](PartitionId p) {
       return store.load_flat(p, config_.quantize_profiles, impl_->pool.get());
     });
-    const KernelBackend backend = resolve_kernel_backend(config_.kernel);
     std::vector<float> scores;
     for (PairIndex idx : schedule) {
       const PiPair& pair = pi.pair(idx);
@@ -489,7 +488,7 @@ IterationStats KnnEngine::run_iteration() {
             for (std::size_t t = i; t < run_end; ++t) {
               cands.push_back(tuples[t].d);
             }
-            score_batch(fa, fb, tuples[i].s, cands, config_.measure, backend,
+            score_batch(fa, fb, tuples[i].s, cands, config_.measure,
                         scores.data() + i, scratch);
             i = run_end;
           }

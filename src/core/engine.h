@@ -79,7 +79,8 @@ struct EngineConfig {
   /// Write the KNN graph to <work_dir>/checkpoint_latest.knng after every
   /// iteration (crash-resumable via graph/knn_graph_io.h).
   bool checkpoint = false;
-  /// How partition files are read back (read() vs mmap).
+  /// How KnnEngine reads its partition files back (read() vs mmap). The
+  /// sharded driver writes none, so it ignores this.
   PartitionStore::Mode storage_mode = PartitionStore::Mode::Read;
   /// Memory budget for the phase-2 tuple-shard buffers (and the phase-4
   /// score spill, when enabled); buffers flush to disk beyond this.
@@ -94,13 +95,6 @@ struct EngineConfig {
   /// O(samples * n) similarities per iteration — observability, not part
   /// of the pipeline itself.
   std::size_t recall_samples = 0;
-  /// Backend of phase 4's fallback merge: "auto" | "scalar" | "simd"
-  /// (profiles/similarity_kernels.h; the KNNPC_KERNEL env var overrides
-  /// "auto"). Only sources whose largest item reaches kItemTableBound
-  /// use it; the rest are scored through the item table. Scores are
-  /// bit-identical on every path, so this is a pure speed knob — golden
-  /// checksums hold either way.
-  std::string kernel = "auto";
   /// Score phase 4 over u16-quantized profile weights
   /// (profiles/flat_profile.h): halves the flat weight payload but is NOT
   /// bit-identical to f32 scoring — leave off for golden-checksum runs.

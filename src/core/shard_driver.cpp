@@ -50,6 +50,7 @@
 
 namespace knnpc {
 namespace fs = std::filesystem;
+using namespace shard_frame;
 
 std::uint32_t resolve_shard_count(std::uint32_t requested,
                                   VertexId num_users, std::uint32_t k) {
@@ -275,11 +276,12 @@ std::uint64_t shard_candidates_by_partition(const ShardContext& ctx,
   return table.size();
 }
 
-/// Phases 2-4 for shard `w` against `graph` = G(t). `reverse` holds
-/// G(t)'s in-lists (build_reverse_adjacency; thread mode builds them once
-/// for all shards) and `table_bound` sizes the TupleTable; both are read
-/// only when shard_walks_partitions(config), and `reverse` is null
-/// otherwise.
+/// Phases 2-4 for shard `w` against `graph` = G(t) and `profiles` =
+/// P(t): the driver's own in thread mode, the copy a persistent worker
+/// keeps current by KPRD deltas. `reverse` holds G(t)'s in-lists
+/// (build_reverse_adjacency; thread mode builds them once for all
+/// shards) and `table_bound` sizes the TupleTable; both are read only
+/// when shard_walks_partitions(config), and `reverse` is null otherwise.
 ///
 /// Phase 2 generates exactly the serial engine's candidate multiset
 /// restricted to the sources the shard owns, and dedup and top-K depend
@@ -287,22 +289,20 @@ std::uint64_t shard_candidates_by_partition(const ShardContext& ctx,
 /// sources (shard_candidates_by_source); the others walk every partition
 /// (shard_candidates_by_partition). Either way the merged
 /// candidate_tuples is the serial engine's. Phases 3-4 then build the
-/// shard's own PI graph and schedule, stream the partitions through a
-/// private cache and keep top-K for the owned users only.
-///
-/// Phase 4 reads profiles from `store` (thread mode: full partition loads)
-/// or, when `local_profiles` is non-null, from that worker-local P(t)
-/// (persistent mode: the cache's loader then reads no file and returns
-/// only the partition id; loads and unloads are still counted). The values
-/// are identical either way, so the output graph is too. `fault_point`,
-/// when set, is called with "produce" after generation and with "consume"
-/// at the start of phase 4.
+/// shard's own PI graph and schedule and keep top-K for the owned users
+/// only. Phase 4 packs all of `profiles` once, at its start, and scores
+/// every bundle from that pack; the pack is not built earlier, so it is
+/// never alive beside the shard's own phase-2 buffers. The shard reads no
+/// partition file: its private cache loads nothing and only counts the
+/// loads and unloads of the schedule. `fault_point`, when set, is called
+/// with "produce" after generation and with "consume" at the start of
+/// phase 4.
 ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
                       std::span<const VertexId> members,
                       const KnnGraph& graph, const ReverseAdjacency* reverse,
-                      std::uint64_t table_bound, const PartitionStore* store,
-                      const ProfileStore* local_profiles, ThreadPool* pool,
-                      IoAccountant* io, ShardWorkerStats& worker,
+                      std::uint64_t table_bound, const ProfileStore& profiles,
+                      ThreadPool* pool, IoAccountant* io,
+                      ShardWorkerStats& worker,
                       const std::function<void(const char*)>& fault_point) {
   const EngineConfig& config = ctx.config;
   const VertexId n = ctx.assignment.num_vertices();
@@ -370,41 +370,28 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
                                sizeof(ScoredTuple)),
                            io);
     }
-    // Store path: each resident partition carries its profiles in the
-    // flat (SoA) layout, decoded once per load. Local path: tuples may
-    // reference any user, so pack the worker's whole P(t) once —
-    // O(total entries), amortised over the full phase.
-    PartitionCache cache(config.memory_slots, [&](PartitionId p) {
-      if (local_profiles != nullptr) {
-        PartitionData data;
-        data.id = p;
-        return data;
-      }
-      return store->load_flat(p, config.quantize_profiles, pool);
-    });
-    const KernelBackend backend = resolve_kernel_backend(config.kernel);
-    std::optional<FlatProfileSet> local_flat;
-    if (local_profiles != nullptr) {
-      local_flat.emplace(config.quantize_profiles);
+    // Tuples may reference any user, so pack the whole P(t) once —
+    // O(total entries), amortised over the full phase. The cache holds
+    // no data; it counts what the paper's PC would load (Table 1).
+    FlatProfileSet flat(config.quantize_profiles);
+    {
       std::size_t total = 0;
-      for (VertexId v = 0; v < n; ++v) {
-        total += local_profiles->get(v).size();
-      }
-      local_flat->reserve(n, total);
-      for (VertexId v = 0; v < n; ++v) {
-        local_flat->add(v, local_profiles->get(v));
-      }
+      for (VertexId v = 0; v < n; ++v) total += profiles.get(v).size();
+      flat.reserve(n, total);
+      for (VertexId v = 0; v < n; ++v) flat.add(v, profiles.get(v));
     }
+    PartitionCache cache(config.memory_slots, [](PartitionId p) {
+      PartitionData data;
+      data.id = p;
+      return data;
+    });
     std::vector<float> scores;
     for (PairIndex idx : schedule) {
       const PiPair& pair = pi.pair(idx);
       const std::vector<Tuple> tuples = read_record_shard<Tuple>(
           pair_writer.shard_path(pi_pair_slot(pair.a, pair.b, m)), io);
-      const PartitionData& pa = cache.get(pair.a);
-      const PartitionData& pb = pair.b == pair.a ? pa : cache.get(pair.b);
-      const FlatProfileSet& fa = local_flat ? *local_flat : pa.flat;
-      const FlatProfileSet* fb =
-          local_flat || pair.b == pair.a ? nullptr : &pb.flat;
+      cache.get(pair.a);
+      if (pair.b != pair.a) cache.get(pair.b);
       scores.assign(tuples.size(), 0.0f);
       {
         ScopedAccumulator score_timing(&stats.knn_score_s);
@@ -425,7 +412,7 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
             for (std::size_t t = i; t < run_end; ++t) {
               cands.push_back(tuples[t].d);
             }
-            score_batch(fa, fb, tuples[i].s, cands, config.measure, backend,
+            score_batch(flat, nullptr, tuples[i].s, cands, config.measure,
                         scores.data() + i, scratch);
             i = run_end;
           }
@@ -453,8 +440,6 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
     stats.partition_loads = cache.loads();
     stats.partition_unloads = cache.unloads();
     worker.partitions_touched = pi.touched_partitions();
-    // Each store load reads a .prof file; the local path never does.
-    worker.profile_reads = local_profiles != nullptr ? 0 : cache.loads();
 
     ScopedAccumulator merge_timing(&stats.knn_merge_s);
     if (score_writer) {
@@ -511,7 +496,9 @@ constexpr char kPlanMagic[4] = {'K', 'P', 'L', 'N'};
 // values, not the defaults).
 // v3: drops the iteration number and the ownership maps, which no
 // persistent worker read.
-constexpr std::uint32_t kPlanVersion = 3;
+// v4: drops the storage mode and the kernel backend string: no shard body
+// reads a partition file, and the SIMD merge is gone.
+constexpr std::uint32_t kPlanVersion = 4;
 
 // Tripwire: the plan frame hand-serialises the subset of EngineConfig the
 // shard body reads. A field added to EngineConfig that the body reads
@@ -521,49 +508,15 @@ constexpr std::uint32_t kPlanVersion = 3;
 // platform until plan_to_bytes/plan_from_bytes (below) were reviewed and
 // this constant is bumped.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(EngineConfig) == 288,
+static_assert(sizeof(EngineConfig) == 256,
               "EngineConfig changed: review the worker plan "
               "serialisation (plan_to_bytes/plan_from_bytes) before "
               "bumping this size");
 #endif
 
-struct WorkerPlan {
-  EngineConfig config;
-  std::uint32_t shards = 1;
-  std::uint32_t threads_per_shard = 1;
-};
-
 void append_string(std::vector<std::byte>& out, const std::string& s) {
   append_record(out, static_cast<std::uint32_t>(s.size()));
   for (const char c : s) append_record(out, c);
-}
-
-std::vector<std::byte> plan_to_bytes(const WorkerPlan& plan) {
-  const EngineConfig& config = plan.config;
-  std::vector<std::byte> bytes;
-  bytes.reserve(128);
-  for (const char c : kPlanMagic) append_record(bytes, c);
-  append_record(bytes, kPlanVersion);
-  append_record(bytes, plan.shards);
-  append_record(bytes, plan.threads_per_shard);
-  append_record(bytes, config.k);
-  append_record(bytes, config.num_partitions);
-  append_record(bytes, static_cast<std::uint32_t>(config.measure));
-  append_record(bytes, static_cast<std::uint64_t>(config.memory_slots));
-  append_record(bytes, static_cast<std::uint64_t>(config.shard_buffer_bytes));
-  append_record(bytes, config.seed);
-  append_record(bytes, config.sample_rate);
-  append_record(bytes, config.random_candidates);
-  append_record(bytes, static_cast<std::uint8_t>(config.include_reverse));
-  append_record(bytes, static_cast<std::uint8_t>(config.spill_scores));
-  append_record(bytes, static_cast<std::uint8_t>(config.storage_mode));
-  append_record(bytes, static_cast<std::uint8_t>(config.quantize_profiles));
-  append_string(bytes, config.kernel);
-  append_string(bytes, config.heuristic);
-  append_string(bytes, config.io_model.name);
-  append_record(bytes, config.io_model.seek_us);
-  append_record(bytes, config.io_model.bytes_per_us);
-  return bytes;
 }
 
 WorkerPlan plan_from_bytes(std::span<const std::byte> bytes) {
@@ -612,17 +565,13 @@ WorkerPlan plan_from_bytes(std::span<const std::byte> bytes) {
   read(config.random_candidates);
   std::uint8_t reverse = 0;
   std::uint8_t spill = 0;
-  std::uint8_t storage_mode = 0;
   std::uint8_t quantize = 0;
   read(reverse);
   read(spill);
-  read(storage_mode);
   read(quantize);
   config.include_reverse = reverse != 0;
   config.spill_scores = spill != 0;
-  config.storage_mode = static_cast<PartitionStore::Mode>(storage_mode);
   config.quantize_profiles = quantize != 0;
-  read_string(config.kernel);
   read_string(config.heuristic);
   read_string(config.io_model.name);
   read(config.io_model.seek_us);
@@ -644,9 +593,9 @@ std::vector<PartitionId> owner_vector(const PartitionAssignment& a) {
 // ---------------------------------------------- persistent-worker protocol --
 // Persistent mode spawns the S workers once and drives every iteration
 // over a framed channel (util/ipc_channel.h) in ONE round-trip per worker.
-// The frame vocabulary and payload layouts below are the whole protocol;
-// both sides are by construction the same binary, so payloads use the
-// same serde records as the on-disk formats.
+// The frame types (shard_frame in shard_driver.h) and the payload layouts
+// below are the whole protocol; both sides are by construction the same
+// binary, so payloads use the same serde records as the on-disk formats.
 //
 // Driver -> worker commands:
 //   PLAN           "KPLN" plan bytes; the first frame after every spawn.
@@ -674,12 +623,6 @@ std::vector<PartitionId> owner_vector(const PartitionAssignment& a) {
 // never writes before fully reading its command) means the two directions
 // can never deadlock on full buffers.
 
-constexpr std::uint32_t kCmdPlan = 2;
-constexpr std::uint32_t kCmdShutdown = 3;
-constexpr std::uint32_t kCmdRunIteration = 4;
-constexpr std::uint32_t kRspReady = 100;
-constexpr std::uint32_t kRspIterationDone = 104;
-
 /// Bytes of one frame on the wire: the 12-byte header (magic, type,
 /// length) plus the payload — what the bytes_tx / bytes_rx counters count.
 std::uint64_t frame_wire_bytes(std::size_t payload_size) {
@@ -688,22 +631,75 @@ std::uint64_t frame_wire_bytes(std::size_t payload_size) {
 
 const char* frame_type_name(std::uint32_t type) {
   switch (type) {
-    case kCmdPlan: return "PLAN";
-    case kCmdShutdown: return "SHUTDOWN";
-    case kCmdRunIteration: return "RUN_ITERATION";
-    case kRspReady: return "READY";
-    case kRspIterationDone: return "ITERATION_DONE";
+    case kPlan: return "PLAN";
+    case kShutdown: return "SHUTDOWN";
+    case kRunIteration: return "RUN_ITERATION";
+    case kReady: return "READY";
+    case kIterationDone: return "ITERATION_DONE";
   }
   return "?";
 }
 
-void append_owner_maps(std::vector<std::byte>& out,
-                       const std::vector<PartitionId>& partition_owner,
-                       const std::vector<PartitionId>& shard_owner) {
-  append_record(out, static_cast<std::uint32_t>(partition_owner.size()));
-  for (const PartitionId p : partition_owner) append_record(out, p);
-  for (const PartitionId p : shard_owner) append_record(out, p);
+}  // namespace
+
+std::vector<std::byte> plan_to_bytes(const WorkerPlan& plan) {
+  const EngineConfig& config = plan.config;
+  std::vector<std::byte> bytes;
+  bytes.reserve(128);
+  for (const char c : kPlanMagic) append_record(bytes, c);
+  append_record(bytes, kPlanVersion);
+  append_record(bytes, plan.shards);
+  append_record(bytes, plan.threads_per_shard);
+  append_record(bytes, config.k);
+  append_record(bytes, config.num_partitions);
+  append_record(bytes, static_cast<std::uint32_t>(config.measure));
+  append_record(bytes, static_cast<std::uint64_t>(config.memory_slots));
+  append_record(bytes, static_cast<std::uint64_t>(config.shard_buffer_bytes));
+  append_record(bytes, config.seed);
+  append_record(bytes, config.sample_rate);
+  append_record(bytes, config.random_candidates);
+  append_record(bytes, static_cast<std::uint8_t>(config.include_reverse));
+  append_record(bytes, static_cast<std::uint8_t>(config.spill_scores));
+  append_record(bytes, static_cast<std::uint8_t>(config.quantize_profiles));
+  append_string(bytes, config.heuristic);
+  append_string(bytes, config.io_model.name);
+  append_record(bytes, config.io_model.seek_us);
+  append_record(bytes, config.io_model.bytes_per_us);
+  return bytes;
 }
+
+std::vector<std::byte> run_iteration_to_bytes(
+    const RunIterationCommand& command) {
+  std::vector<std::byte> payload;
+  append_record(payload, command.iteration);
+  append_record(payload, command.attempt);
+  const bool maps = command.partition_owner != nullptr;
+  append_record(payload, static_cast<std::uint8_t>(maps));
+  if (maps) {
+    append_record(payload,
+                  static_cast<std::uint32_t>(command.partition_owner->size()));
+    for (const PartitionId p : *command.partition_owner) {
+      append_record(payload, p);
+    }
+    for (const PartitionId p : *command.shard_owner) append_record(payload, p);
+  }
+  auto append_sync = [&](bool full, std::int64_t base_version,
+                         std::int64_t new_version,
+                         std::span<const std::byte> delta) {
+    append_record(payload, static_cast<std::uint8_t>(full));
+    append_record(payload, base_version);
+    append_record(payload, new_version);
+    append_record(payload, static_cast<std::uint32_t>(delta.size()));
+    payload.insert(payload.end(), delta.begin(), delta.end());
+  };
+  append_sync(command.graph_full, command.graph_base_version,
+              command.graph_new_version, command.graph_delta);
+  append_sync(command.profile_full, command.profile_base_version,
+              command.profile_new_version, command.profile_delta);
+  return payload;
+}
+
+namespace {
 
 /// One long-lived worker as the driver sees it: the process, its channel,
 /// and what state the worker is known to hold (so commands can carry
@@ -1037,52 +1033,41 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
   // respawn, or a survivor of an aborted iteration) gets the snapshot.
   auto build_command = [&](std::uint32_t s, std::uint32_t attempt) {
     PersistentWorker& worker = rt.workers[s];
-    std::vector<std::byte> payload;
-    append_record(payload, in.iteration);
-    append_record(payload, attempt);
-    const bool include_maps = in.maps_changed || !worker.has_maps;
-    append_record(payload, static_cast<std::uint8_t>(include_maps));
-    if (include_maps) {
-      append_owner_maps(payload, *in.partition_owner, *in.shard_owner);
+    RunIterationCommand command;
+    command.iteration = in.iteration;
+    command.attempt = attempt;
+    if (in.maps_changed || !worker.has_maps) {
+      command.partition_owner = in.partition_owner;
+      command.shard_owner = in.shard_owner;
     }
-    const bool graph_full = in.graph_base_version < 0 ||
-                            worker.graph_version != in.graph_base_version;
-    append_record(payload, static_cast<std::uint8_t>(graph_full));
-    append_record(payload, in.graph_base_version);
-    append_record(payload, in.graph_new_version);
-    {
-      const std::vector<std::byte>& delta = graph_payload(graph_full);
-      append_record(payload, static_cast<std::uint32_t>(delta.size()));
-      payload.insert(payload.end(), delta.begin(), delta.end());
-    }
-    const bool prof_full =
-        in.profile_base_version < 0 ||
-        worker.profile_version != in.profile_base_version;
-    append_record(payload, static_cast<std::uint8_t>(prof_full));
-    append_record(payload, in.profile_base_version);
-    append_record(payload, in.profile_new_version);
-    {
-      const std::vector<std::byte>& delta = profile_payload(prof_full);
-      append_record(payload, static_cast<std::uint32_t>(delta.size()));
-      payload.insert(payload.end(), delta.begin(), delta.end());
-    }
-    replies[s].profile_rows_rx = prof_full ? prof_full_rows : prof_incr_rows;
-    if (graph_full && prof_full && worker.needs_resync) {
+    command.graph_full = in.graph_base_version < 0 ||
+                         worker.graph_version != in.graph_base_version;
+    command.graph_base_version = in.graph_base_version;
+    command.graph_new_version = in.graph_new_version;
+    command.graph_delta = graph_payload(command.graph_full);
+    command.profile_full = in.profile_base_version < 0 ||
+                           worker.profile_version != in.profile_base_version;
+    command.profile_base_version = in.profile_base_version;
+    command.profile_new_version = in.profile_new_version;
+    command.profile_delta = profile_payload(command.profile_full);
+    replies[s].profile_rows_rx =
+        command.profile_full ? prof_full_rows : prof_incr_rows;
+    if (command.graph_full && command.profile_full && worker.needs_resync) {
       ++worker.resync_count;
       worker.needs_resync = false;
     }
-    return payload;
+    return run_iteration_to_bytes(command);
   };
 
   auto send_command = [&](std::uint32_t s, std::uint32_t attempt) {
     PersistentWorker& worker = rt.workers[s];
     if (!worker.ready) {
-      worker.channel.send(kCmdPlan, rt.plan, timeout_s);
+      worker.channel.send(kPlan, rt.plan, timeout_s);
       replies[s].bytes_tx += frame_wire_bytes(rt.plan.size());
     }
     const std::vector<std::byte> payload = build_command(s, attempt);
     ++replies[s].round_trips;
-    worker.channel.send(kCmdRunIteration, payload, timeout_s);
+    worker.channel.send(kRunIteration, payload, timeout_s);
     replies[s].bytes_tx += frame_wire_bytes(payload.size());
   };
 
@@ -1109,7 +1094,7 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
       replies[s].bytes_rx += frame_wire_bytes(hello.payload.size());
       std::uint32_t echoed = S;  // any invalid value
       std::size_t offset = 0;
-      if (hello.type != kRspReady ||
+      if (hello.type != kReady ||
           !read_record(std::span<const std::byte>(hello.payload), offset,
                        echoed) ||
           echoed != s) {
@@ -1120,7 +1105,7 @@ std::vector<PersistentIterationReply> run_persistent_iteration(
     }
     const IpcFrame frame = worker.channel.recv(remaining());
     replies[s].bytes_rx += frame_wire_bytes(frame.payload.size());
-    if (frame.type != kRspIterationDone) {
+    if (frame.type != kIterationDone) {
       throw std::runtime_error(
           std::string("expected ITERATION_DONE, got frame ") +
           frame_type_name(frame.type));
@@ -1164,8 +1149,8 @@ int persistent_worker_main(const fs::path& work_dir,
   WorkerPlan plan;
   {
     const std::optional<IpcFrame> frame = recv_command();
-    if (!frame || frame->type == kCmdShutdown) return 0;
-    if (frame->type != kCmdPlan) {
+    if (!frame || frame->type == kShutdown) return 0;
+    if (frame->type != kPlan) {
       throw std::runtime_error(std::string("expected PLAN, got frame ") +
                                frame_type_name(frame->type));
     }
@@ -1195,13 +1180,13 @@ int persistent_worker_main(const fs::path& work_dir,
   {
     std::vector<std::byte> hello;
     append_record(hello, shard);
-    channel.send(kRspReady, hello);
+    channel.send(kReady, hello);
   }
 
   for (;;) {
     const std::optional<IpcFrame> frame = recv_command();
-    if (!frame || frame->type == kCmdShutdown) return 0;
-    if (frame->type != kCmdRunIteration) {
+    if (!frame || frame->type == kShutdown) return 0;
+    if (frame->type != kRunIteration) {
       throw std::runtime_error(std::string("unexpected command frame ") +
                                frame_type_name(frame->type));
     }
@@ -1221,6 +1206,14 @@ int persistent_worker_main(const fs::path& work_dir,
     if (maps_included != 0) {
       std::uint32_t n = 0;
       read(n);
+      // Two u32 maps of n entries must follow: check before sizing them.
+      if (2 * sizeof(PartitionId) * std::uint64_t{n} >
+          payload.size() - offset) {
+        throw std::runtime_error(
+            "RUN_ITERATION: ownership map count " + std::to_string(n) +
+            " exceeds the " + std::to_string(payload.size() - offset) +
+            " bytes left in the payload");
+      }
       std::vector<PartitionId> partition_owner(n);
       for (PartitionId& p : partition_owner) read(p);
       std::vector<PartitionId> owner(n);
@@ -1250,6 +1243,21 @@ int persistent_worker_main(const fs::path& work_dir,
       const KnnGraphDelta delta =
           knn_graph_delta_from_bytes(payload.subspan(offset, delta_len));
       offset += delta_len;
+      // The shape must be the maps' and the plan's before a full sync
+      // sizes G(t) from it.
+      if (delta.num_vertices != assignment->num_vertices()) {
+        throw std::runtime_error(
+            "RUN_ITERATION: G(t) vertex count " +
+            std::to_string(delta.num_vertices) +
+            " does not match the ownership maps' " +
+            std::to_string(assignment->num_vertices()));
+      }
+      if (delta.k != config.k) {
+        throw std::runtime_error("RUN_ITERATION: G(t) k " +
+                                 std::to_string(delta.k) +
+                                 " does not match the plan's " +
+                                 std::to_string(config.k));
+      }
       if (full_sync != 0) {
         graph = KnnGraph(delta.num_vertices, delta.k);
       } else if (graph_version != base_version) {
@@ -1260,10 +1268,6 @@ int persistent_worker_main(const fs::path& work_dir,
       }
       apply_knn_graph_delta(graph, delta);
       graph_version = new_version;
-      if (graph.num_vertices() != assignment->num_vertices()) {
-        throw std::runtime_error(
-            "synced G(t) vertex count does not match the ownership maps");
-      }
     }
 
     // Sync this worker's P(t) the same way. After iteration 0 only the
@@ -1283,6 +1287,13 @@ int persistent_worker_main(const fs::path& work_dir,
       const ProfileDelta delta =
           profile_delta_from_bytes(payload.subspan(offset, delta_len));
       offset += delta_len;
+      if (delta.num_users != assignment->num_vertices()) {
+        throw std::runtime_error(
+            "RUN_ITERATION: P(t) user count " +
+            std::to_string(delta.num_users) +
+            " does not match the ownership maps' " +
+            std::to_string(assignment->num_vertices()));
+      }
       if (full_sync != 0) {
         local_profiles =
             InMemoryProfileStore(std::vector<SparseProfile>(delta.num_users));
@@ -1315,8 +1326,7 @@ int persistent_worker_main(const fs::path& work_dir,
     }
     const ShardOutput out = run_shard(
         ctx, shard, members, graph, reverse ? &*reverse : nullptr,
-        table_bound, /*store=*/nullptr, &local_profiles, pool.get(), &io,
-        worker,
+        table_bound, local_profiles, pool.get(), &io, worker,
         [&](const char* point) {
           maybe_inject_fault(point, shard, attempt, iteration);
         });
@@ -1337,7 +1347,7 @@ int persistent_worker_main(const fs::path& work_dir,
     append_record(reply, worker);
     const std::vector<std::byte> result_bytes = shard_result_to_bytes(result);
     reply.insert(reply.end(), result_bytes.begin(), result_bytes.end());
-    channel.send(kRspIterationDone, reply);
+    channel.send(kIterationDone, reply);
   }
 } catch (const std::exception& e) {
   std::fprintf(stderr, "persistent shard_worker (shard %u): %s\n", shard,
@@ -1423,7 +1433,7 @@ struct ShardedKnnEngine::Impl {
         // then half-close so its recv loop sees EOF either way.
         if (w.channel.valid()) {
           try {
-            w.channel.send(kCmdShutdown, {}, /*timeout_s=*/5.0);
+            w.channel.send(kShutdown, {}, /*timeout_s=*/5.0);
           } catch (...) {
           }
           w.channel.close_write();
@@ -1433,7 +1443,7 @@ struct ShardedKnnEngine::Impl {
       if (!w.proc.valid() || w.proc.status().finished()) continue;
       any = true;
       try {
-        w.channel.send(kCmdShutdown, {});
+        w.channel.send(kShutdown, {});
       } catch (...) {
         // Already dead: the reap below handles it.
       }
@@ -1539,13 +1549,6 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
   const std::uint32_t S = impl_->shards;
   const bool persistent =
       shard_config_.worker_mode == ShardWorkerMode::Persistent;
-  // Thread mode's phase 4 reads profiles from the partition store;
-  // persistent workers hold P(t) themselves, so that mode writes none.
-  std::optional<PartitionStore> store;
-  if (!persistent) {
-    store.emplace(impl_->work_dir / "partitions", config_.io_model,
-                  config_.storage_mode);
-  }
 
   // ---- Phase 1 (driver): partition G(t) once; split users into shards.
   double partition_s = 0.0;
@@ -1578,7 +1581,6 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
       shard_owner =
           make_partitioner(shard_config_.shard_partitioner)->assign(digraph, S);
     }
-    if (store) store->write_all(edge_list, assignment, profiles_);
     if (config_.record_partition_cost) {
       partition_cost_total = partition_cost(digraph, assignment).total;
     }
@@ -1710,8 +1712,9 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
     }
   } else {
     // ---- Thread mode: one thread per shard, each with its own pool and
-    // I/O accountant; on the partition walk the tables are sized and
-    // G(t)'s in-lists built here, on the calling thread.
+    // I/O accountant, reading the driver's G(t) and P(t); on the
+    // partition walk the tables are sized and G(t)'s in-lists built
+    // here, on the calling thread.
     const ShardContext ctx{config_,    iteration_,  S,
                            assignment, shard_owner, impl_->work_dir};
     std::vector<std::uint64_t> table_bounds(S, 0);
@@ -1736,9 +1739,9 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
           ShardOutput shard_out =
               run_shard(ctx, w, shard_members[w], graph_,
                         reverse ? &*reverse : nullptr, table_bounds[w],
-                        &*store, /*local_profiles=*/nullptr,
-                        impl_->pools[w].get(), worker_io[w].get(),
-                        out.workers[w], /*fault_point=*/{});
+                        profiles_, impl_->pools[w].get(),
+                        worker_io[w].get(), out.workers[w],
+                        /*fault_point=*/{});
           change_counts[w] = shard_out.changed;
           output.set_shard(w, std::move(shard_out.next));
         } catch (...) {
@@ -1811,11 +1814,6 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
         sampled_recall(graph_, profiles_, config_.measure,
                        config_.recall_samples, config_.seed, pool)
             .recall;
-  }
-
-  if (store) {
-    merged.io += store->io().counters();
-    merged.modeled_io_us += store->io().modeled_us();
   }
 
   KNNPC_LOG(Info) << "sharded iteration " << iteration_ << " (S=" << S

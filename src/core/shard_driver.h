@@ -8,8 +8,8 @@
 // the same shard body:
 //
 //   driver   phase 1: partition G(t) once and split the user universe
-//            into S shards with a src/partition partitioner (thread mode
-//            also writes the shared partition store its phase 4 reads).
+//            into S shards with a src/partition partitioner. It writes
+//            no partition file: every shard body holds P(t) too.
 //   worker w phase 2: walk its own source users in ascending order and
 //            emit each one's candidates together from G(t)
 //            (core/tuple_generation.h's source_candidates), keeping the
@@ -18,9 +18,11 @@
 //            with include_reverse instead derive every edges-only
 //            partition from G(t), run the partition rules over all m and
 //            keep the candidates whose source it owns in a TupleTable;
-//            phases 3-4: build its own PI graph + schedule, stream the
-//            partitions through a private 2-slot cache, and keep top-K
-//            for its users only.
+//            phases 3-4: build its own PI graph + schedule, pack the
+//            P(t) its process holds once, score its pair bundles in
+//            schedule order from that pack (a private 2-slot cache still
+//            counts the partition loads and unloads) and keep top-K for
+//            its users only.
 //   driver   merge the per-shard graphs (core/sharded_knn_graph.h's
 //            ShardedKnnGraph) and run phase 5 on the shared profiles.
 //
@@ -38,10 +40,12 @@
 // the spill-scores, sampled and reverse-candidate paths.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,8 +75,11 @@ std::uint32_t resolve_shard_count(std::uint32_t requested,
 
 /// How the S workers execute one iteration.
 enum class ShardWorkerMode {
-  /// One thread per worker inside the driver's process — the in-process
-  /// reference the other mode is checked against.
+  /// One thread per worker inside the driver's process, each running the
+  /// shard body over the driver's own G(t) and P(t), read-only. It
+  /// differs from Persistent only in transport. It is the default, the
+  /// only sharded mode that needs no worker binary, and how the tsan CI
+  /// job checks S shard bodies that share one G(t) and one P(t).
   Thread,
   /// S worker processes spawned ONCE per run and kept alive across
   /// iterations: the driver re-executes `ShardConfig::worker_exe` in the
@@ -84,15 +91,15 @@ enum class ShardWorkerMode {
   /// changed-rows knn_graph_delta, P(t) as a changed-users profile_delta
   /// — and the worker runs the shard body and replies ITERATION_DONE with
   /// stats + ShardResult inline. Workers exchange nothing with each other
-  /// and read no partition file: they generate candidates from their
-  /// G(t) copy and score from their P(t) copy, so the driver writes no
-  /// partition store in this mode. Supervision: a worker that dies,
-  /// replies garbage, or exceeds `worker_timeout_s` on its command is
-  /// SIGKILLed and respawned exactly once with a full graph + profile
-  /// resync, and its command replays deterministically while the other
-  /// workers carry on; a second failure in the same iteration throws with
-  /// per-worker diagnostics and leaves G(t) untouched. Output stays
-  /// bit-identical to thread mode.
+  /// and, like thread-mode workers, read no partition file: they
+  /// generate candidates from their G(t) copy and score from their P(t)
+  /// copy. Supervision: a worker that dies, replies garbage, or exceeds
+  /// `worker_timeout_s` on its command is SIGKILLed and respawned exactly
+  /// once with a full graph + profile resync, and its command replays
+  /// deterministically while the other workers carry on; a second
+  /// failure in the same iteration throws with per-worker diagnostics
+  /// and leaves G(t) untouched. Output stays bit-identical to thread
+  /// mode.
   Persistent,
 };
 
@@ -177,9 +184,10 @@ struct ShardWorkerStats {
   /// Partitions this worker's phase-4 schedule actually streamed (pair
   /// incidence of its PI graph) — ~m/S under the pair-affinity split.
   std::uint32_t partitions_touched = 0;
-  /// Full-partition (.prof-bearing) loads this worker's phase-4 cache
-  /// issued this iteration. Persistent workers score from their own P(t)
-  /// copy and read no partition file, so this is 0 there from iteration 0.
+  /// Always 0: every shard body scores from the P(t) its process holds
+  /// and reads no partition file. Kept only because the benchmark
+  /// harness (bench/harness/knnpc_bench.cpp) still reads it; it goes
+  /// with the next change to the benchmark, like the sync_* fields.
   std::uint64_t profile_reads = 0;
   /// KPRD profile-delta rows shipped to this worker this iteration
   /// (persistent mode): the churned users on the steady path, all n on a
@@ -278,6 +286,63 @@ class ShardedKnnEngine {
 };
 
 // ---------------------------------------------------------------------------
+// The persistent-worker protocol: frame types and the two command
+// encoders the driver sends with (payload layouts in shard_driver.cpp).
+// Driver and worker are the same binary; tests drive a worker with these
+// same bytes.
+
+namespace shard_frame {
+/// Driver -> worker, the first frame after every spawn: plan_to_bytes().
+constexpr std::uint32_t kPlan = 2;
+/// Driver -> worker, empty payload: the worker exits 0.
+constexpr std::uint32_t kShutdown = 3;
+/// Driver -> worker: run_iteration_to_bytes().
+constexpr std::uint32_t kRunIteration = 4;
+/// Worker -> driver, once the plan was accepted: u32 shard.
+constexpr std::uint32_t kReady = 100;
+/// Worker -> driver: raw ShardWorkerStats, then "KSHR" ShardResult bytes.
+constexpr std::uint32_t kIterationDone = 104;
+}  // namespace shard_frame
+
+/// Everything a persistent worker needs that RUN_ITERATION does not
+/// carry: the EngineConfig fields the shard body reads and the resolved
+/// shard and thread budget.
+struct WorkerPlan {
+  EngineConfig config;
+  std::uint32_t shards = 1;
+  std::uint32_t threads_per_shard = 1;
+};
+
+/// The PLAN payload ("KPLN" bytes).
+std::vector<std::byte> plan_to_bytes(const WorkerPlan& plan);
+
+/// One RUN_ITERATION command: the ownership maps when they changed, and
+/// G(t) and P(t) as deltas against the versions the worker holds.
+struct RunIterationCommand {
+  std::uint32_t iteration = 0;
+  std::uint32_t attempt = 0;
+  /// user -> partition and user -> shard, one entry per user; both null
+  /// when the worker already holds the current maps.
+  const std::vector<PartitionId>* partition_owner = nullptr;
+  const std::vector<PartitionId>* shard_owner = nullptr;
+  /// "KDLT" knn_graph_delta bytes against graph_base_version; every row
+  /// when graph_full (the respawn resync).
+  bool graph_full = false;
+  std::int64_t graph_base_version = -1;
+  std::int64_t graph_new_version = -1;
+  std::span<const std::byte> graph_delta;
+  /// "KPRD" profile_delta bytes, likewise.
+  bool profile_full = false;
+  std::int64_t profile_base_version = -1;
+  std::int64_t profile_new_version = -1;
+  std::span<const std::byte> profile_delta;
+};
+
+/// The RUN_ITERATION payload.
+std::vector<std::byte> run_iteration_to_bytes(
+    const RunIterationCommand& command);
+
+// ---------------------------------------------------------------------------
 // The hidden --shard-worker role (persistent mode).
 
 /// Entry point of one persistent worker: reads the plan frame from stdin,
@@ -287,8 +352,11 @@ class ShardedKnnEngine {
 /// graph / profile deltas, runs the shard body against the worker's own
 /// G(t) and P(t) with its scratch files under `work_dir`, and replies
 /// ITERATION_DONE. The body is shared with thread mode; only the
-/// transport differs. Protocol errors are reported on stderr and become a
-/// non-zero exit — the driver's respawn path takes over from there.
+/// transport differs. Every size a command carries (the map count, a full
+/// G(t)'s vertex count and k, a full P(t)'s user count) is checked
+/// against the payload, the maps or the plan before anything is sized
+/// from it. Protocol errors are reported on stderr and become exit code
+/// 13 — the driver's respawn path takes over from there.
 int persistent_worker_main(const std::filesystem::path& work_dir,
                            std::uint32_t shard);
 

@@ -1,18 +1,18 @@
-// SIMD-friendly flat profile layout for the phase-4 similarity kernels.
+// Flat profile layout for the phase-4 similarity kernels.
 //
 // SparseProfile stores {item, weight} pairs interleaved (AoS), one heap
 // allocation per user. The batched kernels in
 // profiles/similarity_kernels.h want the opposite: structure-of-arrays —
-// every profile's item ids contiguous (so the sorted-array intersection
-// can compare a whole register of ids per instruction) and its weights
+// every profile's item ids contiguous (one pass indexes a source in the
+// item table, one pass looks a candidate's items up) and its weights
 // contiguous, with the per-profile L2 norm and mean precomputed once
 // instead of once per scored pair (the scalar adjusted-cosine recomputes
 // the mean per pair — O(|p|) work the flat layout pays exactly once).
 //
 // A FlatProfileSet is a packed copy of a group of profiles — a loaded
-// partition in the streaming engines (decoded straight from its .prof
-// bytes, see from_profiles), or the whole resident P(t) in persistent
-// workers — built in O(total entries), which is noise next to the
+// partition in KnnEngine (decoded straight from its .prof bytes, see
+// from_profiles), the whole P(t) in every shard body, or one query in
+// beam search — built in O(total entries), which is noise next to the
 // O(tuples x profile length) scoring it feeds. Rows are indexed by the
 // sorted member ids: a contiguous id range (range partitions, a whole
 // P(t)) resolves a lookup by subtraction, any other set by binary search. The precomputed norm
@@ -25,8 +25,8 @@
 // weight payload; scoring then runs on the dequantized values, which is
 // NOT bit-identical to f32 scoring — it is opt-in
 // (EngineConfig::quantize_profiles, off by default) and outside the
-// golden contract. Quantized scoring is still deterministic and
-// bit-identical across kernel backends.
+// golden contract. Quantized scoring is still deterministic, and the item
+// table and the merge score it bit-identically.
 #pragma once
 
 #include <cstddef>

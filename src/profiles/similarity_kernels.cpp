@@ -3,26 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
-
-#if defined(__x86_64__) || defined(_M_X64)
-#include <immintrin.h>
-#define KNNPC_KERNELS_HAVE_AVX2 1
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-#include <arm_neon.h>
-#define KNNPC_KERNELS_HAVE_NEON 1
-#endif
 
 namespace knnpc {
 namespace {
 
 // When one list is this many times longer than the other, per-element
-// galloping search in the long list beats any linear merge (vectorized or
-// not). Both backends share the cutoff and the galloping code: the match
-// list is a property of the inputs, so how it is found can differ per
-// backend without affecting scores.
+// galloping search in the long list beats a linear merge. The match list
+// is a property of the inputs, so how it is found cannot affect scores.
 constexpr std::uint32_t kGallopSkew = 32;
 
 void push_match(KernelScratch& scratch, std::uint32_t ia, std::uint32_t ib) {
@@ -89,98 +77,9 @@ void intersect_gallop(const ItemId* shrt, std::uint32_t ns, const ItemId* lng,
   }
 }
 
-#if defined(KNNPC_KERNELS_HAVE_AVX2)
-
-/// AVX2 merge intersection: broadcast a[i] and compare it against an
-/// 8-wide unaligned window of b in one instruction. Item ids within a
-/// profile are unique, so at most one lane matches. Integer work only —
-/// no floating point happens under the avx2 target attribute, which is
-/// what keeps scores bit-identical to the scalar backend (no risk of
-/// FMA-contracted accumulation).
-__attribute__((target("avx2"))) void intersect_avx2(const ItemId* a,
-                                                    std::uint32_t na,
-                                                    const ItemId* b,
-                                                    std::uint32_t nb,
-                                                    KernelScratch& scratch) {
-  std::uint32_t i = 0;
-  std::uint32_t j = 0;
-  while (i < na && j + 8 <= nb) {
-    const __m256i va = _mm256_set1_epi32(static_cast<int>(a[i]));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    const int mask =
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(va, vb)));
-    if (mask != 0) {
-      const std::uint32_t k =
-          j + static_cast<std::uint32_t>(__builtin_ctz(
-                  static_cast<unsigned>(mask)));
-      push_match(scratch, i, k);
-      ++i;
-      j = k + 1;
-    } else if (b[j + 7] < a[i]) {
-      j += 8;  // whole window below a[i]
-    } else {
-      ++i;  // a[i] absent from b (window brackets it)
-    }
-  }
-  // Tail: fewer than 8 ids left in b.
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      push_match(scratch, i, j);
-      ++i;
-      ++j;
-    }
-  }
-}
-
-#elif defined(KNNPC_KERNELS_HAVE_NEON)
-
-/// NEON merge intersection, 4-wide windows; same scheme as the AVX2 path.
-void intersect_neon(const ItemId* a, std::uint32_t na, const ItemId* b,
-                    std::uint32_t nb, KernelScratch& scratch) {
-  std::uint32_t i = 0;
-  std::uint32_t j = 0;
-  while (i < na && j + 4 <= nb) {
-    const uint32x4_t va = vdupq_n_u32(a[i]);
-    const uint32x4_t vb = vld1q_u32(b + j);
-    const uint32x4_t eq = vceqq_u32(va, vb);
-    if (vmaxvq_u32(eq) != 0) {
-      std::uint32_t lanes[4];
-      vst1q_u32(lanes, eq);
-      std::uint32_t k = j;
-      while (lanes[k - j] == 0) ++k;
-      push_match(scratch, i, k);
-      ++i;
-      j = k + 1;
-    } else if (b[j + 3] < a[i]) {
-      j += 4;
-    } else {
-      ++i;
-    }
-  }
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      push_match(scratch, i, j);
-      ++i;
-      ++j;
-    }
-  }
-}
-
-#endif
-
 // ------------------------------------------------- measure accumulation
 //
-// Everything below is compiled for the baseline ISA and replays the exact
-// double-precision operation sequence of profiles/similarity.cpp, reading
+// Everything below replays the exact double-precision operation sequence of profiles/similarity.cpp, reading
 // matched weights through a match list. Comments cite the scalar function
 // each block mirrors. The source side `a` is always a packed View; the
 // candidate side `b` is a Row, so phase 4 (packed rows) and beam search
@@ -405,49 +304,9 @@ Matches table_matches(const std::uint32_t* slots, ItemId limit, const Row& b,
 
 }  // namespace
 
-const char* kernel_backend_name(KernelBackend backend) {
-  if (backend == KernelBackend::Scalar) return "scalar";
-#if defined(KNNPC_KERNELS_HAVE_AVX2)
-  return "avx2";
-#elif defined(KNNPC_KERNELS_HAVE_NEON)
-  return "neon";
-#else
-  return "scalar";
-#endif
-}
-
-bool simd_backend_available() {
-#if defined(KNNPC_KERNELS_HAVE_AVX2)
-  return __builtin_cpu_supports("avx2") != 0;
-#elif defined(KNNPC_KERNELS_HAVE_NEON)
-  return true;  // NEON is architectural on aarch64
-#else
-  return false;
-#endif
-}
-
-KernelBackend resolve_kernel_backend(std::string_view request) {
-  std::string_view effective = request;
-  if (effective == "auto") {
-    if (const char* env = std::getenv("KNNPC_KERNEL")) effective = env;
-  }
-  if (effective == "auto") {
-    return simd_backend_available() ? KernelBackend::Simd
-                                    : KernelBackend::Scalar;
-  }
-  if (effective == "scalar") return KernelBackend::Scalar;
-  if (effective == "simd") {
-    return simd_backend_available() ? KernelBackend::Simd
-                                    : KernelBackend::Scalar;
-  }
-  throw std::invalid_argument("unknown kernel backend: " +
-                              std::string(effective) +
-                              " (expected auto|scalar|simd)");
-}
-
 std::uint32_t intersect_items(const ItemId* a, std::uint32_t na,
                               const ItemId* b, std::uint32_t nb,
-                              KernelBackend backend, KernelScratch& scratch) {
+                              KernelScratch& scratch) {
   scratch.match_a.clear();
   scratch.match_b.clear();
   if (na == 0 || nb == 0) return 0;
@@ -455,14 +314,6 @@ std::uint32_t intersect_items(const ItemId* a, std::uint32_t na,
     intersect_gallop(b, nb, a, na, /*a_is_short=*/false, scratch);
   } else if (nb > static_cast<std::uint64_t>(na) * kGallopSkew) {
     intersect_gallop(a, na, b, nb, /*a_is_short=*/true, scratch);
-  } else if (backend == KernelBackend::Simd) {
-#if defined(KNNPC_KERNELS_HAVE_AVX2)
-    intersect_avx2(a, na, b, nb, scratch);
-#elif defined(KNNPC_KERNELS_HAVE_NEON)
-    intersect_neon(a, na, b, nb, scratch);
-#else
-    intersect_merge(a, na, b, nb, scratch);
-#endif
   } else {
     intersect_merge(a, na, b, nb, scratch);
   }
@@ -470,11 +321,10 @@ std::uint32_t intersect_items(const ItemId* a, std::uint32_t na,
 }
 
 float score_pair(const FlatProfileSet::View& a, const FlatProfileSet::View& b,
-                 SimilarityMeasure measure, KernelBackend backend,
-                 KernelScratch& scratch) {
+                 SimilarityMeasure measure, KernelScratch& scratch) {
   return score_row(a, FlatRow{b}, measure, [&] {
     const std::uint32_t common =
-        intersect_items(a.items, a.size, b.items, b.size, backend, scratch);
+        intersect_items(a.items, a.size, b.items, b.size, scratch);
     return Matches{scratch.match_a.data(), scratch.match_b.data(), common};
   });
 }
@@ -538,7 +388,7 @@ FlatProfileSet::View view_in_pair(const FlatProfileSet& primary,
 void score_batch(const FlatProfileSet& primary,
                  const FlatProfileSet* secondary, VertexId src,
                  std::span<const VertexId> candidates,
-                 SimilarityMeasure measure, KernelBackend backend, float* out,
+                 SimilarityMeasure measure, float* out,
                  KernelScratch& scratch) {
   const FlatProfileSet::View sv = view_in_pair(primary, secondary, src);
   // Phase 4 calls this on pool threads, once per run of equal sources;
@@ -550,7 +400,7 @@ void score_batch(const FlatProfileSet& primary,
     const FlatProfileSet::View dv =
         view_in_pair(primary, secondary, candidates[c]);
     out[c] = source.indexed() ? source.score(dv, measure, scratch)
-                              : score_pair(sv, dv, measure, backend, scratch);
+                              : score_pair(sv, dv, measure, scratch);
   }
 }
 

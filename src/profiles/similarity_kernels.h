@@ -6,42 +6,28 @@
 // each candidate's matches with one table read per candidate item, in
 // the candidate's ascending item order. Beam search in serve/knn_server
 // indexes each query the same way. A source whose largest item reaches
-// kItemTableBound is not indexed; it takes the sorted-merge intersection
-// instead, with one of two backends selected at runtime:
-//
-//  * Scalar — portable sorted-merge / galloping intersection; the
-//    reference implementation, always available.
-//  * Simd   — AVX2 (x86-64, detected via cpuid at runtime) or NEON
-//    (aarch64) accelerated sorted-array intersection, with galloping for
-//    skewed length ratios. On CPUs without AVX2/NEON a "simd" request
-//    quietly degrades to Scalar.
+// kItemTableBound is not indexed; it takes the portable sorted-merge
+// intersection instead (galloping search when one list is much longer
+// than the other), which is also the tests' reference.
 //
 // The bit-identity contract: only the *intersection* — integer item-id
-// matching — differs between the table and the two merges. All
-// floating-point accumulation runs in one shared baseline-ISA replay of
-// the exact operation sequence of the scalar measures in
-// profiles/similarity.cpp (same double-precision accumulators, same order
-// over the common items). Every intersection finds the same match list in
-// the same ascending item order, so every measure scores bit-identically
-// on every path and the golden checksums in tests/golden/checksums.tsv
-// hold with either backend. InverseEuclid accumulates over the *union* in
-// merged item order, which a match list cannot replay, so its kernel is
-// the flat scalar merge on every path — it still gains the contiguous
-// layout.
+// matching — differs between the table and the merge. All floating-point
+// accumulation runs in one shared replay of the exact operation sequence
+// of the scalar measures in profiles/similarity.cpp (same double-precision
+// accumulators, same order over the common items). Both intersections
+// find the same match list in the same ascending item order, so every
+// measure scores bit-identically on both paths and the golden checksums
+// in tests/golden/checksums.tsv hold. InverseEuclid accumulates over the
+// *union* in merged item order, which a match list cannot replay, so its
+// kernel is the flat scalar merge on every path — it still gains the
+// contiguous layout.
 //
 // Degenerate-input conventions are inherited from profiles/similarity.h
 // (the per-measure table there is the contract both paths implement).
-//
-// Backend selection for the fallback merge, in priority order:
-//   1. the explicit request string ("scalar" | "simd"),
-//   2. for "auto": the KNNPC_KERNEL environment variable (same values —
-//      how the kernels-smoke CI job forces each path end to end),
-//   3. CPU support (SIMD when available).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "profiles/flat_profile.h"
@@ -49,21 +35,6 @@
 #include "util/types.h"
 
 namespace knnpc {
-
-enum class KernelBackend {
-  Scalar,
-  Simd,
-};
-
-/// "scalar", or the compiled SIMD ISA: "avx2" / "neon".
-const char* kernel_backend_name(KernelBackend backend);
-
-/// True when this binary carries a SIMD intersection for this CPU.
-bool simd_backend_available();
-
-/// Resolves "auto" | "scalar" | "simd" (see selection order above);
-/// throws std::invalid_argument on anything else.
-KernelBackend resolve_kernel_backend(std::string_view request = "auto");
 
 /// Reusable per-thread match buffers (kernels never allocate after the
 /// first pairs at a given profile size). intersect_items leaves exactly
@@ -134,21 +105,21 @@ class ItemTable::Source {
 /// Sorted-array intersection of two item-id lists: fills
 /// scratch.match_a/match_b with the matching index pairs in ascending
 /// item order and returns the match count. Exposed for the differential
-/// tests; backend only changes speed, never the result.
+/// tests.
 std::uint32_t intersect_items(const ItemId* a, std::uint32_t na,
                               const ItemId* b, std::uint32_t nb,
-                              KernelBackend backend, KernelScratch& scratch);
+                              KernelScratch& scratch);
 
 /// One pair through the kernel for `measure`. Bit-identical to
 /// similarity(measure, a, b) on the profiles the views were packed from
 /// (when the set is unquantized).
 float score_pair(const FlatProfileSet::View& a,
                  const FlatProfileSet::View& b, SimilarityMeasure measure,
-                 KernelBackend backend, KernelScratch& scratch);
+                 KernelScratch& scratch);
 
 /// Batched phase-4 entry point: scores `src` against each candidate,
 /// writing out[i] = sim(src, candidates[i]) through the calling thread's
-/// ItemTable (through the `backend` merge when src's largest item reaches
+/// ItemTable (through the merge when src's largest item reaches
 /// kItemTableBound). The table lives as long as the thread — it is never
 /// allocated per call or per chunk — and is all-zero between calls.
 /// Profiles are looked up in `primary` first, then `secondary` (the
@@ -158,7 +129,7 @@ float score_pair(const FlatProfileSet::View& a,
 void score_batch(const FlatProfileSet& primary,
                  const FlatProfileSet* secondary, VertexId src,
                  std::span<const VertexId> candidates,
-                 SimilarityMeasure measure, KernelBackend backend,
-                 float* out, KernelScratch& scratch);
+                 SimilarityMeasure measure, float* out,
+                 KernelScratch& scratch);
 
 }  // namespace knnpc

@@ -42,8 +42,8 @@ struct IoModel {
 /// Accumulates modelled device time next to the raw byte counters.
 ///
 /// Thread-safety: charge_read()/charge_write() are lock-free and safe to
-/// call from any number of threads concurrently (the shard driver's
-/// workers share one accountant per PartitionStore). counters() /
+/// call from any number of threads concurrently (PartitionStore::write_all
+/// charges one accountant from every pool thread). counters() /
 /// modeled_us() take relaxed snapshots: each field is exact, but a
 /// snapshot taken *while* charges are in flight may mix fields from
 /// different moments — read stats after workers have joined for totals

@@ -4,9 +4,8 @@
 #include <span>
 #include <stdexcept>
 
-#include "storage/external_sort.h"
+#include "storage/block_file.h"
 #include "storage/mmap_file.h"
-#include "storage/shard_writer.h"
 #include "util/serde.h"
 #include "util/thread_pool.h"
 
@@ -18,13 +17,6 @@ const SparseProfile* PartitionData::profile_of(VertexId v) const {
   if (it == vertices.end() || *it != v) return nullptr;
   const auto idx = static_cast<std::size_t>(it - vertices.begin());
   return &profiles[idx];
-}
-
-std::uint64_t PartitionData::approx_bytes() const {
-  std::uint64_t bytes = vertices.size() * sizeof(VertexId) +
-                        (in_edges.size() + out_edges.size()) * sizeof(Edge);
-  for (const auto& p : profiles) bytes += p.size() * sizeof(ProfileEntry);
-  return bytes;
 }
 
 PartitionStore::PartitionStore(fs::path dir, IoModel model, Mode mode)
@@ -174,70 +166,6 @@ PartitionData derive_partition_edges(const KnnGraph& graph,
   return data;
 }
 
-void PartitionStore::write_all_streaming(
-    const EdgeList& graph, const PartitionAssignment& assignment,
-    const ProfileStore& profiles, std::size_t sort_buffer_bytes) {
-  if (graph.num_vertices != assignment.num_vertices()) {
-    throw std::invalid_argument(
-        "PartitionStore::write_all_streaming: size mismatch");
-  }
-  if (!assignment.fully_assigned()) {
-    throw std::invalid_argument(
-        "PartitionStore::write_all_streaming: assignment incomplete");
-  }
-  m_ = assignment.num_partitions();
-
-  // Stream edges to unsorted per-partition spill files under a bounded
-  // buffer, then external-sort each by its bridge.
-  {
-    RecordShardWriter<Edge> in_writer(dir_, "unsorted_in", m_,
-                                      sort_buffer_bytes / 2, &io_);
-    RecordShardWriter<Edge> out_writer(dir_, "unsorted_out", m_,
-                                       sort_buffer_bytes / 2, &io_);
-    for (const Edge& e : graph.edges) {
-      in_writer.add(assignment.owner(e.dst), e);
-      out_writer.add(assignment.owner(e.src), e);
-    }
-    in_writer.finish();
-    out_writer.finish();
-    for (PartitionId p = 0; p < m_; ++p) {
-      // Missing spill files (empty partitions) become empty edge files.
-      const fs::path in_spill = in_writer.shard_path(p);
-      const fs::path out_spill = out_writer.shard_path(p);
-      IoCounters raw;
-      if (!fs::exists(in_spill)) write_file(in_spill, {}, raw);
-      if (!fs::exists(out_spill)) write_file(out_spill, {}, raw);
-      external_sort_file<Edge>(
-          in_spill, file(p, ".in"), sort_buffer_bytes,
-          [](const Edge& a, const Edge& b) {
-            return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
-          });
-      external_sort_file<Edge>(out_spill, file(p, ".out"),
-                               sort_buffer_bytes, std::less<Edge>{});
-      io_.charge_write(knnpc::file_size(file(p, ".in")));
-      io_.charge_write(knnpc::file_size(file(p, ".out")));
-      std::error_code ec;
-      fs::remove(in_spill, ec);
-      fs::remove(out_spill, ec);
-    }
-  }
-
-  // Profiles and membership, one partition at a time.
-  IoCounters raw;
-  for (PartitionId p = 0; p < m_; ++p) {
-    const auto members = assignment.members(p);
-    std::vector<SparseProfile> member_profiles;
-    member_profiles.reserve(members.size());
-    for (VertexId v : members) member_profiles.push_back(profiles.get(v));
-    const auto prof_bytes = pack_profiles(member_profiles);
-    write_file(file(p, ".prof"), prof_bytes, raw);
-    io_.charge_write(prof_bytes.size());
-    const auto member_bytes = to_bytes(members);
-    write_file(file(p, ".vtx"), member_bytes, raw);
-    io_.charge_write(member_bytes.size());
-  }
-}
-
 PartitionData PartitionStore::load(PartitionId id) const {
   PartitionData data;
   data.id = id;
@@ -286,28 +214,8 @@ PartitionData PartitionStore::load_edges(PartitionId id) const {
   return data;
 }
 
-void PartitionStore::write_profiles(
-    PartitionId id, const std::vector<VertexId>& vertices,
-    const std::vector<SparseProfile>& profiles) {
-  if (vertices.size() != profiles.size()) {
-    throw std::invalid_argument(
-        "PartitionStore::write_profiles: size mismatch");
-  }
-  IoCounters raw;
-  const auto prof_bytes = pack_profiles(profiles);
-  write_file(file(id, ".prof"), prof_bytes, raw);
-  io_.charge_write(prof_bytes.size());
-  const auto member_bytes = to_bytes(vertices);
-  write_file(file(id, ".vtx"), member_bytes, raw);
-  io_.charge_write(member_bytes.size());
-}
-
 PartitionCache::PartitionCache(std::size_t slots, Loader load)
     : slots_(std::max<std::size_t>(slots, 1)), load_(std::move(load)) {}
-
-PartitionCache::PartitionCache(const PartitionStore& store, std::size_t slots)
-    : PartitionCache(slots,
-                     [&store](PartitionId id) { return store.load(id); }) {}
 
 const PartitionData& PartitionCache::get(PartitionId id) {
   if (auto it = resident_.find(id); it != resident_.end()) {

@@ -44,23 +44,18 @@ struct PartitionData {
 
   /// Profile of `v`; nullptr when v is not in this partition. O(log n).
   [[nodiscard]] const SparseProfile* profile_of(VertexId v) const;
-
-  /// Approximate in-memory footprint, bytes (for memory-budget benches).
-  [[nodiscard]] std::uint64_t approx_bytes() const;
 };
 
-/// Writes and reads partitions under a work directory.
+/// Writes and reads partitions under a work directory. KnnEngine, the
+/// paper's out-of-core engine, is its one client in the library: the
+/// shard driver's workers hold G(t) and P(t) and read no partition file.
 ///
-/// Thread-safety: the write side (write_all / write_all_streaming /
-/// write_profiles) is single-writer and must not overlap any other call;
-/// write_all may fan its per-partition work out to a pool of its own.
-/// The read side is concurrent-reader safe: once the partition files for
-/// an iteration are on disk, any number of threads may call load() /
-/// load_edges() simultaneously — each call reads into its own buffers and
-/// the only shared mutable state, the IoAccountant, is atomic. The shard
-/// driver's thread mode relies on this: one store, written once per
-/// iteration by the driver, is streamed by every shard thread's
-/// PartitionCache in parallel.
+/// Thread-safety: single-owner — write_all must not overlap any other
+/// call, though it may fan its per-partition work out to a pool of its
+/// own. Reads do not mutate the store apart from its IoAccountant, which
+/// is atomic, but no engine reads one store from two threads: KnnEngine
+/// calls load_edges() and load_flat() from its calling thread, one batch
+/// or one cache miss at a time.
 ///
 /// Ownership: the store owns nothing in memory between calls — load()
 /// returns PartitionData by value and the caller owns it (PartitionCache
@@ -90,18 +85,10 @@ class PartitionStore {
   void write_all(const EdgeList& graph, const PartitionAssignment& assignment,
                  const ProfileStore& profiles, ThreadPool* pool = nullptr);
 
-  /// Low-memory variant of write_all: edges stream to per-partition files
-  /// through a bounded buffer (storage/shard_writer.h) and each edge file
-  /// is then external-sorted by its bridge vertex with at most
-  /// `sort_buffer_bytes` of sort memory (storage/external_sort.h). The
-  /// resulting files are byte-identical in content to write_all's.
-  void write_all_streaming(const EdgeList& graph,
-                           const PartitionAssignment& assignment,
-                           const ProfileStore& profiles,
-                           std::size_t sort_buffer_bytes = 4u << 20);
-
-  /// Loads one partition from disk (three file reads, charged to the
-  /// accountant). Throws when the partition was never written.
+  /// Loads one partition from disk, edges and profiles decoded (four file
+  /// reads, charged to the accountant). Throws when the partition was
+  /// never written. No engine calls it: it is the reference reader the
+  /// storage tests check write_all, load_edges and load_flat against.
   [[nodiscard]] PartitionData load(PartitionId id) const;
 
   /// Loads only the vertex list and sorted edge files (phase 2 streams
@@ -116,19 +103,11 @@ class PartitionStore {
   [[nodiscard]] PartitionData load_flat(PartitionId id, bool quantize,
                                         ThreadPool* pool = nullptr) const;
 
-  /// Rewrites one partition's profile file (phase 5 flushes updates).
-  void write_profiles(PartitionId id,
-                      const std::vector<VertexId>& vertices,
-                      const std::vector<SparseProfile>& profiles);
-
   [[nodiscard]] PartitionId num_partitions() const noexcept { return m_; }
   [[nodiscard]] const std::filesystem::path& dir() const noexcept {
     return dir_;
   }
   [[nodiscard]] const IoAccountant& io() const noexcept { return io_; }
-  void reset_io() noexcept { io_.reset(); }
-
-  [[nodiscard]] Mode mode() const noexcept { return mode_; }
 
  private:
   [[nodiscard]] std::filesystem::path file(PartitionId id,
@@ -159,19 +138,15 @@ PartitionData derive_partition_edges(const KnnGraph& graph,
 /// Bounded partition cache for phase 4: at most `slots` partitions resident
 /// (the paper uses 2). Counts loads and unloads — Table 1's metric.
 ///
-/// Thread-safety: single-owner (one cache per engine / shard worker); the
-/// underlying store may be shared across caches on different threads.
+/// Thread-safety: single-owner (one cache per engine / shard body).
 class PartitionCache {
  public:
-  /// Brings one partition in on a miss: a PartitionStore read such as
-  /// load_flat() (the streaming engines' phase 4), or no read at all on
-  /// the persistent-worker path, where profiles live in a worker-local
-  /// store kept current by KPRD deltas and a load only counts.
+  /// Brings one partition in on a miss: KnnEngine's phase 4 reads it with
+  /// PartitionStore::load_flat(); a shard body, which scores from the
+  /// P(t) its process holds, returns only the id, so a load only counts.
   using Loader = std::function<PartitionData(PartitionId)>;
 
   PartitionCache(std::size_t slots, Loader load);
-  /// Full loads through store.load().
-  PartitionCache(const PartitionStore& store, std::size_t slots);
 
   /// Returns the resident partition, loading (and possibly evicting LRU)
   /// as needed. References are invalidated by subsequent get() calls that

@@ -3,7 +3,9 @@
 // merged-output container.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/engine.h"
@@ -11,6 +13,7 @@
 #include "core/sharded_knn_graph.h"
 #include "graph/knn_graph_io.h"
 #include "profiles/generators.h"
+#include "storage/block_file.h"
 #include "util/rng.h"
 
 namespace knnpc {
@@ -187,6 +190,32 @@ TEST(ShardDriverTest, SetInitialGraphIsRespected) {
 
   EXPECT_EQ(knn_graph_checksum(sharded.graph()),
             knn_graph_checksum(serial.graph()));
+}
+
+TEST(ShardDriverTest, ThreadModeWritesNoPartitionFile) {
+  // Thread-mode shard bodies score from the driver's own P(t), so the
+  // work directory holds the workers' pair bundles and nothing else: no
+  // partition store, no partition file.
+  namespace fs = std::filesystem;
+  const SerialRun serial = run_serial(base_config(), 80, 4, 2);
+  const ScratchDir dir("shard_thread_no_partitions");
+  EngineConfig config = base_config();
+  config.work_dir = dir.path().string();
+  ShardConfig shard_config;
+  shard_config.shards = 3;
+  ShardedKnnEngine sharded(config, shard_config, clustered(80, 4, 21));
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    sharded.run_iteration();
+    EXPECT_EQ(knn_graph_checksum(sharded.graph()), serial.checksums[i])
+        << "iteration " << i;
+  }
+  EXPECT_TRUE(fs::is_directory(dir.path() / "worker_0"));
+  EXPECT_FALSE(fs::exists(dir.path() / "partitions"));
+  for (const fs::directory_entry& entry :
+       fs::recursive_directory_iterator(dir.path())) {
+    EXPECT_NE(entry.path().filename().string().rfind("part_", 0), 0u)
+        << entry.path();
+  }
 }
 
 // ------------------------------------------------------- worker stats --

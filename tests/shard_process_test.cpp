@@ -5,21 +5,25 @@
 // supervision contract: a killed, non-zero-exiting or wedged worker is
 // respawned with a full-snapshot resync exactly once; a second failure
 // fails the run with a per-worker diagnostic; the driver never hangs and
-// never merges a failed worker's partial output.
+// never merges a failed worker's partial output. A worker that receives a
+// hostile RUN_ITERATION refuses it before sizing anything from it.
 //
 // This binary is re-executed by the driver as its own shard workers, so
 // it carries a custom main() that dispatches the hidden --shard-worker
 // role before gtest sees argv.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/types.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -29,9 +33,15 @@
 #include "core/churn.h"
 #include "core/engine.h"
 #include "core/shard_driver.h"
+#include "graph/knn_graph_delta.h"
 #include "graph/knn_graph_io.h"
 #include "profiles/generators.h"
+#include "profiles/profile_delta.h"
+#include "storage/block_file.h"
+#include "util/ipc_channel.h"
 #include "util/rng.h"
+#include "util/serde.h"
+#include "util/subprocess.h"
 #include "workloads/workload.h"
 
 namespace knnpc {
@@ -193,6 +203,10 @@ INSTANTIATE_TEST_SUITE_P(ShardCounts, PersistentShardCountTest,
                          ::testing::Values(1u, 2u, 3u, 5u));
 
 TEST(PersistentShardTest, MergedCountersMatchThreadMode) {
+  // One shard body and one profile source in both modes: they differ
+  // only in transport, so every merged work and I/O counter repeats. The
+  // I/O is the workers' pair bundles alone; neither mode reads or writes
+  // a partition file.
   const EngineConfig config = base_config();
   ShardConfig thread_config;
   thread_config.shards = 3;
@@ -204,10 +218,45 @@ TEST(PersistentShardTest, MergedCountersMatchThreadMode) {
     const ShardedIterationStats b = persistent.run_iteration();
     EXPECT_EQ(b.merged.candidate_tuples, a.merged.candidate_tuples);
     EXPECT_EQ(b.merged.unique_tuples, a.merged.unique_tuples);
+    EXPECT_EQ(b.merged.pi_pairs, a.merged.pi_pairs);
+    EXPECT_EQ(b.merged.partition_loads, a.merged.partition_loads);
+    EXPECT_EQ(b.merged.partition_unloads, a.merged.partition_unloads);
+    EXPECT_EQ(b.merged.io.bytes_read, a.merged.io.bytes_read);
+    EXPECT_EQ(b.merged.io.bytes_written, a.merged.io.bytes_written);
     EXPECT_DOUBLE_EQ(b.merged.change_rate, a.merged.change_rate);
     EXPECT_EQ(knn_graph_checksum(persistent.graph()),
               knn_graph_checksum(threaded.graph()));
+    for (const ShardedIterationStats* stats : {&a, &b}) {
+      for (const ShardWorkerStats& w : stats->workers) {
+        EXPECT_EQ(w.profile_reads, 0u) << "shard " << w.shard;
+      }
+    }
   }
+}
+
+TEST(PersistentShardTest, QuantizedProfilesOneChecksumInEveryMode) {
+  // Thread mode packs the driver's P(t) row by row, as persistent workers
+  // always did; quantized weights must come out of that pack exactly as
+  // the serial engine decodes them from its partition files.
+  EngineConfig config = base_config();
+  config.quantize_profiles = true;
+  const std::vector<std::uint64_t> serial =
+      serial_checksums(config, 80, 4, 3);
+  ShardConfig thread_config;
+  thread_config.shards = 3;
+  ShardedKnnEngine threaded(config, thread_config, clustered(80, 4));
+  ShardedKnnEngine persistent(config, persistent_config(3),
+                              clustered(80, 4));
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    threaded.run_iteration();
+    persistent.run_iteration();
+    EXPECT_EQ(knn_graph_checksum(threaded.graph()), serial[i])
+        << "thread mode, iteration " << i;
+    EXPECT_EQ(knn_graph_checksum(persistent.graph()), serial[i])
+        << "persistent mode, iteration " << i;
+  }
+  // Quantized scores differ from f32 ones, so the case is not vacuous.
+  EXPECT_NE(serial.back(), serial_checksums(base_config(), 80, 4, 3).back());
 }
 
 TEST(PersistentShardTest, SpillScoresPathBitIdentical) {
@@ -494,6 +543,164 @@ TEST(PersistentFaultTest, SendToDeadWorkerReportsHowItDied) {
     EXPECT_EQ(what.find("still running"), std::string::npos) << what;
   }
   EXPECT_EQ(knn_graph_checksum(engine.graph()), before);
+}
+
+// -------------------------------------------- hostile RUN_ITERATION --
+// A worker sizes its ownership maps, G(t) and P(t) from RUN_ITERATION
+// fields: bytes that in distributed mode arrive over TCP through an
+// agent. Each case spawns this binary as one worker over a pipe pair,
+// sends a valid plan, reads READY and sends one hostile command built
+// with the driver's own encoders. The worker must refuse it before
+// sizing anything from it, exit 13 and name the field on stderr.
+
+/// Points this process's fd 2 at `path` until destroyed, so a child
+/// spawned meanwhile inherits the file as its stderr.
+class StderrToFile {
+ public:
+  explicit StderrToFile(const std::filesystem::path& path)
+      : saved_(::dup(STDERR_FILENO)) {
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ::dup2(fd, STDERR_FILENO);
+    ::close(fd);
+  }
+  ~StderrToFile() {
+    ::dup2(saved_, STDERR_FILENO);
+    ::close(saved_);
+  }
+  StderrToFile(const StderrToFile&) = delete;
+  StderrToFile& operator=(const StderrToFile&) = delete;
+
+ private:
+  int saved_;
+};
+
+struct WorkerVerdict {
+  SubprocessStatus status;
+  std::string stderr_text;
+};
+
+/// Runs worker 0 of `plan` against one RUN_ITERATION `command` and
+/// returns how it ended. A worker that accepts the command replies and
+/// then meets EOF, so it exits 0 instead of hanging the test.
+WorkerVerdict run_worker_on(const WorkerPlan& plan,
+                            const std::vector<std::byte>& command) {
+  const ScratchDir dir("hostile_run_iteration");
+  const std::filesystem::path log = dir.path() / "worker_stderr.txt";
+  Subprocess worker;
+  IpcChannel channel;
+  {
+    const StderrToFile redirect(log);
+    IpcChannelPair pair = make_ipc_channel_pair();
+    worker = Subprocess(
+        std::vector<std::string>{current_executable().string(),
+                                 "--shard-worker", "--shard=0",
+                                 "--work-dir=" + dir.path().string()},
+        pair.child_read_fd, pair.child_write_fd);
+    channel = std::move(pair.parent);
+  }
+  channel.send(shard_frame::kPlan, plan_to_bytes(plan), 30.0);
+  EXPECT_EQ(channel.recv(30.0).type, shard_frame::kReady);
+  channel.send(shard_frame::kRunIteration, command, 30.0);
+  channel.close_write();
+  for (int i = 0; i < 30000 && !worker.poll().finished(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  if (!worker.status().finished()) {
+    worker.kill_now();
+    worker.wait();
+  }
+  std::ifstream in(log);
+  std::stringstream text;
+  text << in.rdbuf();
+  return {worker.status(), text.str()};
+}
+
+TEST(HostileRunIterationTest, WorkerChecksEverySizeBeforeAllocating) {
+  const VertexId n = 20;
+  WorkerPlan plan;
+  plan.config = base_config();
+  plan.shards = 2;
+  std::vector<PartitionId> partition_owner(n);
+  std::vector<PartitionId> shard_owner(n);
+  for (VertexId v = 0; v < n; ++v) {
+    partition_owner[v] = v % plan.config.num_partitions;
+    shard_owner[v] = v % plan.shards;
+  }
+  const std::vector<std::byte> graph_n = knn_graph_delta_to_bytes(
+      full_knn_graph_delta(KnnGraph(n, plan.config.k)));
+  const std::vector<std::byte> profiles_n = profile_delta_to_bytes(
+      full_profile_delta(InMemoryProfileStore(clustered(n, 2))));
+  auto command = [&](std::span<const std::byte> graph_delta,
+                     std::span<const std::byte> profile_delta) {
+    RunIterationCommand c;
+    c.partition_owner = &partition_owner;
+    c.shard_owner = &shard_owner;
+    c.graph_full = true;
+    c.graph_new_version = 0;
+    c.graph_delta = graph_delta;
+    c.profile_full = true;
+    c.profile_new_version = 0;
+    c.profile_delta = profile_delta;
+    return run_iteration_to_bytes(c);
+  };
+
+  // The well-formed command is answered; the worker then meets EOF.
+  const WorkerVerdict valid =
+      run_worker_on(plan, command(graph_n, profiles_n));
+  EXPECT_TRUE(valid.status.success())
+      << valid.status.describe() << "\n" << valid.stderr_text;
+
+  struct Case {
+    const char* name;
+    std::vector<std::byte> bytes;
+    const char* field;
+  };
+  std::vector<Case> cases;
+  {
+    // A map count of 2^26 followed by 8 bytes of maps: one user's two
+    // entries, with the count patched after the u32 iteration, u32
+    // attempt and u8 maps flag.
+    const std::vector<PartitionId> one_user = {0};
+    RunIterationCommand c;
+    c.partition_owner = &one_user;
+    c.shard_owner = &one_user;
+    std::vector<std::byte> bytes = run_iteration_to_bytes(c);
+    const std::size_t at = 2 * sizeof(std::uint32_t) + sizeof(std::uint8_t);
+    std::uint32_t count = 0;
+    std::size_t offset = at;
+    ASSERT_TRUE(read_record(std::span<const std::byte>(bytes), offset, count));
+    ASSERT_EQ(count, 1u) << "RUN_ITERATION layout changed";
+    bytes.resize(offset + 2 * sizeof(PartitionId));
+    const std::uint32_t hostile = std::uint32_t{1} << 26;
+    std::memcpy(bytes.data() + at, &hostile, sizeof(hostile));
+    cases.push_back({"map count 2^26", std::move(bytes),
+                     "ownership map count"});
+  }
+  cases.push_back({"full G(t) of n + 1 vertices",
+                   command(knn_graph_delta_to_bytes(full_knn_graph_delta(
+                               KnnGraph(n + 1, plan.config.k))),
+                           profiles_n),
+                   "G(t) vertex count"});
+  cases.push_back({"full G(t) with the plan's k + 1",
+                   command(knn_graph_delta_to_bytes(full_knn_graph_delta(
+                               KnnGraph(n, plan.config.k + 1))),
+                           profiles_n),
+                   "G(t) k"});
+  cases.push_back(
+      {"full P(t) of n + 1 users",
+       command(graph_n, profile_delta_to_bytes(full_profile_delta(
+                            InMemoryProfileStore(clustered(n + 1, 2))))),
+       "P(t) user count"});
+
+  for (const Case& c : cases) {
+    const WorkerVerdict verdict = run_worker_on(plan, c.bytes);
+    EXPECT_EQ(verdict.status.state, SubprocessStatus::State::Exited)
+        << c.name << ": " << verdict.status.describe();
+    EXPECT_EQ(verdict.status.exit_code, 13)
+        << c.name << ": " << verdict.status.describe();
+    EXPECT_NE(verdict.stderr_text.find(c.field), std::string::npos)
+        << c.name << ": " << verdict.stderr_text;
+  }
 }
 
 // ------------------------------------------------ KSHR result codec --

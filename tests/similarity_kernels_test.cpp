@@ -1,29 +1,21 @@
 // Differential suite for the batched phase-4 similarity kernels
-// (profiles/similarity_kernels.h): every measure, scalar vs SIMD backend,
-// random and adversarial profiles — kernel scores must be *bit-identical*
-// to the reference similarity() functions, which is the contract that
-// keeps the golden checksums backend-independent. Also covers the flat
-// profile layout, u16 weight quantization, unaligned SIMD windows (run
-// under UBSan in CI), and a golden-corpus replay with each backend forced.
-//
-// The ctest registrations run this binary twice — once with
-// KNNPC_KERNEL=simd and once with KNNPC_KERNEL=scalar — so the engine
-// "auto" paths in the replay are exercised under both forced settings.
+// (profiles/similarity_kernels.h): every measure through the item table
+// and through the merge it falls back to, on random and adversarial
+// profiles. Kernel scores must be *bit-identical* to the reference
+// similarity() functions, which is the contract that keeps the golden
+// checksums (tests/golden, pinned through the engines by golden_test)
+// independent of the scoring path. Also covers the flat profile layout
+// and u16 weight quantization.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/engine.h"
-#include "graph/knn_graph_io.h"
 #include "profiles/compact.h"
 #include "profiles/flat_profile.h"
 #include "profiles/generators.h"
@@ -32,10 +24,6 @@
 #include "profiles/profile_store.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
-
-#ifndef KNNPC_GOLDEN_DIR
-#error "KNNPC_GOLDEN_DIR must point at tests/golden"
-#endif
 
 namespace knnpc {
 namespace {
@@ -82,44 +70,10 @@ FlatProfileSet flatten(const std::vector<SparseProfile>& profiles,
          << a << " != " << b << " (bits " << bits.str() << ")";
 }
 
-/// The adversarial length set: empty, singletons, the SIMD window size
-/// (8 for AVX2, 4 for NEON) and its off-by-ones, and a spill-sized list
-/// long enough to cross many windows plus the galloping cutoff.
+/// The adversarial length set: empty, singletons, powers of two and their
+/// off-by-ones, and a list long enough to cross the galloping cutoff.
 const std::size_t kAdversarialLengths[] = {0, 1, 2, 3,  4,  5,  7,  8, 9,
                                            15, 16, 17, 31, 32, 33, 1000};
-
-// ------------------------------------------------ backend resolution --
-
-TEST(KernelBackendTest, ExplicitRequestsResolve) {
-  EXPECT_EQ(resolve_kernel_backend("scalar"), KernelBackend::Scalar);
-  // "simd" resolves to Simd where supported and degrades to Scalar
-  // elsewhere — either way it must not throw.
-  const KernelBackend simd = resolve_kernel_backend("simd");
-  if (simd_backend_available()) {
-    EXPECT_EQ(simd, KernelBackend::Simd);
-    EXPECT_STRNE(kernel_backend_name(simd), "scalar");
-  } else {
-    EXPECT_EQ(simd, KernelBackend::Scalar);
-  }
-  EXPECT_THROW(resolve_kernel_backend("avx512"), std::invalid_argument);
-  EXPECT_THROW(resolve_kernel_backend(""), std::invalid_argument);
-}
-
-TEST(KernelBackendTest, EnvVarOverridesAuto) {
-  const char* saved = std::getenv("KNNPC_KERNEL");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  ::setenv("KNNPC_KERNEL", "scalar", 1);
-  EXPECT_EQ(resolve_kernel_backend("auto"), KernelBackend::Scalar);
-  // An explicit request beats the env var.
-  EXPECT_EQ(resolve_kernel_backend("simd"),
-            simd_backend_available() ? KernelBackend::Simd
-                                     : KernelBackend::Scalar);
-  if (saved != nullptr) {
-    ::setenv("KNNPC_KERNEL", saved_value.c_str(), 1);
-  } else {
-    ::unsetenv("KNNPC_KERNEL");
-  }
-}
 
 // ----------------------------------------------------- flat profiles --
 
@@ -250,17 +204,18 @@ TEST(QuantizedFlatSetTest, HalvesWeightPayloadAndStaysDeterministic) {
   EXPECT_GT(quant.scale_of(0), 0.0f);
   EXPECT_EQ(plain.scale_of(0), 1.0f);
 
-  // Quantized scoring is NOT bit-identical to f32, but it must be
-  // bit-identical *across backends* for every measure.
+  // Quantized scoring is NOT bit-identical to f32, but the item table
+  // (score_batch) and the merge (score_pair) must agree bit for bit on it
+  // for every measure.
   KernelScratch scratch;
   for (const SimilarityMeasure m : kAllSimilarityMeasures) {
     for (VertexId v = 1; v < 8; ++v) {
-      const float scalar =
-          score_pair(quant.view(0), quant.view(v), m,
-                     KernelBackend::Scalar, scratch);
-      const float simd = score_pair(quant.view(0), quant.view(v), m,
-                                    KernelBackend::Simd, scratch);
-      EXPECT_TRUE(bit_equal(scalar, simd)) << similarity_name(m);
+      const float merge =
+          score_pair(quant.view(0), quant.view(v), m, scratch);
+      float table = -1.0f;
+      const VertexId candidate[] = {v};
+      score_batch(quant, nullptr, 0, candidate, m, &table, scratch);
+      EXPECT_TRUE(bit_equal(merge, table)) << similarity_name(m);
     }
   }
 }
@@ -287,7 +242,7 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> reference_intersect(
   return out;
 }
 
-TEST(IntersectTest, BothBackendsMatchReferenceOnAdversarialLengths) {
+TEST(IntersectTest, MatchesReferenceOnAdversarialLengths) {
   Rng rng(19);
   KernelScratch scratch;
   for (const std::size_t la : kAdversarialLengths) {
@@ -298,17 +253,12 @@ TEST(IntersectTest, BothBackendsMatchReferenceOnAdversarialLengths) {
       const FlatProfileSet set = flatten({a, b});
       const auto va = set.view(0);
       const auto vb = set.view(1);
-      for (const KernelBackend backend :
-           {KernelBackend::Scalar, KernelBackend::Simd}) {
-        const std::uint32_t count = intersect_items(
-            va.items, va.size, vb.items, vb.size, backend, scratch);
-        ASSERT_EQ(count, expected.size())
-            << "la=" << la << " lb=" << lb << " backend "
-            << kernel_backend_name(backend);
-        for (std::uint32_t k = 0; k < count; ++k) {
-          EXPECT_EQ(scratch.match_a[k], expected[k].first);
-          EXPECT_EQ(scratch.match_b[k], expected[k].second);
-        }
+      const std::uint32_t count =
+          intersect_items(va.items, va.size, vb.items, vb.size, scratch);
+      ASSERT_EQ(count, expected.size()) << "la=" << la << " lb=" << lb;
+      for (std::uint32_t k = 0; k < count; ++k) {
+        EXPECT_EQ(scratch.match_a[k], expected[k].first);
+        EXPECT_EQ(scratch.match_b[k], expected[k].second);
       }
     }
   }
@@ -326,44 +276,13 @@ TEST(IntersectTest, SkewedLengthsTakeTheGallopingPathCorrectly) {
   const SparseProfile small = prof(std::move(small_entries));
   const FlatProfileSet set = flatten({small, big});
   KernelScratch scratch;
-  for (const KernelBackend backend :
-       {KernelBackend::Scalar, KernelBackend::Simd}) {
-    // Both orientations (gallop in a vs gallop in b).
-    EXPECT_EQ(intersect_items(set.view(0).items, 3, set.view(1).items, 1000,
-                              backend, scratch),
-              3u);
-    EXPECT_EQ(intersect_items(set.view(1).items, 1000, set.view(0).items, 3,
-                              backend, scratch),
-              3u);
-  }
-}
-
-TEST(IntersectTest, UnalignedWindowsAreClean) {
-  // SIMD windows start at arbitrary (odd) addresses: intersect sub-ranges
-  // at every offset of a 67-entry list. Run under UBSan in CI — the
-  // unaligned loads must be sanitizer-clean, and results must still match
-  // the scalar backend.
-  Rng rng(29);
-  const SparseProfile a = random_profile(67, 1, rng);
-  const SparseProfile b = random_profile(67, 1, rng);
-  const FlatProfileSet set = flatten({a, b});
-  const auto va = set.view(0);
-  const auto vb = set.view(1);
-  KernelScratch scalar_scratch;
-  KernelScratch simd_scratch;
-  for (std::uint32_t off_a = 0; off_a < 4; ++off_a) {
-    for (std::uint32_t off_b = 0; off_b < 4; ++off_b) {
-      const std::uint32_t scalar_count = intersect_items(
-          va.items + off_a, va.size - off_a, vb.items + off_b,
-          vb.size - off_b, KernelBackend::Scalar, scalar_scratch);
-      const std::uint32_t simd_count = intersect_items(
-          va.items + off_a, va.size - off_a, vb.items + off_b,
-          vb.size - off_b, KernelBackend::Simd, simd_scratch);
-      ASSERT_EQ(scalar_count, simd_count);
-      EXPECT_EQ(scalar_scratch.match_a, simd_scratch.match_a);
-      EXPECT_EQ(scalar_scratch.match_b, simd_scratch.match_b);
-    }
-  }
+  // Both orientations (gallop in a vs gallop in b).
+  EXPECT_EQ(intersect_items(set.view(0).items, 3, set.view(1).items, 1000,
+                            scratch),
+            3u);
+  EXPECT_EQ(intersect_items(set.view(1).items, 1000, set.view(0).items, 3,
+                            scratch),
+            3u);
 }
 
 // ------------------------------------------- measure differentials --
@@ -382,15 +301,11 @@ TEST_P(KernelDifferentialTest, BitIdenticalToScalarOnRandomProfiles) {
   for (std::size_t i = 0; i + 1 < profiles.size(); i += 2) {
     const float reference =
         similarity(GetParam(), profiles[i], profiles[i + 1]);
-    for (const KernelBackend backend :
-         {KernelBackend::Scalar, KernelBackend::Simd}) {
-      const float kernel =
-          score_pair(set.view(static_cast<VertexId>(i)),
-                     set.view(static_cast<VertexId>(i + 1)), GetParam(),
-                     backend, scratch);
-      EXPECT_TRUE(bit_equal(kernel, reference))
-          << "pair " << i << " backend " << kernel_backend_name(backend);
-    }
+    const float kernel =
+        score_pair(set.view(static_cast<VertexId>(i)),
+                   set.view(static_cast<VertexId>(i + 1)), GetParam(),
+                   scratch);
+    EXPECT_TRUE(bit_equal(kernel, reference)) << "pair " << i;
   }
 }
 
@@ -405,14 +320,10 @@ TEST_P(KernelDifferentialTest, BitIdenticalOnAdversarialLengths) {
       const SparseProfile b = random_profile(lb, 2, rng);
       const float reference = similarity(GetParam(), a, b);
       const FlatProfileSet set = flatten({a, b});
-      for (const KernelBackend backend :
-           {KernelBackend::Scalar, KernelBackend::Simd}) {
-        const float kernel = score_pair(set.view(0), set.view(1), GetParam(),
-                                        backend, scratch);
-        EXPECT_TRUE(bit_equal(kernel, reference))
-            << "la=" << la << " lb=" << lb << " backend "
-            << kernel_backend_name(backend);
-      }
+      const float kernel =
+          score_pair(set.view(0), set.view(1), GetParam(), scratch);
+      EXPECT_TRUE(bit_equal(kernel, reference))
+          << "la=" << la << " lb=" << lb;
     }
   }
 }
@@ -429,13 +340,10 @@ TEST_P(KernelDifferentialTest, DegenerateConventionsSurviveTheKernels) {
   for (VertexId i = 0; i < zoo.size(); ++i) {
     for (VertexId j = 0; j < zoo.size(); ++j) {
       const float reference = similarity(GetParam(), zoo[i], zoo[j]);
-      for (const KernelBackend backend :
-           {KernelBackend::Scalar, KernelBackend::Simd}) {
-        EXPECT_TRUE(bit_equal(score_pair(set.view(i), set.view(j),
-                                         GetParam(), backend, scratch),
-                              reference))
-            << "zoo pair (" << i << ", " << j << ")";
-      }
+      EXPECT_TRUE(bit_equal(
+          score_pair(set.view(i), set.view(j), GetParam(), scratch),
+          reference))
+          << "zoo pair (" << i << ", " << j << ")";
     }
   }
 }
@@ -468,8 +376,7 @@ TEST(ScoreBatchTest, ScoresCandidatesAgainstBothSetsOfAPair) {
   std::vector<float> out(candidates.size());
   KernelScratch scratch;
   score_batch(primary, &secondary, /*src=*/0, candidates,
-              SimilarityMeasure::Cosine, resolve_kernel_backend("auto"),
-              out.data(), scratch);
+              SimilarityMeasure::Cosine, out.data(), scratch);
   auto profile_of = [&](VertexId v) -> const SparseProfile& {
     return v < 4 ? left[v] : right[v - 4];
   };
@@ -480,12 +387,10 @@ TEST(ScoreBatchTest, ScoresCandidatesAgainstBothSetsOfAPair) {
   // Endpoints outside the pair raise the engines' logic_error condition.
   const std::vector<VertexId> stranger = {99};
   EXPECT_THROW(score_batch(primary, &secondary, 0, stranger,
-                           SimilarityMeasure::Cosine,
-                           KernelBackend::Scalar, out.data(), scratch),
+                           SimilarityMeasure::Cosine, out.data(), scratch),
                std::logic_error);
   EXPECT_THROW(score_batch(primary, nullptr, 99, candidates,
-                           SimilarityMeasure::Cosine,
-                           KernelBackend::Scalar, out.data(), scratch),
+                           SimilarityMeasure::Cosine, out.data(), scratch),
                std::logic_error);
 }
 
@@ -542,8 +447,7 @@ void expect_batches_match_similarity(
   for (const SimilarityMeasure m : kAllSimilarityMeasures) {
     for (const auto& [src, candidates] : batches) {
       out.assign(candidates.size(), -1.0f);
-      score_batch(set, nullptr, src, candidates, m, KernelBackend::Scalar,
-                  out.data(), scratch);
+      score_batch(set, nullptr, src, candidates, m, out.data(), scratch);
       for (std::size_t c = 0; c < candidates.size(); ++c) {
         EXPECT_TRUE(bit_equal(
             out[c], similarity(m, stored[src], stored[candidates[c]])))
@@ -712,70 +616,14 @@ TEST(TablePathTest, BackToBackSourcesSharingAndNotSharingItems) {
   std::vector<float> out(2);
   const std::vector<VertexId> with_stranger = {3, 99};
   EXPECT_THROW(score_batch(set, nullptr, 1, with_stranger,
-                           SimilarityMeasure::CommonItems,
-                           KernelBackend::Scalar, out.data(), scratch),
+                           SimilarityMeasure::CommonItems, out.data(),
+                           scratch),
                std::logic_error);
   const std::vector<VertexId> candidates = {0, 3};
   score_batch(set, nullptr, 2, candidates, SimilarityMeasure::CommonItems,
-              KernelBackend::Scalar, out.data(), scratch);
+              out.data(), scratch);
   EXPECT_EQ(out[0], 0.0f);  // odds share nothing with evens
   EXPECT_EQ(out[1], 3.0f);  // 11, 13, 29
-}
-
-// ------------------------------------------------------ golden replay --
-
-/// Replays the base golden row (the first data line of checksums.tsv)
-/// with each kernel backend forced: the graph checksum must equal the
-/// pinned value byte-for-byte, proving the kernels sit inside the
-/// determinism contract rather than beside it.
-TEST(KernelGoldenReplayTest, BaseRowChecksumHoldsUnderBothBackends) {
-  std::ifstream in(std::string(KNNPC_GOLDEN_DIR) + "/checksums.tsv");
-  ASSERT_TRUE(in) << "golden corpus missing";
-  std::string line;
-  std::optional<std::uint64_t> pinned;
-  VertexId users = 0;
-  ItemId items = 0;
-  std::uint32_t clusters = 0;
-  std::uint32_t k = 0;
-  PartitionId partitions = 0;
-  std::uint64_t seed = 0;
-  std::uint32_t iters = 0;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string name;
-    std::string checksum_hex;
-    ASSERT_TRUE(fields >> name >> users >> items >> clusters >> k >>
-                partitions >> seed >> iters >> checksum_hex)
-        << line;
-    pinned = std::stoull(checksum_hex, nullptr, 16);
-    break;  // first data row = the base workload
-  }
-  ASSERT_TRUE(pinned.has_value());
-
-  // The pinned workload generator (golden_test.cpp's knobs, verbatim).
-  auto make_profiles = [&] {
-    Rng rng(21);
-    ClusteredGenConfig config;
-    config.base.num_users = users;
-    config.base.num_items = items;
-    config.base.min_items = 15;
-    config.base.max_items = 25;
-    config.num_clusters = clusters;
-    config.in_cluster_prob = 0.9;
-    return clustered_profiles(config, rng);
-  };
-  for (const char* kernel : {"scalar", "simd"}) {
-    EngineConfig config;
-    config.k = k;
-    config.num_partitions = partitions;
-    config.seed = seed;
-    config.kernel = kernel;
-    KnnEngine engine(config, make_profiles());
-    for (std::uint32_t i = 0; i < iters; ++i) engine.run_iteration();
-    EXPECT_EQ(knn_graph_checksum(engine.graph()), *pinned)
-        << "golden drift with kernel backend forced to " << kernel;
-  }
 }
 
 }  // namespace

@@ -215,17 +215,6 @@ TEST(PartitionStoreTest, ProfileOfMissingVertexIsNull) {
   EXPECT_EQ(p0.profile_of(39), nullptr);
 }
 
-TEST(PartitionStoreTest, WriteProfilesReplacesProfileFile) {
-  StoreFixture fx;
-  PartitionStore store(fx.dir.path());
-  store.write_all(fx.graph, fx.assignment, fx.profiles);
-  PartitionData data = store.load(0);
-  data.profiles[0] = SparseProfile({{999, 9.0f}});
-  store.write_profiles(0, data.vertices, data.profiles);
-  const PartitionData reloaded = store.load(0);
-  EXPECT_FLOAT_EQ(reloaded.profiles[0].weight(999), 9.0f);
-}
-
 TEST(PartitionStoreTest, IoAccountantTracksTraffic) {
   StoreFixture fx;
   PartitionStore store(fx.dir.path(), IoModel::hdd());
@@ -374,7 +363,7 @@ TEST(PartitionCacheTest, CountsLoadsAndUnloads) {
   StoreFixture fx;
   PartitionStore store(fx.dir.path());
   store.write_all(fx.graph, fx.assignment, fx.profiles);
-  PartitionCache cache(store, 2);
+  PartitionCache cache(2, [&](PartitionId p) { return store.load(p); });
   cache.get(0);
   cache.get(1);
   EXPECT_EQ(cache.loads(), 2u);
@@ -395,7 +384,7 @@ TEST(PartitionCacheTest, LruEvictionOrder) {
   StoreFixture fx;
   PartitionStore store(fx.dir.path());
   store.write_all(fx.graph, fx.assignment, fx.profiles);
-  PartitionCache cache(store, 2);
+  PartitionCache cache(2, [&](PartitionId p) { return store.load(p); });
   cache.get(0);
   cache.get(1);
   cache.get(0);  // 0 is now most recent

@@ -151,13 +151,8 @@ int main(int argc, char** argv) {
   opts.add_flag("reverse", "admit reverse candidates");
   opts.add_double("rho", "candidate sample rate", 1.0);
   opts.add_uint("repartition-every", "phase-1 period", 1);
-  opts.add_flag("mmap", "mmap partition files");
+  opts.add_flag("mmap", "mmap partition files (KnnEngine, --shards=1)");
   opts.add_flag("spill-scores", "spill phase-4 scores to disk");
-  opts.add_string("kernel",
-                  "phase-4 fallback merge backend for sources with an "
-                  "item id >= 2^20 (auto | scalar | simd); KNNPC_KERNEL "
-                  "overrides auto",
-                  "auto");
   opts.add_flag("quantize-profiles",
                 "score phase 4 over u16-quantized profile weights "
                 "(halves the flat weight payload; not bit-identical to "
@@ -261,7 +256,6 @@ int main(int argc, char** argv) {
   config.storage_mode = opts.get_flag("mmap") ? PartitionStore::Mode::Mmap
                                               : PartitionStore::Mode::Read;
   config.spill_scores = opts.get_flag("spill-scores");
-  config.kernel = opts.get_string("kernel");
   config.quantize_profiles = opts.get_flag("quantize-profiles");
   config.checkpoint = opts.get_flag("checkpoint");
   config.seed = opts.get_uint("seed");

@@ -1,7 +1,7 @@
 // Abl-5: engine design-choice ablations (DESIGN.md §5) — each knob the
 // engine exposes, toggled on the same workload:
 //   reverse candidates on/off, candidate sampling rate, incremental
-//   repartitioning period, read() vs mmap storage, random restarts.
+//   repartitioning period, random restarts, partitioner, traversal.
 // Reports per-iteration time, tuple volume, and final recall vs brute
 // force.
 //
@@ -52,8 +52,6 @@ int main(int argc, char** argv) {
       {"rho=0.5", [](EngineConfig& c) { c.sample_rate = 0.5; }},
       {"rho=0.25", [](EngineConfig& c) { c.sample_rate = 0.25; }},
       {"repart every 4", [](EngineConfig& c) { c.repartition_every = 4; }},
-      {"mmap storage",
-       [](EngineConfig& c) { c.storage_mode = PartitionStore::Mode::Mmap; }},
       {"no restarts", [](EngineConfig& c) { c.random_candidates = 0; }},
       {"greedy partition",
        [](EngineConfig& c) { c.partitioner = "greedy"; }},
@@ -91,9 +89,8 @@ int main(int argc, char** argv) {
   }
   std::printf("\nExpected shape: +reverse converges in fewer iterations at "
               "higher per-iteration\ncost; sampling trades recall for tuple "
-              "volume; repartition reuse and mmap cut\nper-iteration cost "
-              "without hurting recall; no-restarts matches here (static\n"
-              "profiles) but breaks dynamic-profile recovery (see "
-              "engine tests).\n");
+              "volume; repartition reuse cuts\nper-iteration cost without "
+              "hurting recall; no-restarts matches here (static\nprofiles) "
+              "but breaks dynamic-profile recovery (see engine tests).\n");
   return 0;
 }

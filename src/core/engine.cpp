@@ -330,8 +330,7 @@ IterationStats KnnEngine::run_iteration() {
   stats.iteration = iteration_;
   const VertexId n = profiles_.num_users();
   const PartitionId m = config_.num_partitions;
-  PartitionStore store(impl_->work_dir / "partitions", config_.io_model,
-                       config_.storage_mode);
+  PartitionStore store(impl_->work_dir / "partitions", config_.io_model);
   impl_->shard_io.reset();
 
   // ---- Phase 1: partition G(t) and write partition files. -------------
@@ -454,7 +453,7 @@ IterationStats KnnEngine::run_iteration() {
     // of the batched kernels, decoded once per load (on the pool when
     // threaded), not once per PI pair.
     PartitionCache cache(config_.memory_slots, [&](PartitionId p) {
-      return store.load_flat(p, config_.quantize_profiles, impl_->pool.get());
+      return store.load_flat(p, impl_->pool.get());
     });
     std::vector<float> scores;
     for (PairIndex idx : schedule) {

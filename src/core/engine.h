@@ -21,7 +21,6 @@
 #include "serve/snapshot_sink.h"
 #include "storage/block_file.h"
 #include "storage/io_model.h"
-#include "storage/partition_store.h"
 #include "util/types.h"
 
 namespace knnpc {
@@ -79,9 +78,6 @@ struct EngineConfig {
   /// Write the KNN graph to <work_dir>/checkpoint_latest.knng after every
   /// iteration (crash-resumable via graph/knn_graph_io.h).
   bool checkpoint = false;
-  /// How KnnEngine reads its partition files back (read() vs mmap). The
-  /// sharded driver writes none, so it ignores this.
-  PartitionStore::Mode storage_mode = PartitionStore::Mode::Read;
   /// Memory budget for the phase-2 tuple-shard buffers (and the phase-4
   /// score spill, when enabled); buffers flush to disk beyond this.
   std::size_t shard_buffer_bytes = 16u << 20;
@@ -95,10 +91,6 @@ struct EngineConfig {
   /// O(samples * n) similarities per iteration — observability, not part
   /// of the pipeline itself.
   std::size_t recall_samples = 0;
-  /// Score phase 4 over u16-quantized profile weights
-  /// (profiles/flat_profile.h): halves the flat weight payload but is NOT
-  /// bit-identical to f32 scoring — leave off for golden-checksum runs.
-  bool quantize_profiles = false;
   std::uint64_t seed = 42;
 };
 

@@ -13,6 +13,7 @@
 #include <exception>
 #include <filesystem>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -276,6 +277,31 @@ std::uint64_t shard_candidates_by_partition(const ShardContext& ctx,
   return table.size();
 }
 
+/// P(t) packed for phase 4 (tuples may reference any user) by the first
+/// get(), read-only after it. Thread mode shares one among its S bodies:
+/// the first to reach phase 4 packs, the others wait for it. A persistent
+/// worker holds one for its own body.
+class ProfilePack {
+ public:
+  explicit ProfilePack(const ProfileStore& profiles) : profiles_(profiles) {}
+
+  const FlatProfileSet& get() {
+    std::call_once(packed_, [this] {
+      const VertexId n = profiles_.num_users();
+      std::size_t total = 0;
+      for (VertexId v = 0; v < n; ++v) total += profiles_.get(v).size();
+      flat_.reserve(n, total);
+      for (VertexId v = 0; v < n; ++v) flat_.add(v, profiles_.get(v));
+    });
+    return flat_;
+  }
+
+ private:
+  const ProfileStore& profiles_;
+  std::once_flag packed_;
+  FlatProfileSet flat_;
+};
+
 /// Phases 2-4 for shard `w` against `graph` = G(t) and `profiles` =
 /// P(t): the driver's own in thread mode, the copy a persistent worker
 /// keeps current by KPRD deltas. `reverse` holds G(t)'s in-lists
@@ -290,17 +316,16 @@ std::uint64_t shard_candidates_by_partition(const ShardContext& ctx,
 /// (shard_candidates_by_partition). Either way the merged
 /// candidate_tuples is the serial engine's. Phases 3-4 then build the
 /// shard's own PI graph and schedule and keep top-K for the owned users
-/// only. Phase 4 packs all of `profiles` once, at its start, and scores
-/// every bundle from that pack; the pack is not built earlier, so it is
-/// never alive beside the shard's own phase-2 buffers. The shard reads no
-/// partition file: its private cache loads nothing and only counts the
-/// loads and unloads of the schedule. `fault_point`, when set, is called
-/// with "produce" after generation and with "consume" at the start of
-/// phase 4.
+/// only. Phase 4 scores every bundle from `profiles`, which it first gets
+/// at its start, so the pack is never alive beside phase 2's buffers. The
+/// shard reads no partition file: its private cache loads nothing and
+/// only counts the loads and unloads of the schedule. `fault_point`, when
+/// set, is called with "produce" after generation and with "consume" at
+/// the start of phase 4.
 ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
                       std::span<const VertexId> members,
                       const KnnGraph& graph, const ReverseAdjacency* reverse,
-                      std::uint64_t table_bound, const ProfileStore& profiles,
+                      std::uint64_t table_bound, ProfilePack& profiles,
                       ThreadPool* pool, IoAccountant* io,
                       ShardWorkerStats& worker,
                       const std::function<void(const char*)>& fault_point) {
@@ -370,16 +395,9 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
                                sizeof(ScoredTuple)),
                            io);
     }
-    // Tuples may reference any user, so pack the whole P(t) once —
-    // O(total entries), amortised over the full phase. The cache holds
-    // no data; it counts what the paper's PC would load (Table 1).
-    FlatProfileSet flat(config.quantize_profiles);
-    {
-      std::size_t total = 0;
-      for (VertexId v = 0; v < n; ++v) total += profiles.get(v).size();
-      flat.reserve(n, total);
-      for (VertexId v = 0; v < n; ++v) flat.add(v, profiles.get(v));
-    }
+    // The cache holds no data; it counts what the paper's PC would load
+    // (Table 1).
+    const FlatProfileSet& flat = profiles.get();
     PartitionCache cache(config.memory_slots, [](PartitionId p) {
       PartitionData data;
       data.id = p;
@@ -498,7 +516,8 @@ constexpr char kPlanMagic[4] = {'K', 'P', 'L', 'N'};
 // persistent worker read.
 // v4: drops the storage mode and the kernel backend string: no shard body
 // reads a partition file, and the SIMD merge is gone.
-constexpr std::uint32_t kPlanVersion = 4;
+// v5: drops the quantize_profiles flag: profiles are scored as f32 only.
+constexpr std::uint32_t kPlanVersion = 5;
 
 // Tripwire: the plan frame hand-serialises the subset of EngineConfig the
 // shard body reads. A field added to EngineConfig that the body reads
@@ -508,7 +527,7 @@ constexpr std::uint32_t kPlanVersion = 4;
 // platform until plan_to_bytes/plan_from_bytes (below) were reviewed and
 // this constant is bumped.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(EngineConfig) == 256,
+static_assert(sizeof(EngineConfig) == 240,
               "EngineConfig changed: review the worker plan "
               "serialisation (plan_to_bytes/plan_from_bytes) before "
               "bumping this size");
@@ -565,13 +584,10 @@ WorkerPlan plan_from_bytes(std::span<const std::byte> bytes) {
   read(config.random_candidates);
   std::uint8_t reverse = 0;
   std::uint8_t spill = 0;
-  std::uint8_t quantize = 0;
   read(reverse);
   read(spill);
-  read(quantize);
   config.include_reverse = reverse != 0;
   config.spill_scores = spill != 0;
-  config.quantize_profiles = quantize != 0;
   read_string(config.heuristic);
   read_string(config.io_model.name);
   read(config.io_model.seek_us);
@@ -660,7 +676,6 @@ std::vector<std::byte> plan_to_bytes(const WorkerPlan& plan) {
   append_record(bytes, config.random_candidates);
   append_record(bytes, static_cast<std::uint8_t>(config.include_reverse));
   append_record(bytes, static_cast<std::uint8_t>(config.spill_scores));
-  append_record(bytes, static_cast<std::uint8_t>(config.quantize_profiles));
   append_string(bytes, config.heuristic);
   append_string(bytes, config.io_model.name);
   append_record(bytes, config.io_model.seek_us);
@@ -1324,12 +1339,16 @@ int persistent_worker_main(const fs::path& work_dir,
       table_bound = shard_table_bounds(config, graph, *shard_owner)[shard];
       reverse = build_reverse_adjacency(graph);
     }
-    const ShardOutput out = run_shard(
-        ctx, shard, members, graph, reverse ? &*reverse : nullptr,
-        table_bound, local_profiles, pool.get(), &io, worker,
-        [&](const char* point) {
-          maybe_inject_fault(point, shard, attempt, iteration);
-        });
+    ShardOutput out;
+    {
+      // Freed when the body returns, before the reply is built.
+      ProfilePack pack(local_profiles);
+      out = run_shard(ctx, shard, members, graph,
+                      reverse ? &*reverse : nullptr, table_bound, pack,
+                      pool.get(), &io, worker, [&](const char* point) {
+                        maybe_inject_fault(point, shard, attempt, iteration);
+                      });
+    }
     ShardResult result;
     result.shard = shard;
     result.num_vertices = assignment->num_vertices();
@@ -1712,9 +1731,9 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
     }
   } else {
     // ---- Thread mode: one thread per shard, each with its own pool and
-    // I/O accountant, reading the driver's G(t) and P(t); on the
-    // partition walk the tables are sized and G(t)'s in-lists built
-    // here, on the calling thread.
+    // I/O accountant, reading the driver's G(t) and one shared pack of its
+    // P(t); on the partition walk the tables are sized and G(t)'s in-lists
+    // built here, on the calling thread.
     const ShardContext ctx{config_,    iteration_,  S,
                            assignment, shard_owner, impl_->work_dir};
     std::vector<std::uint64_t> table_bounds(S, 0);
@@ -1723,6 +1742,7 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
       table_bounds = shard_table_bounds(config_, graph_, shard_owner);
       reverse = build_reverse_adjacency(graph_);
     }
+    ProfilePack pack(profiles_);
     std::vector<std::unique_ptr<IoAccountant>> worker_io;
     worker_io.reserve(S);
     for (std::uint32_t s = 0; s < S; ++s) {
@@ -1739,7 +1759,7 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
           ShardOutput shard_out =
               run_shard(ctx, w, shard_members[w], graph_,
                         reverse ? &*reverse : nullptr, table_bounds[w],
-                        profiles_, impl_->pools[w].get(),
+                        pack, impl_->pools[w].get(),
                         worker_io[w].get(), out.workers[w],
                         /*fault_point=*/{});
           change_counts[w] = shard_out.changed;

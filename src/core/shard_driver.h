@@ -18,11 +18,11 @@
 //            with include_reverse instead derive every edges-only
 //            partition from G(t), run the partition rules over all m and
 //            keep the candidates whose source it owns in a TupleTable;
-//            phases 3-4: build its own PI graph + schedule, pack the
-//            P(t) its process holds once, score its pair bundles in
-//            schedule order from that pack (a private 2-slot cache still
-//            counts the partition loads and unloads) and keep top-K for
-//            its users only.
+//            phases 3-4: build its own PI graph + schedule, score its
+//            pair bundles in schedule order from one pack of the P(t) its
+//            process holds (thread-mode bodies share one; a private 2-slot
+//            cache still counts the partition loads and unloads) and keep
+//            top-K for its users only.
 //   driver   merge the per-shard graphs (core/sharded_knn_graph.h's
 //            ShardedKnnGraph) and run phase 5 on the shared profiles.
 //
@@ -76,10 +76,11 @@ std::uint32_t resolve_shard_count(std::uint32_t requested,
 /// How the S workers execute one iteration.
 enum class ShardWorkerMode {
   /// One thread per worker inside the driver's process, each running the
-  /// shard body over the driver's own G(t) and P(t), read-only. It
-  /// differs from Persistent only in transport. It is the default, the
-  /// only sharded mode that needs no worker binary, and how the tsan CI
-  /// job checks S shard bodies that share one G(t) and one P(t).
+  /// shard body over the driver's own G(t) and one flat pack of its P(t)
+  /// (built by the first body to reach phase 4), read-only. It differs
+  /// from Persistent only in transport. It is the default, the only
+  /// sharded mode that needs no worker binary, and how the tsan CI job
+  /// checks S shard bodies that share one G(t) and one P(t) pack.
   Thread,
   /// S worker processes spawned ONCE per run and kept alive across
   /// iterations: the driver re-executes `ShardConfig::worker_exe` in the

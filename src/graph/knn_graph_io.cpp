@@ -56,6 +56,11 @@ void save_knn_graph_file(const std::filesystem::path& path,
                              path.string());
   }
   save_knn_graph(out, graph);
+  out.close();  // flush now, so a full disk fails the save
+  if (!out) {
+    throw std::runtime_error("save_knn_graph_file: write failed on " +
+                             path.string());
+  }
 }
 
 KnnGraph load_knn_graph(std::istream& in) {

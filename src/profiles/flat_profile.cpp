@@ -4,20 +4,18 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "profiles/compact.h"
 #include "util/thread_pool.h"
 
 namespace knnpc {
 
 FlatProfileSet FlatProfileSet::from_profiles(
     std::span<const VertexId> ids,
-    std::span<const std::span<const ProfileEntry>> rows, bool quantize,
-    ThreadPool* pool) {
+    std::span<const std::span<const ProfileEntry>> rows, ThreadPool* pool) {
   if (ids.size() != rows.size()) {
     throw std::invalid_argument(
         "FlatProfileSet::from_profiles: one id per profile required");
   }
-  FlatProfileSet set(quantize);
+  FlatProfileSet set;
   set.offsets_.resize(rows.size() + 1);
   for (std::size_t r = 0; r < rows.size(); ++r) {
     if (r > 0 && ids[r] <= ids[r - 1]) {
@@ -33,10 +31,6 @@ FlatProfileSet FlatProfileSet::from_profiles(
   set.weights_.resize(total);
   set.norms_.resize(rows.size());
   set.means_.resize(rows.size());
-  if (quantize) {
-    set.qcodes_.resize(total);
-    set.qscales_.resize(rows.size());
-  }
   auto fill = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t r = lo; r < hi; ++r) {
       std::uint32_t i = set.offsets_[r];
@@ -63,10 +57,6 @@ void FlatProfileSet::reserve(std::size_t users, std::size_t entries) {
   means_.reserve(users);
   items_.reserve(entries);
   weights_.reserve(entries);
-  if (quantize_) {
-    qcodes_.reserve(entries);
-    qscales_.reserve(users);
-  }
 }
 
 void FlatProfileSet::clear() {
@@ -74,8 +64,6 @@ void FlatProfileSet::clear() {
   offsets_.assign(1, 0);
   items_.clear();
   weights_.clear();
-  qcodes_.clear();
-  qscales_.clear();
   norms_.clear();
   means_.clear();
 }
@@ -93,29 +81,16 @@ void FlatProfileSet::add(VertexId v, const SparseProfile& p) {
   offsets_.push_back(static_cast<std::uint32_t>(items_.size()));
   norms_.push_back(0.0);
   means_.push_back(0.0);
-  if (quantize_) {
-    qcodes_.resize(items_.size());
-    qscales_.push_back(1.0f);
-  }
   seal_row(ids_.size() - 1);
 }
 
 void FlatProfileSet::seal_row(std::size_t row) {
   const std::uint32_t begin = offsets_[row];
-  const std::span<float> weights(weights_.data() + begin,
-                                 offsets_[row + 1] - begin);
-  if (quantize_) {
-    const float scale = quantize_weights_u16(
-        weights, std::span(qcodes_.data() + begin, weights.size()));
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-      weights[i] = dequantize_weight_u16(qcodes_[begin + i], scale);
-    }
-    qscales_[row] = scale;
-  }
-  // Norm and mean over the *stored* weights, in entry order — the same
-  // accumulation sequence as SparseProfile::norm() and the scalar
-  // mean_weight() in similarity.cpp, so unquantized scores match the
-  // scalar path bit-for-bit.
+  const std::span<const float> weights(weights_.data() + begin,
+                                       offsets_[row + 1] - begin);
+  // Norm and mean in entry order — the same accumulation sequence as
+  // SparseProfile::norm() and the scalar mean_weight() in similarity.cpp,
+  // so kernel scores match the scalar path bit-for-bit.
   double sq = 0.0;
   double sum = 0.0;
   for (const float w : weights) {
@@ -161,23 +136,6 @@ FlatProfileSet::View FlatProfileSet::view(VertexId v) const {
     throw std::out_of_range("FlatProfileSet: vertex not in set");
   }
   return out;
-}
-
-std::size_t FlatProfileSet::weight_payload_bytes() const {
-  if (quantize_) {
-    return qcodes_.size() * sizeof(std::uint16_t) +
-           qscales_.size() * sizeof(float);
-  }
-  return weights_.size() * sizeof(float);
-}
-
-float FlatProfileSet::scale_of(VertexId v) const {
-  if (!quantize_) return 1.0f;
-  const std::size_t row = row_of(v);
-  if (row == kNoRow) {
-    throw std::out_of_range("FlatProfileSet: vertex not in set");
-  }
-  return qscales_[row];
 }
 
 }  // namespace knnpc

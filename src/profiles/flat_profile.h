@@ -20,13 +20,6 @@
 // the scalar measures in profiles/similarity.cpp, so kernel scores are
 // bit-identical to the per-pair scalar path (the golden-checksum
 // contract; see ARCHITECTURE.md "Phase-4 similarity kernels").
-//
-// Optional u16 scaled-weight quantization (profiles/compact.h) halves the
-// weight payload; scoring then runs on the dequantized values, which is
-// NOT bit-identical to f32 scoring — it is opt-in
-// (EngineConfig::quantize_profiles, off by default) and outside the
-// golden contract. Quantized scoring is still deterministic, and the item
-// table and the merge score it bit-identically.
 #pragma once
 
 #include <cstddef>
@@ -54,8 +47,6 @@ class FlatProfileSet {
     double mean = 0.0;  ///< Mean stored weight (0 when empty).
   };
 
-  explicit FlatProfileSet(bool quantize = false) : quantize_(quantize) {}
-
   /// Builds the set from one entry list per profile — typically
   /// packed_profile_views() of a partition's profile file — where
   /// `rows[i]` belongs to `ids[i]` (strictly ascending). The calling
@@ -65,7 +56,7 @@ class FlatProfileSet {
   /// ids are unsorted or do not match the rows one to one.
   static FlatProfileSet from_profiles(
       std::span<const VertexId> ids,
-      std::span<const std::span<const ProfileEntry>> rows, bool quantize,
+      std::span<const std::span<const ProfileEntry>> rows,
       ThreadPool* pool = nullptr);
 
   void reserve(std::size_t users, std::size_t entries);
@@ -86,14 +77,6 @@ class FlatProfileSet {
 
   [[nodiscard]] std::size_t num_profiles() const { return ids_.size(); }
   [[nodiscard]] std::size_t total_entries() const { return items_.size(); }
-  [[nodiscard]] bool quantized() const { return quantize_; }
-
-  /// Bytes the weight payload occupies in this layout's wire/disk form:
-  /// u16 codes + per-profile f32 scale when quantized, f32 otherwise.
-  [[nodiscard]] std::size_t weight_payload_bytes() const;
-
-  /// Per-profile quantization scale (1.0 when not quantized or empty).
-  [[nodiscard]] float scale_of(VertexId v) const;
 
  private:
   static constexpr std::size_t kNoRow = ~std::size_t{0};
@@ -101,17 +84,14 @@ class FlatProfileSet {
   [[nodiscard]] View view_of_row(std::size_t row) const;
   /// Row of `v`, or kNoRow.
   [[nodiscard]] std::size_t row_of(VertexId v) const noexcept;
-  /// Quantizes (when enabled) and computes the norm and mean of a row
-  /// whose items and raw weights are in place.
+  /// Computes the norm and mean of a row whose items and weights are in
+  /// place.
   void seal_row(std::size_t row);
 
-  bool quantize_ = false;
   std::vector<VertexId> ids_;              // ascending; row = index
   std::vector<std::uint32_t> offsets_{0};  // rows + 1
   std::vector<ItemId> items_;
-  std::vector<float> weights_;  // dequantized copies when quantize_
-  std::vector<std::uint16_t> qcodes_;
-  std::vector<float> qscales_;
+  std::vector<float> weights_;
   std::vector<double> norms_;
   std::vector<double> means_;
 };

@@ -577,7 +577,10 @@ OutOfCoreIngestStats ingest_ratings_file(const std::string& ratings_path,
     stats.runs = records.empty() ? 0 : 1;
   } else {
     spill_run();
-    runs_out.close();
+    runs_out.close();  // flushes the last run's buffered tail
+    if (!runs_out) {
+      throw err(Kind::Io, 0, "ingest: write failed on " + runs_path);
+    }
     stats.runs = run_index.size();
     // Free the parse-phase record buffer before standing up merge cursors.
     records.clear();

@@ -111,8 +111,7 @@ std::uint32_t intersect_items(const ItemId* a, std::uint32_t na,
                               KernelScratch& scratch);
 
 /// One pair through the kernel for `measure`. Bit-identical to
-/// similarity(measure, a, b) on the profiles the views were packed from
-/// (when the set is unquantized).
+/// similarity(measure, a, b) on the profiles the views were packed from.
 float score_pair(const FlatProfileSet::View& a,
                  const FlatProfileSet::View& b, SimilarityMeasure measure,
                  KernelScratch& scratch);

@@ -17,18 +17,18 @@ void write_file(const fs::path& path, std::span<const std::byte> bytes,
     fs::create_directories(path.parent_path(), ec);  // ok if it exists
   }
   const fs::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("write_file: cannot open " + tmp.string());
-    }
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      throw std::runtime_error("write_file: short write to " + tmp.string());
-    }
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    throw std::runtime_error("write_file: cannot open " + tmp.string());
   }
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  out.close();  // flushes the tail: a full disk fails here, not in ~ofstream
   std::error_code ec;
+  if (!out) {
+    fs::remove(tmp, ec);
+    throw std::runtime_error("write_file: short write to " + tmp.string());
+  }
   fs::rename(tmp, path, ec);
   if (ec) {
     throw std::runtime_error("write_file: rename failed: " + ec.message());

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "storage/block_file.h"
-#include "storage/mmap_file.h"
 #include "util/serde.h"
 #include "util/thread_pool.h"
 
@@ -19,8 +18,8 @@ const SparseProfile* PartitionData::profile_of(VertexId v) const {
   return &profiles[idx];
 }
 
-PartitionStore::PartitionStore(fs::path dir, IoModel model, Mode mode)
-    : dir_(std::move(dir)), io_(std::move(model)), mode_(mode) {
+PartitionStore::PartitionStore(fs::path dir, IoModel model)
+    : dir_(std::move(dir)), io_(std::move(model)) {
   fs::create_directories(dir_);
 }
 
@@ -29,14 +28,6 @@ fs::path PartitionStore::file(PartitionId id, const char* suffix) const {
 }
 
 std::vector<std::byte> PartitionStore::fetch(const fs::path& path) const {
-  if (mode_ == Mode::Mmap) {
-    const MmapFile mapping(path);
-    mapping.advise_sequential();
-    const auto view = mapping.bytes();
-    std::vector<std::byte> bytes(view.begin(), view.end());
-    io_.charge_read(bytes.size());
-    return bytes;
-  }
   IoCounters raw;
   auto bytes = read_file(path, raw);
   io_.charge_read(bytes.size());
@@ -184,7 +175,7 @@ PartitionData PartitionStore::load(PartitionId id) const {
   return data;
 }
 
-PartitionData PartitionStore::load_flat(PartitionId id, bool quantize,
+PartitionData PartitionStore::load_flat(PartitionId id,
                                         ThreadPool* pool) const {
   PartitionData data;
   data.id = id;
@@ -197,8 +188,7 @@ PartitionData PartitionStore::load_flat(PartitionId id, bool quantize,
     throw std::runtime_error(
         "PartitionStore::load_flat: profile count mismatch");
   }
-  data.flat =
-      FlatProfileSet::from_profiles(data.vertices, profiles, quantize, pool);
+  data.flat = FlatProfileSet::from_profiles(data.vertices, profiles, pool);
   return data;
 }
 

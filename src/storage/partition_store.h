@@ -63,14 +63,7 @@ struct PartitionData {
 /// layout; two stores over one directory must not write concurrently.
 class PartitionStore {
  public:
-  /// How partition files are brought into memory.
-  enum class Mode {
-    Read,  // read() the whole file into a buffer
-    Mmap,  // mmap + MADV_SEQUENTIAL, copy out of the mapping
-  };
-
-  PartitionStore(std::filesystem::path dir, IoModel model = IoModel::none(),
-                 Mode mode = Mode::Read);
+  PartitionStore(std::filesystem::path dir, IoModel model = IoModel::none());
 
   /// Splits graph + profiles by `assignment` and writes all partition
   /// files. Profiles indexed by vertex id; edges of G(t) are routed to the
@@ -100,7 +93,7 @@ class PartitionStore {
   /// when given), with no SparseProfile in between. It reads the same four
   /// files as load(), so a phase-4 load is charged the whole partition;
   /// the edge files are not decoded — phase 4 never merge-joins.
-  [[nodiscard]] PartitionData load_flat(PartitionId id, bool quantize,
+  [[nodiscard]] PartitionData load_flat(PartitionId id,
                                         ThreadPool* pool = nullptr) const;
 
   [[nodiscard]] PartitionId num_partitions() const noexcept { return m_; }
@@ -112,14 +105,13 @@ class PartitionStore {
  private:
   [[nodiscard]] std::filesystem::path file(PartitionId id,
                                            const char* suffix) const;
-  /// Reads a partition file honouring mode_, charging the accountant.
+  /// Reads a whole partition file, charging the accountant.
   [[nodiscard]] std::vector<std::byte> fetch(
       const std::filesystem::path& path) const;
 
   std::filesystem::path dir_;
   mutable IoAccountant io_;
   PartitionId m_ = 0;
-  Mode mode_ = Mode::Read;
 };
 
 /// Partition `id` of `graph` under `assignment`, edges only, built in

@@ -110,6 +110,7 @@ class RecordShardWriter {
     const auto bytes = to_bytes(buffer);
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
+    out.close();  // flush now, so a full disk fails the append
     if (!out) {
       throw std::runtime_error("RecordShardWriter: short append to " +
                                shard_path(shard).string());
@@ -150,6 +151,7 @@ void write_record_shard(const std::filesystem::path& path,
   const auto bytes = std::as_bytes(records);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
+  out.close();  // flush now, so a full disk fails the write
   if (!out) {
     throw std::runtime_error("write_record_shard: cannot write " +
                              path.string());

@@ -1,10 +1,9 @@
-// Tests for the extension features: mmap storage, KNN-graph
-// serialisation/checkpointing, the cost-aware heuristic, and the engine's
+// Tests for the extension features: KNN-graph serialisation and
+// checkpointing, the cost-aware heuristic, and the engine's
 // reverse-candidate / sampling / incremental-repartitioning options.
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 
 #include "core/brute_force.h"
 #include "core/engine.h"
@@ -15,7 +14,6 @@
 #include "pigraph/heuristics.h"
 #include "pigraph/simulator.h"
 #include "profiles/generators.h"
-#include "storage/mmap_file.h"
 #include "storage/partition_store.h"
 #include "util/rng.h"
 
@@ -31,84 +29,6 @@ std::vector<SparseProfile> clustered(VertexId n, std::uint32_t clusters,
   config.base.num_items = 400;
   config.num_clusters = clusters;
   return clustered_profiles(config, rng);
-}
-
-// ------------------------------------------------------------------ mmap --
-
-TEST(MmapFileTest, MapsFileContents) {
-  ScratchDir dir("mmap");
-  const fs::path path = dir.path() / "data.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "hello mmap";
-  }
-  MmapFile mapping(path);
-  ASSERT_EQ(mapping.size(), 10u);
-  EXPECT_EQ(static_cast<char>(mapping.bytes()[0]), 'h');
-  EXPECT_EQ(static_cast<char>(mapping.bytes()[9]), 'p');
-  mapping.advise_sequential();  // must not crash
-}
-
-TEST(MmapFileTest, EmptyFileMapsToEmptySpan) {
-  ScratchDir dir("mmap-empty");
-  const fs::path path = dir.path() / "empty.bin";
-  { std::ofstream out(path, std::ios::binary); }
-  MmapFile mapping(path);
-  EXPECT_EQ(mapping.size(), 0u);
-  EXPECT_TRUE(mapping.bytes().empty());
-}
-
-TEST(MmapFileTest, MissingFileThrows) {
-  EXPECT_THROW(MmapFile("/nonexistent/nope.bin"), std::runtime_error);
-}
-
-TEST(MmapFileTest, MoveTransfersOwnership) {
-  ScratchDir dir("mmap-move");
-  const fs::path path = dir.path() / "data.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "abc";
-  }
-  MmapFile first(path);
-  MmapFile second(std::move(first));
-  EXPECT_EQ(second.size(), 3u);
-  EXPECT_EQ(first.size(), 0u);  // NOLINT(bugprone-use-after-move): testing
-}
-
-TEST(PartitionStoreMmapTest, MmapModeLoadsIdenticalData) {
-  Rng rng(71);
-  const EdgeList graph = erdos_renyi(40, 200, rng);
-  const Digraph dg(graph);
-  PartitionAssignment assignment;
-  {
-    const auto partitioner = make_partitioner("range");
-    assignment = partitioner->assign(dg, 4);
-  }
-  ProfileGenConfig pconfig;
-  pconfig.num_users = 40;
-  InMemoryProfileStore profiles(uniform_profiles(pconfig, rng));
-
-  ScratchDir dir("mmap-store");
-  PartitionStore writer(dir.path());
-  writer.write_all(graph, assignment, profiles);
-
-  PartitionStore read_mode(dir.path(), IoModel::none(),
-                           PartitionStore::Mode::Read);
-  PartitionStore mmap_mode(dir.path(), IoModel::none(),
-                           PartitionStore::Mode::Mmap);
-  for (PartitionId p = 0; p < 4; ++p) {
-    const PartitionData a = read_mode.load(p);
-    const PartitionData b = mmap_mode.load(p);
-    EXPECT_EQ(a.vertices, b.vertices);
-    EXPECT_EQ(a.in_edges, b.in_edges);
-    EXPECT_EQ(a.out_edges, b.out_edges);
-    ASSERT_EQ(a.profiles.size(), b.profiles.size());
-    for (std::size_t i = 0; i < a.profiles.size(); ++i) {
-      EXPECT_EQ(a.profiles[i], b.profiles[i]);
-    }
-  }
-  EXPECT_EQ(read_mode.io().counters().bytes_read,
-            mmap_mode.io().counters().bytes_read);
 }
 
 // ---------------------------------------------------------- knn graph io --
@@ -314,26 +234,6 @@ TEST(EngineExtensionsTest, CheckpointFileIsWrittenAndLoadable) {
   resumed.set_initial_graph(loaded);
   const IterationStats s = resumed.run_iteration();
   EXPECT_GT(s.unique_tuples, 0u);
-}
-
-TEST(EngineExtensionsTest, MmapModeProducesIdenticalGraphs) {
-  EngineConfig read_config;
-  read_config.k = 5;
-  read_config.num_partitions = 4;
-  EngineConfig mmap_config = read_config;
-  mmap_config.storage_mode = PartitionStore::Mode::Mmap;
-  KnnEngine read_engine(read_config, clustered(90, 3, 87));
-  KnnEngine mmap_engine(mmap_config, clustered(90, 3, 87));
-  read_engine.run_iteration();
-  mmap_engine.run_iteration();
-  for (VertexId v = 0; v < 90; ++v) {
-    const auto a = read_engine.graph().neighbors(v);
-    const auto b = mmap_engine.graph().neighbors(v);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id);
-    }
-  }
 }
 
 // ------------------------------------------------------ failure injection --

@@ -1,16 +1,14 @@
 // Tests for the second wave of features: graph-seeded initialisation,
-// memory-budget partition sizing, profile compaction, and the engine
-// under every similarity measure.
+// memory-budget partition sizing, and the engine under every similarity
+// measure.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 
 #include "core/engine.h"
 #include "core/metrics.h"
 #include "graph/generators.h"
 #include "graph/knn_graph.h"
-#include "profiles/compact.h"
 #include "profiles/generators.h"
 #include "util/rng.h"
 
@@ -116,160 +114,6 @@ TEST(PartitionSizingTest, SuggestedCountKeepsResidentPairUnderBudget) {
       suggest_partition_count(total, budget, 2, gen.num_users);
   // Two partitions of total/m must fit in the budget.
   EXPECT_LE(2 * (total / m), budget);
-}
-
-// ------------------------------------------------------------- compaction
-
-TEST(CompactionTest, DropsRareItemsAndRenumbersDensely) {
-  std::vector<SparseProfile> profiles;
-  profiles.emplace_back(
-      std::vector<ProfileEntry>{{10, 1.0f}, {20, 1.0f}, {99, 1.0f}});
-  profiles.emplace_back(std::vector<ProfileEntry>{{10, 2.0f}, {20, 2.0f}});
-  profiles.emplace_back(std::vector<ProfileEntry>{{10, 3.0f}});
-  CompactionConfig config;
-  config.min_item_support = 2;  // 99 appears once -> dropped
-  const CompactionResult result = compact_profiles(profiles, config);
-  EXPECT_EQ(result.dropped_items, 1u);
-  EXPECT_EQ(result.kept_items, (std::vector<ItemId>{10, 20}));
-  ASSERT_EQ(result.profiles.size(), 3u);
-  // Item 10 -> 0, item 20 -> 1.
-  EXPECT_FLOAT_EQ(result.profiles[0].weight(0), 1.0f);
-  EXPECT_FLOAT_EQ(result.profiles[0].weight(1), 1.0f);
-  EXPECT_FLOAT_EQ(result.profiles[0].weight(2), 0.0f);  // 99 gone
-  EXPECT_FLOAT_EQ(result.profiles[2].weight(0), 3.0f);
-}
-
-TEST(CompactionTest, DropsUndersizedUsers) {
-  std::vector<SparseProfile> profiles;
-  profiles.emplace_back(std::vector<ProfileEntry>{{1, 1.0f}, {2, 1.0f}});
-  profiles.emplace_back(std::vector<ProfileEntry>{{1, 1.0f}, {9, 1.0f}});
-  profiles.emplace_back(std::vector<ProfileEntry>{{9, 1.0f}});
-  CompactionConfig config;
-  config.min_item_support = 2;   // item 2 (1 user) and... 1:2 users, 9:2
-  config.min_profile_size = 2;
-  const CompactionResult result = compact_profiles(profiles, config);
-  // Items 1 and 9 survive; item 2 dropped. User 0 keeps {1} (size 1 <
-  // 2) -> dropped; user 1 keeps {1, 9} -> kept; user 2 keeps {9} -> drop.
-  EXPECT_EQ(result.dropped_users, 2u);
-  ASSERT_EQ(result.kept_users.size(), 1u);
-  EXPECT_EQ(result.kept_users[0], 1u);
-}
-
-TEST(CompactionTest, NoopWhenEverythingSupported) {
-  Rng rng(19);
-  ProfileGenConfig gen;
-  gen.num_users = 50;
-  gen.num_items = 20;  // dense: every item has many users
-  gen.min_items = 10;
-  gen.max_items = 15;
-  const auto profiles = uniform_profiles(gen, rng);
-  const CompactionResult result =
-      compact_profiles(profiles, CompactionConfig{});
-  EXPECT_EQ(result.dropped_users, 0u);
-  EXPECT_EQ(result.profiles.size(), 50u);
-}
-
-TEST(CompactionTest, EmptyInput) {
-  const CompactionResult result = compact_profiles({}, CompactionConfig{});
-  EXPECT_TRUE(result.profiles.empty());
-  EXPECT_EQ(result.dropped_items, 0u);
-}
-
-TEST(CompactionTest, SinglePassLeavesUndersupportedSurvivors) {
-  // The documented single-pass semantics: item support is counted over
-  // the *original* users, so dropping user 2 (below min_profile_size)
-  // may leave item 9 with just one supporter among the kept users —
-  // and that is not a bug under cascade=false.
-  std::vector<SparseProfile> profiles;
-  profiles.emplace_back(std::vector<ProfileEntry>{{1, 1.0f}, {2, 1.0f}});
-  profiles.emplace_back(std::vector<ProfileEntry>{{1, 1.0f}, {9, 1.0f}});
-  profiles.emplace_back(std::vector<ProfileEntry>{{9, 1.0f}});
-  CompactionConfig config;
-  config.min_item_support = 2;
-  config.min_profile_size = 2;
-  const CompactionResult result = compact_profiles(profiles, config);
-  EXPECT_EQ(result.kept_items, (std::vector<ItemId>{1, 9}));
-  EXPECT_EQ(result.kept_users, (std::vector<VertexId>{1}));
-}
-
-TEST(CompactionTest, CascadeIteratesToFixpoint) {
-  // Same input under cascade=true: dropping users 0 and 2 leaves items 1
-  // and 9 with one supporter each -> they fall, which empties user 1 ->
-  // everything cascades away. The exact counters must still add up.
-  std::vector<SparseProfile> profiles;
-  profiles.emplace_back(std::vector<ProfileEntry>{{1, 1.0f}, {2, 1.0f}});
-  profiles.emplace_back(std::vector<ProfileEntry>{{1, 1.0f}, {9, 1.0f}});
-  profiles.emplace_back(std::vector<ProfileEntry>{{9, 1.0f}});
-  CompactionConfig config;
-  config.min_item_support = 2;
-  config.min_profile_size = 2;
-  config.cascade = true;
-  const CompactionResult result = compact_profiles(profiles, config);
-  EXPECT_TRUE(result.kept_users.empty());
-  EXPECT_TRUE(result.kept_items.empty());
-  EXPECT_EQ(result.dropped_users, 3u);
-  EXPECT_EQ(result.dropped_items, 3u);  // items 1, 2, 9
-}
-
-TEST(CompactionTest, CascadeStopsAtAStableCore) {
-  // A 3-user clique over items {1, 2} is a genuine 2-core; a pendant
-  // user + pendant item hang off it and must cascade away without
-  // taking the core along.
-  std::vector<SparseProfile> profiles;
-  profiles.emplace_back(std::vector<ProfileEntry>{{1, 1.0f}, {2, 1.0f}});
-  profiles.emplace_back(std::vector<ProfileEntry>{{1, 1.0f}, {2, 1.0f}});
-  profiles.emplace_back(std::vector<ProfileEntry>{{1, 1.0f}, {2, 1.0f}});
-  profiles.emplace_back(std::vector<ProfileEntry>{{2, 1.0f}, {7, 1.0f}});
-  CompactionConfig config;
-  config.min_item_support = 2;
-  config.min_profile_size = 2;
-  config.cascade = true;
-  const CompactionResult result = compact_profiles(profiles, config);
-  EXPECT_EQ(result.kept_users, (std::vector<VertexId>{0, 1, 2}));
-  EXPECT_EQ(result.kept_items, (std::vector<ItemId>{1, 2}));
-  EXPECT_EQ(result.dropped_users, 1u);
-  EXPECT_EQ(result.dropped_items, 1u);  // item 7
-}
-
-TEST(CompactionTest, CountersAreExactUnderBothSemantics) {
-  // Property: dropped + kept always equals the input totals, and under
-  // cascade=true every kept item/user satisfies its threshold against
-  // the kept set (the fixpoint condition).
-  Rng rng(23);
-  for (int trial = 0; trial < 10; ++trial) {
-    ProfileGenConfig gen;
-    gen.num_users = 60;
-    gen.num_items = 120;  // sparse: plenty of rare items
-    gen.min_items = 1;
-    gen.max_items = 6;
-    const auto profiles = uniform_profiles(gen, rng);
-    std::set<ItemId> distinct;
-    for (const auto& p : profiles) {
-      for (const auto& e : p.entries()) distinct.insert(e.item);
-    }
-    for (const bool cascade : {false, true}) {
-      CompactionConfig config;
-      config.min_item_support = 2;
-      config.min_profile_size = 2;
-      config.cascade = cascade;
-      const CompactionResult result = compact_profiles(profiles, config);
-      EXPECT_EQ(result.dropped_items + result.kept_items.size(),
-                distinct.size());
-      EXPECT_EQ(result.dropped_users + result.kept_users.size(),
-                profiles.size());
-      EXPECT_EQ(result.profiles.size(), result.kept_users.size());
-      if (!cascade) continue;
-      // Fixpoint: recount support/sizes over the surviving set.
-      std::map<ItemId, std::uint32_t> support;
-      for (const auto& p : result.profiles) {
-        EXPECT_GE(p.size(), config.min_profile_size);
-        for (const auto& e : p.entries()) ++support[e.item];
-      }
-      for (const auto& [item, count] : support) {
-        EXPECT_GE(count, config.min_item_support) << "item " << item;
-      }
-    }
-  }
 }
 
 // -------------------------------------------- engine across all measures

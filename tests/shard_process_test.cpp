@@ -234,29 +234,54 @@ TEST(PersistentShardTest, MergedCountersMatchThreadMode) {
   }
 }
 
-TEST(PersistentShardTest, QuantizedProfilesOneChecksumInEveryMode) {
-  // Thread mode packs the driver's P(t) row by row, as persistent workers
-  // always did; quantized weights must come out of that pack exactly as
-  // the serial engine decodes them from its partition files.
-  EngineConfig config = base_config();
-  config.quantize_profiles = true;
-  const std::vector<std::uint64_t> serial =
-      serial_checksums(config, 80, 4, 3);
-  ShardConfig thread_config;
-  thread_config.shards = 3;
-  ShardedKnnEngine threaded(config, thread_config, clustered(80, 4));
-  ShardedKnnEngine persistent(config, persistent_config(3),
-                              clustered(80, 4));
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    threaded.run_iteration();
-    persistent.run_iteration();
-    EXPECT_EQ(knn_graph_checksum(threaded.graph()), serial[i])
-        << "thread mode, iteration " << i;
-    EXPECT_EQ(knn_graph_checksum(persistent.graph()), serial[i])
-        << "persistent mode, iteration " << i;
+TEST(PersistentShardTest, OneShardSchedulesLikeTheSerialEngine) {
+  // At S = 1 the shard body owns every user, so its phase-3 PI graph and
+  // its phase-4 schedule through `memory_slots` slots must be the serial
+  // engine's: the same PI pairs, loads and unloads in every iteration, in
+  // both worker modes. One phases-3-4 routine for the engine and the
+  // shard body would rest on this equality.
+  struct Row {
+    const char* name;
+    void (*tweak)(EngineConfig&);
+  };
+  const Row rows[] = {
+      {"default", [](EngineConfig&) {}},
+      {"sampled and reversed",
+       [](EngineConfig& c) {
+         c.sample_rate = 0.5;
+         c.include_reverse = true;
+       }},
+      {"spill_scores", [](EngineConfig& c) { c.spill_scores = true; }},
+      {"m=7 high-low",
+       [](EngineConfig& c) {
+         c.num_partitions = 7;
+         c.heuristic = "high-low";
+       }},
+  };
+  for (const Row& row : rows) {
+    EngineConfig config = base_config();
+    row.tweak(config);
+    KnnEngine serial(config, clustered(80, 4));
+    ShardConfig thread_config;
+    thread_config.shards = 1;
+    ShardedKnnEngine threaded(config, thread_config, clustered(80, 4));
+    ShardedKnnEngine persistent(config, persistent_config(1),
+                                clustered(80, 4));
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      const IterationStats s = serial.run_iteration();
+      ASSERT_GT(s.pi_pairs, 0u) << row.name;
+      for (ShardedKnnEngine* sharded : {&threaded, &persistent}) {
+        const IterationStats t = sharded->run_iteration().merged;
+        const std::string where =
+            std::string(row.name) + ", " +
+            (sharded == &threaded ? "thread" : "persistent") +
+            " mode, iteration " + std::to_string(i);
+        EXPECT_EQ(t.pi_pairs, s.pi_pairs) << where;
+        EXPECT_EQ(t.partition_loads, s.partition_loads) << where;
+        EXPECT_EQ(t.partition_unloads, s.partition_unloads) << where;
+      }
+    }
   }
-  // Quantized scores differ from f32 ones, so the case is not vacuous.
-  EXPECT_NE(serial.back(), serial_checksums(base_config(), 80, 4, 3).back());
 }
 
 TEST(PersistentShardTest, SpillScoresPathBitIdentical) {

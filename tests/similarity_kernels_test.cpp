@@ -4,19 +4,16 @@
 // profiles. Kernel scores must be *bit-identical* to the reference
 // similarity() functions, which is the contract that keeps the golden
 // checksums (tests/golden, pinned through the engines by golden_test)
-// independent of the scoring path. Also covers the flat profile layout
-// and u16 weight quantization.
+// independent of the scoring path. Also covers the flat profile layout.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "profiles/compact.h"
 #include "profiles/flat_profile.h"
 #include "profiles/generators.h"
 #include "profiles/similarity.h"
@@ -50,9 +47,8 @@ SparseProfile random_profile(std::size_t len, std::uint32_t stride,
 }
 
 /// Packs profiles [0, n) into a FlatProfileSet under ids 0..n-1.
-FlatProfileSet flatten(const std::vector<SparseProfile>& profiles,
-                       bool quantize = false) {
-  FlatProfileSet set(quantize);
+FlatProfileSet flatten(const std::vector<SparseProfile>& profiles) {
+  FlatProfileSet set;
   for (VertexId v = 0; v < profiles.size(); ++v) set.add(v, profiles[v]);
   return set;
 }
@@ -124,100 +120,38 @@ TEST(FlatProfileSetTest, FromProfilesMatchesAddBitForBit) {
   const std::vector<std::byte> packed = pack_profiles(profiles);
   const auto rows = packed_profile_views(packed);
   ThreadPool pool(3);
-  for (const bool quantize : {false, true}) {
-    FlatProfileSet added(quantize);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      added.add(ids[i], profiles[i]);
-    }
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      const FlatProfileSet decoded =
-          FlatProfileSet::from_profiles(ids, rows, quantize, p);
-      ASSERT_EQ(decoded.num_profiles(), added.num_profiles());
-      ASSERT_EQ(decoded.total_entries(), added.total_entries());
-      for (const VertexId id : ids) {
-        const FlatProfileSet::View a = added.view(id);
-        const FlatProfileSet::View b = decoded.view(id);
-        ASSERT_EQ(a.size, b.size);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.norm),
-                  std::bit_cast<std::uint64_t>(b.norm));
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean),
-                  std::bit_cast<std::uint64_t>(b.mean));
-        EXPECT_EQ(decoded.scale_of(id), added.scale_of(id));
-        for (std::uint32_t i = 0; i < a.size; ++i) {
-          EXPECT_EQ(a.items[i], b.items[i]);
-          EXPECT_TRUE(bit_equal(a.weights[i], b.weights[i]));
-        }
+  FlatProfileSet added;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    added.add(ids[i], profiles[i]);
+  }
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const FlatProfileSet decoded = FlatProfileSet::from_profiles(ids, rows, p);
+    ASSERT_EQ(decoded.num_profiles(), added.num_profiles());
+    ASSERT_EQ(decoded.total_entries(), added.total_entries());
+    for (const VertexId id : ids) {
+      const FlatProfileSet::View a = added.view(id);
+      const FlatProfileSet::View b = decoded.view(id);
+      ASSERT_EQ(a.size, b.size);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.norm),
+                std::bit_cast<std::uint64_t>(b.norm));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean),
+                std::bit_cast<std::uint64_t>(b.mean));
+      for (std::uint32_t i = 0; i < a.size; ++i) {
+        EXPECT_EQ(a.items[i], b.items[i]);
+        EXPECT_TRUE(bit_equal(a.weights[i], b.weights[i]));
       }
-      FlatProfileSet::View miss;
-      EXPECT_FALSE(decoded.find(0, miss));
-      EXPECT_FALSE(decoded.find(5, miss));  // inside the id range
-      EXPECT_FALSE(decoded.find(3 * 300 + 1, miss));
     }
+    FlatProfileSet::View miss;
+    EXPECT_FALSE(decoded.find(0, miss));
+    EXPECT_FALSE(decoded.find(5, miss));  // inside the id range
+    EXPECT_FALSE(decoded.find(3 * 300 + 1, miss));
   }
   const std::vector<VertexId> unsorted = {9, 4};
-  EXPECT_THROW(FlatProfileSet::from_profiles(
-                   unsorted, std::span(rows).subspan(0, 2), false),
+  EXPECT_THROW(FlatProfileSet::from_profiles(unsorted,
+                                             std::span(rows).subspan(0, 2)),
                std::invalid_argument);
-  EXPECT_THROW(FlatProfileSet::from_profiles(unsorted, rows, false),
+  EXPECT_THROW(FlatProfileSet::from_profiles(unsorted, rows),
                std::invalid_argument);  // one id per profile
-}
-
-// ----------------------------------------------------- quantization --
-
-TEST(QuantizeWeightsTest, RoundTripProperties) {
-  Rng rng(13);
-  for (int trial = 0; trial < 50; ++trial) {
-    const SparseProfile p =
-        random_profile(1 + rng.next_below(64), 2, rng);
-    std::vector<float> weights;
-    for (const ProfileEntry& e : p.entries()) weights.push_back(e.weight);
-    std::vector<std::uint16_t> codes(weights.size());
-    const float scale = quantize_weights_u16(weights, codes);
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-      const float back = dequantize_weight_u16(codes[i], scale);
-      // Worst-case absolute error is half a quantization step.
-      EXPECT_LE(std::abs(back - weights[i]), scale * 0.5f + 1e-6f)
-          << "weight " << weights[i] << " scale " << scale;
-    }
-  }
-  // Empty profile: scale defaults to 1.
-  EXPECT_EQ(quantize_weights_u16({}, {}), 1.0f);
-  // Exact zero always round-trips to exact zero.
-  const std::vector<float> five = {5.0f};
-  std::vector<std::uint16_t> code(1);
-  EXPECT_EQ(dequantize_weight_u16(32768, quantize_weights_u16(five, code)),
-            0.0f);
-  EXPECT_THROW(quantize_weights_u16(five, {}), std::invalid_argument);
-}
-
-TEST(QuantizedFlatSetTest, HalvesWeightPayloadAndStaysDeterministic) {
-  Rng rng(17);
-  std::vector<SparseProfile> profiles;
-  for (int i = 0; i < 8; ++i) profiles.push_back(random_profile(40, 2, rng));
-  const FlatProfileSet plain = flatten(profiles, false);
-  const FlatProfileSet quant = flatten(profiles, true);
-  EXPECT_TRUE(quant.quantized());
-  // u16 codes + one f32 scale per profile vs f32 per entry.
-  EXPECT_EQ(plain.weight_payload_bytes(), 8u * 40u * sizeof(float));
-  EXPECT_EQ(quant.weight_payload_bytes(),
-            8u * 40u * sizeof(std::uint16_t) + 8u * sizeof(float));
-  EXPECT_GT(quant.scale_of(0), 0.0f);
-  EXPECT_EQ(plain.scale_of(0), 1.0f);
-
-  // Quantized scoring is NOT bit-identical to f32, but the item table
-  // (score_batch) and the merge (score_pair) must agree bit for bit on it
-  // for every measure.
-  KernelScratch scratch;
-  for (const SimilarityMeasure m : kAllSimilarityMeasures) {
-    for (VertexId v = 1; v < 8; ++v) {
-      const float merge =
-          score_pair(quant.view(0), quant.view(v), m, scratch);
-      float table = -1.0f;
-      const VertexId candidate[] = {v};
-      score_batch(quant, nullptr, 0, candidate, m, &table, scratch);
-      EXPECT_TRUE(bit_equal(merge, table)) << similarity_name(m);
-    }
-  }
 }
 
 // ------------------------------------------------------ intersection --
@@ -405,8 +339,7 @@ TEST(ScoreBatchTest, ScoresCandidatesAgainstBothSetsOfAPair) {
 using Batches = std::vector<std::pair<VertexId, std::vector<VertexId>>>;
 
 /// Profile holding exactly `items` (ascending), weights of magnitude in
-/// [0.5, 5) and random sign: never zero, so quantized rows keep every
-/// entry when rebuilt as SparseProfiles.
+/// [0.5, 5) and random sign.
 SparseProfile profile_of_items(const std::vector<ItemId>& items, Rng& rng) {
   std::vector<ProfileEntry> entries;
   for (const ItemId item : items) {
@@ -416,32 +349,12 @@ SparseProfile profile_of_items(const std::vector<ItemId>& items, Rng& rng) {
   return prof(std::move(entries));
 }
 
-/// Every profile of `set` rebuilt from its stored (for a quantized set,
-/// dequantized) weights — what similarity() must agree with.
-std::vector<SparseProfile> stored_profiles(const FlatProfileSet& set,
-                                           VertexId n) {
-  std::vector<SparseProfile> out;
-  for (VertexId v = 0; v < n; ++v) {
-    const FlatProfileSet::View view = set.view(v);
-    std::vector<ProfileEntry> entries;
-    for (std::uint32_t i = 0; i < view.size; ++i) {
-      entries.push_back({view.items[i], view.weights[i]});
-    }
-    out.push_back(prof(std::move(entries)));
-    EXPECT_EQ(out.back().size(), view.size) << "a stored weight is zero";
-  }
-  return out;
-}
-
 /// Runs `batches` through score_batch over profiles packed under ids
 /// 0..n-1, for every measure, and checks each score against similarity()
-/// on the stored weights.
+/// on the same profiles.
 void expect_batches_match_similarity(
-    const std::vector<SparseProfile>& profiles, const Batches& batches,
-    bool quantize = false) {
-  const FlatProfileSet set = flatten(profiles, quantize);
-  const std::vector<SparseProfile> stored =
-      stored_profiles(set, static_cast<VertexId>(profiles.size()));
+    const std::vector<SparseProfile>& profiles, const Batches& batches) {
+  const FlatProfileSet set = flatten(profiles);
   KernelScratch scratch;
   std::vector<float> out;
   for (const SimilarityMeasure m : kAllSimilarityMeasures) {
@@ -450,9 +363,9 @@ void expect_batches_match_similarity(
       score_batch(set, nullptr, src, candidates, m, out.data(), scratch);
       for (std::size_t c = 0; c < candidates.size(); ++c) {
         EXPECT_TRUE(bit_equal(
-            out[c], similarity(m, stored[src], stored[candidates[c]])))
+            out[c], similarity(m, profiles[src], profiles[candidates[c]])))
             << similarity_name(m) << " source " << src << " candidate "
-            << candidates[c] << (quantize ? " (quantized)" : "");
+            << candidates[c];
       }
     }
   }
@@ -467,7 +380,7 @@ Batches all_pairs(VertexId n) {
   return batches;
 }
 
-TEST(TablePathTest, EveryMeasureMatchesSimilarityUnquantizedAndQuantized) {
+TEST(TablePathTest, EveryMeasureMatchesSimilarity) {
   Rng rng(43);
   std::vector<SparseProfile> profiles;
   for (int i = 0; i < 40; ++i) {
@@ -477,9 +390,8 @@ TEST(TablePathTest, EveryMeasureMatchesSimilarityUnquantizedAndQuantized) {
     }
     profiles.push_back(profile_of_items(items, rng));
   }
-  const Batches batches = all_pairs(static_cast<VertexId>(profiles.size()));
-  expect_batches_match_similarity(profiles, batches, /*quantize=*/false);
-  expect_batches_match_similarity(profiles, batches, /*quantize=*/true);
+  expect_batches_match_similarity(
+      profiles, all_pairs(static_cast<VertexId>(profiles.size())));
 }
 
 TEST(TablePathTest, SparseProfileCandidatesMatchSimilarity) {

@@ -9,6 +9,7 @@
 
 #include "graph/generators.h"
 #include "graph/knn_graph.h"
+#include "graph/knn_graph_io.h"
 #include "partition/hash_partitioner.h"
 #include "partition/range_partitioner.h"
 #include "profiles/generators.h"
@@ -63,6 +64,43 @@ TEST(BlockFileTest, EmptyPayloadRoundTrips) {
   const fs::path path = dir.path() / "empty.bin";
   write_file(path, {}, counters);
   EXPECT_TRUE(read_file(path, counters).empty());
+}
+
+// /dev/full fails every write with ENOSPC, like a full disk. A small
+// payload sits in the stream's buffer until the stream is flushed, so a
+// writer that checks its stream before that flush reports success over a
+// short file.
+bool has_dev_full() { return fs::exists("/dev/full"); }
+
+/// Whether `path` exists as a directory entry (a dangling or device
+/// symlink counts).
+bool entry_exists(const fs::path& path) {
+  return fs::exists(fs::symlink_status(path));
+}
+
+TEST(BlockFileTest, FullDiskFailsTheWriteAndPublishesNothing) {
+  if (!has_dev_full()) GTEST_SKIP() << "/dev/full is absent";
+  ScratchDir dir("full-disk");
+  const fs::path path = dir.path() / "data.bin";
+  const fs::path tmp = path.string() + ".tmp";
+  fs::create_symlink("/dev/full", tmp);
+  IoCounters counters;
+  EXPECT_THROW(write_file(path, std::vector<std::byte>(100), counters),
+               std::runtime_error);
+  EXPECT_FALSE(entry_exists(path));  // nothing renamed into place
+  EXPECT_FALSE(entry_exists(tmp));   // and the tmp is gone
+  EXPECT_EQ(counters.bytes_written, 0u);
+  EXPECT_EQ(counters.write_ops, 0u);
+}
+
+TEST(KnnGraphFileTest, FullDiskFailsTheSave) {
+  if (!has_dev_full()) GTEST_SKIP() << "/dev/full is absent";
+  ScratchDir dir("full-disk-graph");
+  const fs::path path = dir.path() / "checkpoint_latest.knng";
+  fs::create_symlink("/dev/full", path);
+  KnnGraph graph(4, 2);
+  graph.set_neighbors(0, {{1, 0.5f}, {2, 0.25f}});
+  EXPECT_THROW(save_knn_graph_file(path, graph), std::runtime_error);
 }
 
 TEST(BlockFileTest, FileSizeOfMissingIsZero) {
@@ -320,7 +358,7 @@ TEST(PartitionStoreTest, LoadFlatDecodesTheProfilesLoadReads) {
     const IoCounters before = store.io().counters();
     const PartitionData full = store.load(p);
     const IoCounters mid = store.io().counters();
-    const PartitionData flat = store.load_flat(p, /*quantize=*/false, &pool);
+    const PartitionData flat = store.load_flat(p, &pool);
     const IoCounters after = store.io().counters();
     // Same four files, same bytes charged.
     EXPECT_EQ(mid.bytes_read - before.bytes_read,

@@ -3,6 +3,9 @@
 // engine's score-spilling mode.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <vector>
+
 #include "core/engine.h"
 #include "profiles/generators.h"
 #include "storage/shard_writer.h"
@@ -63,6 +66,37 @@ TEST(ShardWriterTest, RemovesStaleFilesOnConstruction) {
   TupleShardWriter fresh(dir.path(), "tuples", 2, 1 << 20);
   fresh.finish();
   EXPECT_TRUE(read_record_shard<Tuple>(fresh.shard_path(0)).empty());
+}
+
+// /dev/full fails every write with ENOSPC, like a full disk. A small
+// bundle sits in the stream's buffer until the stream is flushed, so a
+// writer that checks its stream before that flush reports success, and
+// read_record_shard later drops the missing records without an error.
+bool has_dev_full() { return std::filesystem::exists("/dev/full"); }
+
+TEST(ShardWriterTest, FullDiskFailsTheFlush) {
+  if (!has_dev_full()) GTEST_SKIP() << "/dev/full is absent";
+  ScratchDir dir("shards-full-disk");
+  IoAccountant accountant;
+  TupleShardWriter writer(dir.path(), "tuples", 2, 1 << 20, &accountant);
+  // The constructor deletes stale shard files, so link after it.
+  std::filesystem::create_symlink("/dev/full", writer.shard_path(0));
+  writer.add(0, {1, 2});
+  EXPECT_THROW(writer.finish(), std::runtime_error);
+  EXPECT_EQ(accountant.counters().bytes_written, 0u);
+}
+
+TEST(ShardWriterTest, FullDiskFailsWriteRecordShard) {
+  if (!has_dev_full()) GTEST_SKIP() << "/dev/full is absent";
+  ScratchDir dir("shard-full-disk");
+  const std::filesystem::path path =
+      record_shard_path(dir.path(), "tuples", 0);
+  std::filesystem::create_symlink("/dev/full", path);
+  IoAccountant accountant;
+  const std::vector<Tuple> records = {{1, 2}, {3, 4}};
+  EXPECT_THROW(write_record_shard<Tuple>(path, records, &accountant),
+               std::runtime_error);
+  EXPECT_EQ(accountant.counters().bytes_written, 0u);
 }
 
 TEST(ShardWriterTest, AddAfterFinishThrows) {

@@ -1,8 +1,8 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <array>
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
 
 #include "core/convergence.h"
@@ -36,8 +36,8 @@ inline std::size_t pair_slot(PartitionId a, PartitionId b, PartitionId m) {
   return pi_pair_slot(a, b, m);
 }
 
-/// Below this many candidates in a bundle the parallel merge's shard
-/// scans cost more than they save; offer serially.
+/// Below this many scored tuples in a spilled score file the parallel
+/// merge's shard scans cost more than they save; offer serially.
 constexpr std::size_t kParallelMergeMinTuples = 1024;
 
 /// Phase 2's pair bundles: <work_dir>/tuples_<slot>.bin.
@@ -102,19 +102,20 @@ inline std::uint32_t source_shard(VertexId s, std::uint32_t shards) {
       (static_cast<std::uint64_t>(mixed) * shards) >> 32);
 }
 
-/// Phase 2 on `pool`. Each of T source-user shards owns a TupleTable and
-/// keeps the candidates (s, *) of its own users, so the shards dedup with
-/// no locks and their union is the serial engine's H: every pair slot
-/// gets the same set of unique tuples (in another order, which phase 4
-/// does not depend on — its top-K is offer-order-independent). Partitions
-/// are loaded T at a time; every shard runs the candidate rules over the
-/// loaded batch and keeps its share, so no candidate is buffered.
+/// Phase 2 on `pool`. Each source user gets its own candidate bucket,
+/// and each of T source-user shards fills and dedups the buckets of its
+/// own users, so no bucket has two writers and no lock is taken. The
+/// shards' union is the serial engine's H: every pair slot gets the same
+/// set of unique tuples, grouped by source — each source forms one
+/// contiguous run in every bundle, which phase 4's fused offers rely on.
+/// Partitions are loaded T at a time; every shard runs the candidate rules
+/// over the loaded batch and appends its share to its buckets.
 ///
-/// The tables and the bundle staging are sized here, on the calling
-/// thread, from G(t)'s degrees; pool threads only fill them. Each table
-/// is sized for an upper bound of its shard's candidates, so it never
-/// grows. (Pool threads allocating these transient buffers left them
-/// cached in glibc's per-thread arenas and raised peak RSS by a quarter.)
+/// Every buffer is sized here, on the calling thread, from G(t)'s degrees;
+/// pool threads only fill them. Each bucket holds an upper bound of its
+/// source's candidates, so it never overflows. (Pool threads allocating
+/// these transient buffers left them cached in glibc's per-thread arenas
+/// and raised peak RSS by a quarter.)
 std::vector<std::uint64_t> bundle_candidates_threaded(
     const CandidateSource& src, const KnnGraph& graph, ThreadPool& pool,
     IterationStats& stats) {
@@ -126,15 +127,39 @@ std::vector<std::uint64_t> bundle_candidates_threaded(
   const auto shards = static_cast<std::uint32_t>(pool.size() + 1);
   const bool reverse = config.include_reverse;
 
-  // Upper bound of each shard's candidates (core/tuple_generation.h).
-  const std::vector<std::uint64_t> bound = candidate_bounds(
-      config, graph, shards,
-      [shards](VertexId u) { return source_shard(u, shards); });
-  std::vector<TupleTable> tables;
-  tables.reserve(shards);
-  for (std::uint32_t w = 0; w < shards; ++w) tables.emplace_back(bound[w]);
+  // Bucket s is dest[off[s], off[s] + fill[s]), sized by s's candidate
+  // bound (core/tuple_generation.h).
+  const std::vector<std::uint64_t> bound =
+      candidate_bounds(config, src.iteration, graph);
+  std::vector<std::uint64_t> off(static_cast<std::size_t>(n) + 1, 0);
+  for (VertexId s = 0; s < n; ++s) off[s + 1] = off[s] + bound[s];
+  const auto dest = std::make_unique_for_overwrite<VertexId[]>(off[n]);
+  std::vector<std::uint32_t> fill(n, 0);
+  // Shard w's stamp array: seen[w][d] == s + 1 once (s, d) is kept.
+  std::vector<std::vector<VertexId>> seen(shards, std::vector<VertexId>(n, 0));
   // survivors[w * num_slots + slot]: shard w's unique tuples in that slot.
   std::vector<std::uint64_t> survivors(shards * num_slots, 0);
+
+  // Keeps the first copy of each of shard w's (s, d) in place, ascending
+  // by s, and counts the survivors per pair slot.
+  auto dedup = [&](std::uint32_t w) {
+    VertexId* const stamp = seen[w].data();
+    std::uint64_t* const counts = survivors.data() + w * num_slots;
+    for (VertexId s = 0; s < n; ++s) {
+      if (source_shard(s, shards) != w) continue;
+      VertexId* const bucket = dest.get() + off[s];
+      const PartitionId home = owners.owner(s);
+      std::uint32_t kept = 0;
+      for (std::uint32_t i = 0; i < fill[s]; ++i) {
+        const VertexId d = bucket[i];
+        if (stamp[d] == s + 1) continue;
+        stamp[d] = s + 1;
+        bucket[kept++] = d;
+        ++counts[pair_slot(home, owners.owner(d), m)];
+      }
+      fill[s] = kept;
+    }
+  };
 
   std::uint64_t candidates = 0;
   std::vector<PartitionData> batch;
@@ -149,33 +174,12 @@ std::vector<std::uint64_t> bundle_candidates_threaded(
         0, shards,
         [&](std::size_t lo, std::size_t hi) {
           for (std::size_t w = lo; w < hi; ++w) {
-            TupleTable& table = tables[w];
-            std::uint64_t* counts = survivors.data() + w * num_slots;
-            // The inserts are bound by the table's cache misses; a small
-            // window prefetches each tuple's slot before it is inserted.
-            std::array<Tuple, 32> window;
-            std::size_t pending = 0;
-            auto drain = [&] {
-              for (std::size_t i = 0; i < pending; ++i) {
-                table.prefetch(window[i]);
-              }
-              for (std::size_t i = 0; i < pending; ++i) {
-                const Tuple t = window[i];
-                if (table.insert(t)) {
-                  ++counts[pair_slot(owners.owner(t.s), owners.owner(t.d),
-                                     m)];
-                }
-              }
-              pending = 0;
-            };
-            auto insert = [&](Tuple t) {
-              window[pending++] = t;
-              if (pending == window.size()) drain();
-            };
             auto admit = [&](Tuple t) {
-              if (source_shard(t.s, shards) == w) insert(t);
+              if (source_shard(t.s, shards) == w) {
+                dest[off[t.s] + fill[t.s]++] = t.d;
+              }
               if (reverse && source_shard(t.d, shards) == w) {
-                insert(Tuple{t.d, t.s});
+                dest[off[t.d] + fill[t.d]++] = t.s;
               }
             };
             // Every shard generates the same candidates; shard 0 counts.
@@ -189,8 +193,8 @@ std::vector<std::uint64_t> bundle_candidates_threaded(
                 generated +=
                     restart_candidates(config, src.iteration, n, s, admit);
               }
+              dedup(static_cast<std::uint32_t>(w));
             }
-            drain();
             if (w == 0) candidates += generated;
           }
         },
@@ -201,16 +205,16 @@ std::vector<std::uint64_t> bundle_candidates_threaded(
 
   std::vector<std::uint64_t> records(num_slots, 0);
   for (std::uint32_t w = 0; w < shards; ++w) {
-    stats.unique_tuples += tables[w].size();
     for (std::size_t slot = 0; slot < num_slots; ++slot) {
       records[slot] += survivors[w * num_slots + slot];
+      stats.unique_tuples += survivors[w * num_slots + slot];
     }
   }
 
   // Emit the survivors into the pair bundles, a run of slots at a time
-  // that fits the shard buffer budget: each shard scatters its table's
-  // tuples of those slots to precomputed offsets, then each slot's bundle
-  // is written whole, one slot per pool task.
+  // that fits the shard buffer budget: each shard scatters its buckets'
+  // tuples of those slots, ascending by source, to precomputed offsets,
+  // then each slot's bundle is written whole, one slot per pool task.
   const std::uint64_t budget = std::max<std::size_t>(
       config.shard_buffer_bytes / sizeof(Tuple), 1);
   std::vector<Tuple> staged;
@@ -239,13 +243,18 @@ std::vector<std::uint64_t> bundle_candidates_threaded(
         [&](std::size_t lo, std::size_t hi) {
           for (std::size_t w = lo; w < hi; ++w) {
             std::uint64_t* next = cursor.data() + w * run;
-            tables[w].for_each([&](Tuple t) {
-              const std::size_t slot =
-                  pair_slot(owners.owner(t.s), owners.owner(t.d), m);
-              if (slot >= first && slot < end) {
-                staged[next[slot - first]++] = t;
+            for (VertexId s = 0; s < n; ++s) {
+              if (source_shard(s, shards) != w) continue;
+              const VertexId* const bucket = dest.get() + off[s];
+              const PartitionId home = owners.owner(s);
+              for (std::uint32_t i = 0; i < fill[s]; ++i) {
+                const std::size_t slot =
+                    pair_slot(home, owners.owner(bucket[i]), m);
+                if (slot >= first && slot < end) {
+                  staged[next[slot - first]++] = Tuple{s, bucket[i]};
+                }
               }
-            });
+            }
           }
         },
         /*min_chunk=*/1);
@@ -400,15 +409,18 @@ IterationStats KnnEngine::run_iteration() {
       score_writer.emplace(impl_->work_dir, "scores", m,
                            config_.shard_buffer_bytes, &impl_->shard_io);
     }
-    // Parallel top-K merge: users are sharded across workers by id, so no
-    // two workers ever touch the same heap and no locks are needed. A
-    // parallel_reduce buckets candidate indices by shard first (one O(n)
-    // pass; the chunk-ordered combine keeps every bucket ascending), then
-    // each shard offers its bucket. Per-user offers therefore keep their
-    // sequential order and G(t+1) is bit-identical to a serial merge
-    // regardless of thread count.
-    auto parallel_offers = [&](std::size_t count, auto&& user_of,
-                               auto&& offer_one) {
+    // The spill path's parallel top-K merge: users are sharded across
+    // workers by id, so no two workers ever touch the same heap and no
+    // locks are needed. A parallel_reduce buckets candidate indices by
+    // shard first (one O(n) pass; the chunk-ordered combine keeps every
+    // bucket ascending), then each shard offers its bucket. The score
+    // files are not grouped by source, so the fused offers below cannot
+    // split them.
+    auto parallel_offers = [&](const std::vector<ScoredTuple>& spilled) {
+      const std::size_t count = spilled.size();
+      auto offer_one = [&](std::size_t i) {
+        acc.offer(spilled[i].s, spilled[i].d, spilled[i].score);
+      };
       if (!impl_->pool || count < kParallelMergeMinTuples) {
         for (std::size_t i = 0; i < count; ++i) offer_one(i);
         return;
@@ -420,7 +432,7 @@ IterationStats KnnEngine::run_iteration() {
           [&](std::size_t lo, std::size_t hi) {
             Buckets part(shards);
             for (std::size_t i = lo; i < hi; ++i) {
-              part[user_of(i) % shards].push_back(i);
+              part[spilled[i].s % shards].push_back(i);
             }
             return part;
           },
@@ -440,21 +452,15 @@ IterationStats KnnEngine::run_iteration() {
           },
           /*min_chunk=*/1);
     };
-    auto offer_scored = [&](TopKAccumulator& into,
-                            const std::vector<Tuple>& tuples,
-                            const std::vector<float>& scores) {
-      parallel_offers(
-          tuples.size(), [&](std::size_t i) { return tuples[i].s; },
-          [&](std::size_t i) {
-            into.offer(tuples[i].s, tuples[i].d, scores[i]);
-          });
-    };
     // Each resident partition holds its profiles in the flat (SoA) layout
     // of the batched kernels, decoded once per load (on the pool when
     // threaded), not once per PI pair.
     PartitionCache cache(config_.memory_slots, [&](PartitionId p) {
       return store.load_flat(p, impl_->pool.get());
     });
+    // Without a score spill, scoring offers each run's scores as it
+    // computes them (IterationStats::knn_score_s then includes the offers).
+    const bool offer = !score_writer;
     std::vector<float> scores;
     for (PairIndex idx : schedule) {
       const PiPair& pair = pi.pair(idx);
@@ -466,37 +472,58 @@ IterationStats KnnEngine::run_iteration() {
       const FlatProfileSet* fb =
           pair.b == pair.a ? nullptr : &cache.get(pair.b).flat;
       scores.assign(tuples.size(), 0.0f);
+      // Scores tuples [lo, hi) a run of equal s at a time: a run shares one
+      // source-profile lookup and one warm source row. Each (i, score)
+      // pairing depends on the tuple alone, so neither the bundle order
+      // nor the parallel split can change results.
+      auto score_runs = [&](std::size_t lo, std::size_t hi) {
+        KernelScratch scratch;
+        std::vector<VertexId> cands;
+        std::size_t i = lo;
+        while (i < hi) {
+          std::size_t run_end = i + 1;
+          while (run_end < hi && tuples[run_end].s == tuples[i].s) {
+            ++run_end;
+          }
+          cands.clear();
+          for (std::size_t t = i; t < run_end; ++t) {
+            cands.push_back(tuples[t].d);
+          }
+          score_batch(fa, fb, tuples[i].s, cands, config_.measure,
+                      scores.data() + i, scratch);
+          if (offer) {
+            for (std::size_t t = i; t < run_end; ++t) {
+              acc.offer(tuples[t].s, tuples[t].d, scores[t]);
+            }
+          }
+          i = run_end;
+        }
+      };
       {
         ScopedAccumulator score_timing(&stats.knn_score_s);
-        // Runs of equal s share one source-profile lookup and one warm
-        // source row. The bundles are not grouped by source: serial ones
-        // follow the merge-join's bridge order, about 1.3 tuples a run,
-        // and threaded ones their tables' slot order, with shorter runs.
-        // Each (i, score) pairing depends on the tuple alone, so neither
-        // the bundle order nor the parallel split can change results.
-        auto score_range = [&](std::size_t lo, std::size_t hi) {
-          KernelScratch scratch;
-          std::vector<VertexId> cands;
-          std::size_t i = lo;
-          while (i < hi) {
-            std::size_t run_end = i + 1;
-            while (run_end < hi && tuples[run_end].s == tuples[i].s) {
-              ++run_end;
-            }
-            cands.clear();
-            for (std::size_t t = i; t < run_end; ++t) {
-              cands.push_back(tuples[t].d);
-            }
-            score_batch(fa, fb, tuples[i].s, cands, config_.measure,
-                        scores.data() + i, scratch);
-            i = run_end;
-          }
-        };
         if (impl_->pool) {
-          impl_->pool->parallel_for(0, tuples.size(), score_range,
-                                    /*min_chunk=*/256);
+          // Threaded bundles are grouped by source, one run per source
+          // (bundle_candidates_threaded). A task given [lo, hi) owns the
+          // runs that start in it: it skips a run begun before lo and
+          // finishes its last run past hi. Tasks thus offer to disjoint
+          // users, and bundles are scored one after another.
+          impl_->pool->parallel_for(
+              0, tuples.size(),
+              [&](std::size_t lo, std::size_t hi) {
+                if (lo > 0) {
+                  const VertexId before = tuples[lo - 1].s;
+                  while (lo < hi && tuples[lo].s == before) ++lo;
+                }
+                if (lo == hi) return;
+                while (hi < tuples.size() &&
+                       tuples[hi].s == tuples[hi - 1].s) {
+                  ++hi;
+                }
+                score_runs(lo, hi);
+              },
+              /*min_chunk=*/256);
         } else {
-          score_range(0, tuples.size());
+          score_runs(0, tuples.size());
         }
       }
       if (score_writer) {
@@ -504,9 +531,6 @@ IterationStats KnnEngine::run_iteration() {
           score_writer->add(assignment.owner(tuples[i].s),
                             {tuples[i].s, tuples[i].d, scores[i]});
         }
-      } else {
-        ScopedAccumulator merge_timing(&stats.knn_merge_s);
-        offer_scored(acc, tuples, scores);
       }
     }
     cache.flush();  // count the final unloads, as in the simulator
@@ -522,11 +546,7 @@ IterationStats KnnEngine::run_iteration() {
         for (PartitionId p = 0; p < m; ++p) {
           const auto spilled = read_record_shard<ScoredTuple>(
               score_writer->shard_path(p), &impl_->shard_io);
-          parallel_offers(
-              spilled.size(), [&](std::size_t i) { return spilled[i].s; },
-              [&](std::size_t i) {
-                acc.offer(spilled[i].s, spilled[i].d, spilled[i].score);
-              });
+          parallel_offers(spilled);
           const auto members = assignment.members(p);
           auto finalise = [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) {

@@ -44,7 +44,7 @@ struct EngineConfig {
   /// Threads for the iteration's parallel stretches: phase 1 (sorting,
   /// packing and writing the partitions), phase 2 (candidate generation
   /// and dedup in source-user shards) and phase 4 (partition decoding,
-  /// similarity scoring and the top-K merge); the sampled_recall estimator
+  /// similarity scoring and the top-K offers); the sampled_recall estimator
   /// reuses them. 0 = auto: hardware concurrency clamped by workload size,
   /// so large runs multi-thread by default while small runs stay serial.
   /// 1 = always serial, the oracle path. The KNN output is bit-identical
@@ -121,7 +121,10 @@ struct IterationStats {
   /// Modelled device time for the iteration's I/O, microseconds.
   double modeled_io_us = 0.0;
   /// Phase-4 sub-timings (both contained in timings.knn_s): similarity
-  /// scoring over tuple bundles vs the per-user top-K merge.
+  /// scoring over tuple bundles vs the per-user top-K merge. KnnEngine
+  /// without spill_scores offers each score as it computes it, so
+  /// knn_score_s includes the offers and knn_merge_s covers only the
+  /// build of G(t+1).
   double knn_score_s = 0.0;
   double knn_merge_s = 0.0;
   /// Threads the iteration actually ran with (config.threads resolved;

@@ -380,13 +380,21 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
   }
 
   // Phase 4: stream the partitions through a private cache; top-K for
-  // this shard's users only. Offers are made serially — the kept set is
-  // offer-order-independent, so only scoring needs the pool.
+  // this shard's users only, one accumulator row each (row[s], out of
+  // range for any other user). Offers and the copy of the rows into
+  // G(t+1) are made serially — the kept set is offer-order-independent,
+  // so only scoring needs the pool. (Rows copied out on pool threads
+  // stayed in those threads' allocator arenas and raised thread mode's
+  // peak RSS.)
   if (fault_point) fault_point("consume");
   KnnGraph next(n, config.k);
   {
     ScopedAccumulator timing(&stats.timings.knn_s);
-    TopKAccumulator acc(n, config.k);
+    std::vector<VertexId> row(n, kInvalidVertex);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      row[members[i]] = static_cast<VertexId>(i);
+    }
+    TopKAccumulator acc(static_cast<VertexId>(members.size()), config.k);
     std::optional<RecordShardWriter<ScoredTuple>> score_writer;
     if (config.spill_scores) {
       score_writer.emplace(worker_scratch_dir(ctx.work_dir, w), "scores", m,
@@ -450,7 +458,7 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
       } else {
         ScopedAccumulator merge_timing(&stats.knn_merge_s);
         for (std::size_t i = 0; i < tuples.size(); ++i) {
-          acc.offer(tuples[i].s, tuples[i].d, scores[i]);
+          acc.offer(row[tuples[i].s], tuples[i].d, scores[i]);
         }
       }
     }
@@ -467,15 +475,17 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
         const auto spilled = read_record_shard<ScoredTuple>(
             score_writer->shard_path(p), io);
         for (const ScoredTuple& t : spilled) {
-          acc.offer(t.s, t.d, t.score);
+          acc.offer(row[t.s], t.d, t.score);
         }
         for (VertexId member : ctx.assignment.members(p)) {
           if (ctx.shard_owner.owner(member) != w) continue;
-          next.set_neighbors(member, acc.take(member));
+          next.set_neighbors(member, acc.take(row[member]));
         }
       }
     } else {
-      next = acc.build_graph(pool);
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        next.set_neighbors(members[i], acc.take(static_cast<VertexId>(i)));
+      }
     }
   }
 
@@ -489,15 +499,19 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
   return {std::move(next), changed};
 }
 
-/// Every shard's TupleTable size on the partition walk (candidate_bounds
-/// under the shard split), computed on the calling thread from G(t)'s
-/// degrees.
+/// Every shard's TupleTable size on the partition walk: the
+/// candidate_bounds of its users summed, computed on the calling thread
+/// from G(t)'s degrees.
 std::vector<std::uint64_t> shard_table_bounds(
-    const EngineConfig& config, const KnnGraph& graph,
-    const PartitionAssignment& shard_owner) {
-  return candidate_bounds(
-      config, graph, shard_owner.num_partitions(),
-      [&shard_owner](VertexId u) { return shard_owner.owner(u); });
+    const EngineConfig& config, std::uint32_t iteration,
+    const KnnGraph& graph, const PartitionAssignment& shard_owner) {
+  const std::vector<std::uint64_t> per_source =
+      candidate_bounds(config, iteration, graph);
+  std::vector<std::uint64_t> bound(shard_owner.num_partitions(), 0);
+  for (VertexId u = 0; u < per_source.size(); ++u) {
+    bound[shard_owner.owner(u)] += per_source[u];
+  }
+  return bound;
 }
 
 // ------------------------------------------------------------ the plan --
@@ -1336,7 +1350,8 @@ int persistent_worker_main(const fs::path& work_dir,
     std::uint64_t table_bound = 0;
     std::optional<ReverseAdjacency> reverse;
     if (shard_walks_partitions(config)) {
-      table_bound = shard_table_bounds(config, graph, *shard_owner)[shard];
+      table_bound =
+          shard_table_bounds(config, iteration, graph, *shard_owner)[shard];
       reverse = build_reverse_adjacency(graph);
     }
     ShardOutput out;
@@ -1739,7 +1754,8 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
     std::vector<std::uint64_t> table_bounds(S, 0);
     std::optional<ReverseAdjacency> reverse;
     if (shard_walks_partitions(config_)) {
-      table_bounds = shard_table_bounds(config_, graph_, shard_owner);
+      table_bounds =
+          shard_table_bounds(config_, iteration_, graph_, shard_owner);
       reverse = build_reverse_adjacency(graph_);
     }
     ProfilePack pack(profiles_);

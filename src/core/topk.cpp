@@ -1,6 +1,7 @@
 #include "core/topk.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/thread_pool.h"
 
@@ -22,29 +23,35 @@ struct WorstFirst {
 }  // namespace
 
 TopKAccumulator::TopKAccumulator(VertexId num_users, std::uint32_t k)
-    : k_(k), heaps_(num_users) {}
+    : k_(k),
+      counts_(num_users, 0),
+      rows_(static_cast<std::size_t>(num_users) * k) {}
 
 void TopKAccumulator::offer(VertexId s, VertexId d, float score) {
-  auto& heap = heaps_.at(s);
-  if (heap.size() < k_) {
-    heap.push_back({d, score});
-    std::push_heap(heap.begin(), heap.end(), WorstFirst{});
+  // Check s before forming its row pointer.
+  std::uint32_t& count = counts_.at(s);
+  Neighbor* const heap = rows_.data() + static_cast<std::size_t>(s) * k_;
+  if (count < k_) {
+    heap[count++] = {d, score};
+    std::push_heap(heap, heap + count, WorstFirst{});
     return;
   }
   if (k_ == 0) return;
-  const Neighbor& worst = heap.front();
+  const Neighbor& worst = heap[0];
   if (score < worst.score ||
       (score == worst.score && d >= worst.id)) {
     return;  // not better than the current worst
   }
-  std::pop_heap(heap.begin(), heap.end(), WorstFirst{});
-  heap.back() = {d, score};
-  std::push_heap(heap.begin(), heap.end(), WorstFirst{});
+  std::pop_heap(heap, heap + k_, WorstFirst{});
+  heap[k_ - 1] = {d, score};
+  std::push_heap(heap, heap + k_, WorstFirst{});
 }
 
 std::vector<Neighbor> TopKAccumulator::take(VertexId s) {
-  std::vector<Neighbor> out = std::move(heaps_.at(s));
-  heaps_.at(s).clear();
+  std::uint32_t& count = counts_.at(s);
+  const Neighbor* const row = rows_.data() + static_cast<std::size_t>(s) * k_;
+  std::vector<Neighbor> out(row, row + count);
+  count = 0;
   return out;
 }
 
@@ -52,8 +59,8 @@ KnnGraph TopKAccumulator::build_graph(ThreadPool* pool) {
   KnnGraph graph(num_users(), k_);
   auto emit = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t v = lo; v < hi; ++v) {
-      graph.set_neighbors(static_cast<VertexId>(v), std::move(heaps_[v]));
-      heaps_[v].clear();
+      graph.set_neighbors(static_cast<VertexId>(v),
+                          take(static_cast<VertexId>(v)));
     }
   };
   if (pool != nullptr) {

@@ -188,40 +188,19 @@ std::uint64_t source_candidates(const EngineConfig& config,
                                         graph.num_vertices(), s, emit);
 }
 
-/// Upper bound of the phase-2 candidates each of `shards` source-user
-/// shards keeps, when shard `shard_of(s)` keeps the candidates (s, *):
-/// edge (u, w) of G(t) bridges (u, x) for every out-edge (w, x) and is
-/// itself a direct candidate; with include_reverse, w also receives
-/// (w, y) for every in-edge (y, u), and a restart (s, d) reverses into
-/// any shard. A TupleTable sized with its shard's bound never grows. The
-/// threaded engine's phase 2 and the shard driver's partition walk both
-/// size their tables from this.
-template <typename ShardOf>
+/// Upper bound of the phase-2 candidates with source s, for every user s
+/// of G(t): edge (s, v) bridges (s, d) for every out-edge (v, d) and is
+/// itself a direct candidate, and s draws config.random_candidates
+/// restarts. With include_reverse, edge (u, w) also hands w the reverses
+/// (w, y) of the paths y -> u -> w and of itself, counted from u's
+/// in-degree, and each restart (x, s) hands s its reverse, counted exactly
+/// by drawing every user's restarts of `iteration`. Sampled runs emit
+/// fewer. The threaded engine sizes each source's candidate bucket with
+/// its entry, and the shard driver sums the entries of each shard's users
+/// to size that shard's TupleTable on the partition walk; neither grows.
 std::vector<std::uint64_t> candidate_bounds(const EngineConfig& config,
-                                            const KnnGraph& graph,
-                                            std::uint32_t shards,
-                                            ShardOf&& shard_of) {
-  const VertexId n = graph.num_vertices();
-  const bool reverse = config.include_reverse;
-  std::vector<std::uint64_t> bound(shards, 0);
-  std::vector<std::uint32_t> in_degree(n, 0);
-  for (VertexId u = 0; u < n; ++u) {
-    for (const Neighbor& e : graph.neighbors(u)) ++in_degree[e.id];
-  }
-  for (VertexId u = 0; u < n; ++u) {
-    for (const Neighbor& e : graph.neighbors(u)) {
-      bound[shard_of(u)] += graph.neighbors(e.id).size() + 1;
-      if (reverse) bound[shard_of(e.id)] += in_degree[u] + 1;
-    }
-    bound[shard_of(u)] += config.random_candidates;
-  }
-  if (reverse) {
-    for (std::uint64_t& b : bound) {
-      b += static_cast<std::uint64_t>(n) * config.random_candidates;
-    }
-  }
-  return bound;
-}
+                                            std::uint32_t iteration,
+                                            const KnnGraph& graph);
 
 /// Reference tuple generator for tests: all (s, d) with d a
 /// neighbour's-neighbour of s (s -> v -> d, s != d), via plain adjacency

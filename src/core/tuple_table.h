@@ -38,14 +38,6 @@ class TupleTable {
   /// is size() / attempts().
   [[nodiscard]] std::uint64_t attempts() const noexcept { return attempts_; }
 
-  /// Visits every stored tuple (unspecified order).
-  template <typename Visitor>
-  void for_each(Visitor&& visit) const {
-    for (std::uint64_t key : slots_) {
-      if (key != kEmpty) visit(tuple_from_key(key));
-    }
-  }
-
   void clear();
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <utility>
 
 namespace knnpc {
 namespace {
@@ -144,7 +145,13 @@ void ThreadPool::run_chunks(std::size_t begin, std::size_t end,
     });
     if (job_ == job) job_.reset();
   }
-  if (job->exc) std::rethrow_exception(job->exc);
+  // Take the exception out of the job before rethrowing it: a worker may
+  // still hold the job, and its last reference must not be the one that
+  // frees the exception the caller is reading. Once done reaches
+  // num_chunks, no worker touches exc again.
+  if (std::exception_ptr exc = std::exchange(job->exc, nullptr)) {
+    std::rethrow_exception(exc);
+  }
 }
 
 void ThreadPool::work_on(Job& job) {

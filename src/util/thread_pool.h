@@ -5,9 +5,9 @@
 // future-work "multiple threads"): the m partitions are sorted, packed and
 // written in parallel, candidates are generated and deduplicated in
 // source-user shards, and each loaded partition is decoded, and each PI
-// pair's tuple bundle scored and merged, across the pool. The same pool
-// drives the brute-force baseline, NN-Descent scoring and the
-// sampled-recall estimator.
+// pair's tuple bundle scored and offered to the top-K, across the pool.
+// The same pool drives the brute-force baseline, NN-Descent scoring and
+// the sampled-recall estimator.
 //
 // Design (vs the original mutex+condvar+std::queue<std::packaged_task>
 // pool, which paid one std::function + future allocation and two lock

@@ -2,10 +2,16 @@
 // convergence behaviour, and phase-5 update semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+
 #include "core/brute_force.h"
 #include "core/engine.h"
 #include "core/metrics.h"
+#include "core/tuple_generation.h"
 #include "profiles/generators.h"
+#include "storage/shard_writer.h"
 #include "util/rng.h"
 
 namespace knnpc {
@@ -204,6 +210,70 @@ TEST(EngineTest, AutoAndExplicitThreadsMatchSingleThreadedBitForBit) {
       EXPECT_EQ(serial[v][i].score, auto_mode[v][i].score) << "v=" << v;
       EXPECT_EQ(serial[v][i].id, eight[v][i].id) << "v=" << v;
       EXPECT_EQ(serial[v][i].score, eight[v][i].score) << "v=" << v;
+    }
+  }
+}
+
+// The threaded engine's phase 2 leaves each pair bundle grouped by
+// source: every source forms one contiguous run, which phase 4's fused
+// offers rely on (tasks split at run boundaries offer to disjoint users).
+// Each bundle also holds exactly the serial engine's tuples, on the
+// default, a sampled and a reversed row.
+TEST(EngineTest, ThreadedBundlesAreGroupedBySource) {
+  struct Row {
+    const char* name;
+    double sample_rate;
+    bool include_reverse;
+  };
+  const Row rows[] = {
+      {"default", 1.0, false}, {"sampled", 0.5, false}, {"reverse", 1.0, true}};
+  const std::vector<SparseProfile> profiles = clustered(300, 6, 91);
+  const ScratchDir scratch("grouped-bundles");
+  const EngineConfig base = small_config();
+  const PartitionId m = base.num_partitions;
+  const std::size_t num_slots = pi_pair_slot(m - 1, m - 1, m) + 1;
+  // One iteration; returns every slot's bundle as phase 2 wrote it.
+  auto bundles_of = [&](const Row& row, std::uint32_t threads) {
+    EngineConfig config = base;
+    config.sample_rate = row.sample_rate;
+    config.include_reverse = row.include_reverse;
+    config.threads = threads;
+    config.work_dir = (scratch.path() / (std::string(row.name) + "-" +
+                                         std::to_string(threads)))
+                          .string();
+    KnnEngine engine(config, profiles);
+    engine.run_iteration();
+    std::vector<std::vector<Tuple>> bundles;
+    for (std::size_t slot = 0; slot < num_slots; ++slot) {
+      bundles.push_back(read_record_shard<Tuple>(
+          record_shard_path(config.work_dir, "tuples", slot)));
+    }
+    return bundles;
+  };
+  for (const Row& row : rows) {
+    std::vector<std::vector<Tuple>> serial = bundles_of(row, 1);
+    std::size_t total = 0;
+    for (auto& bundle : serial) {
+      total += bundle.size();
+      std::sort(bundle.begin(), bundle.end());
+    }
+    ASSERT_GT(total, 0u) << row.name;
+    for (std::uint32_t threads : {2u, 3u}) {
+      const auto threaded = bundles_of(row, threads);
+      for (std::size_t slot = 0; slot < num_slots; ++slot) {
+        const std::vector<Tuple>& bundle = threaded[slot];
+        std::set<VertexId> finished;
+        for (std::size_t i = 1; i <= bundle.size(); ++i) {
+          if (i < bundle.size() && bundle[i].s == bundle[i - 1].s) continue;
+          ASSERT_TRUE(finished.insert(bundle[i - 1].s).second)
+              << row.name << " threads=" << threads << " slot=" << slot
+              << ": source " << bundle[i - 1].s << " forms two runs";
+        }
+        std::vector<Tuple> sorted = bundle;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(sorted, serial[slot])
+            << row.name << " threads=" << threads << " slot=" << slot;
+      }
     }
   }
 }

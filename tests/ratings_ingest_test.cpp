@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "profiles/ratings_io.h"
+#include "storage/block_file.h"
 #include "util/rng.h"
 
 namespace knnpc {
@@ -22,8 +23,11 @@ namespace {
 
 using Kind = RatingsError::Kind;
 
+// Every file lives in one directory per process, removed at exit, so
+// concurrent runs of the suite never share a path.
 std::string tmp_path(const std::string& name) {
-  return ::testing::TempDir() + "knnpc_ratings_" + name;
+  static const ScratchDir dir("ratings");
+  return (dir.path() / name).string();
 }
 
 void write_file(const std::string& path, const std::string& content) {

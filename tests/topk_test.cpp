@@ -4,7 +4,9 @@
 #include <algorithm>
 
 #include "core/topk.h"
+#include "util/hash.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace knnpc {
 namespace {
@@ -111,6 +113,50 @@ TEST(TopKTest, CountTracksHeapSize) {
   acc.offer(0, 2, 0.6f);
   acc.offer(0, 3, 0.7f);
   EXPECT_EQ(acc.count(0), 2u);
+}
+
+// Phase 4's fused path offers on pool threads, each task to its own
+// users, into neighbouring rows of one n x K array. The kept lists must
+// equal serial offers', whatever the arrival order.
+TEST(TopKTest, DisjointUsersOfferedOnAPoolEqualSerial) {
+  constexpr VertexId kUsers = 257;
+  constexpr std::uint32_t kK = 7;
+  constexpr VertexId kCandidates = 90;
+  // 16 score levels, so ties are common and the id tie-break matters.
+  auto score = [](VertexId s, VertexId d) {
+    return static_cast<float>(mix64((std::uint64_t{s} << 32) | d) % 16) /
+           16.0f;
+  };
+  TopKAccumulator serial(kUsers, kK);
+  for (VertexId s = 0; s < kUsers; ++s) {
+    for (VertexId d = 0; d < kCandidates; ++d) {
+      if (d != s) serial.offer(s, d, score(s, d));
+    }
+  }
+  TopKAccumulator pooled(kUsers, kK);
+  ThreadPool pool(3);
+  pool.parallel_for(
+      0, kUsers,
+      [&](std::size_t lo, std::size_t hi) {
+        for (auto s = static_cast<VertexId>(lo); s < hi; ++s) {
+          for (VertexId d = kCandidates; d-- > 0;) {
+            if (d != s) pooled.offer(s, d, score(s, d));
+          }
+        }
+      },
+      /*min_chunk=*/1);
+  for (VertexId s = 0; s < kUsers; ++s) {
+    ASSERT_EQ(pooled.count(s), serial.count(s)) << "s=" << s;
+  }
+  const KnnGraph want = serial.build_graph();
+  const KnnGraph got = pooled.build_graph(&pool);
+  for (VertexId s = 0; s < kUsers; ++s) {
+    const auto a = want.neighbors(s);
+    const auto b = got.neighbors(s);
+    ASSERT_EQ(a.size(), kK) << "s=" << s;
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "s=" << s;
+  }
 }
 
 TEST(TopKTest, OutOfRangeUserThrows) {

@@ -1,6 +1,7 @@
 // Tests for core/tuple_table and core/tuple_generation: dedup semantics
-// (phase 2), the sorted merge-join (phase 1's payoff) and the source-major
-// walk that must emit the partition walk's candidates source by source.
+// (phase 2), the sorted merge-join (phase 1's payoff), the source-major
+// walk that must emit the partition walk's candidates source by source,
+// and the per-source candidate bounds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,19 +49,16 @@ TEST(TupleTableTest, GrowsPastInitialCapacity) {
   }
 }
 
-TEST(TupleTableTest, ForEachVisitsExactlyStoredTuples) {
-  TupleTable table;
+TEST(TupleTableTest, InsertReportsNoveltyLikeASet) {
+  TupleTable table(8);  // small, so the inserts grow it and collide
   std::set<std::uint64_t> expected;
   Rng rng(17);
   for (int i = 0; i < 500; ++i) {
     const Tuple t{static_cast<VertexId>(rng.next_below(100)),
                   static_cast<VertexId>(rng.next_below(100))};
-    table.insert(t);
-    expected.insert(tuple_key(t));
+    EXPECT_EQ(table.insert(t), expected.insert(tuple_key(t)).second);
   }
-  std::set<std::uint64_t> visited;
-  table.for_each([&](Tuple t) { visited.insert(tuple_key(t)); });
-  EXPECT_EQ(visited, expected);
+  EXPECT_EQ(table.size(), expected.size());
 }
 
 TEST(TupleTableTest, ClearResets) {
@@ -280,6 +278,45 @@ TEST(SourceWalkTest, EmitsThePartitionWalksCandidatesPerSource) {
         const std::vector<VertexId>& one = got.of[1];
         EXPECT_EQ(std::count(one.begin(), one.end(), 1u), 0) << where;
         EXPECT_GE(std::count(one.begin(), one.end(), 9u), 4) << where;
+      }
+    }
+  }
+}
+
+// candidate_bounds sizes the threaded engine's per-source buckets, which
+// must never overflow: every source's candidates, reverses included, fit
+// within its bound, sampled or not.
+TEST(CandidateBoundsTest, CoverEverySourcesCandidates) {
+  constexpr VertexId kUsers = 40;
+  const KnnGraph graph = walk_test_graph(kUsers, 31);
+  const PartitionAssignment assignment = spread(kUsers, 4);
+  const ReverseAdjacency reverse = build_reverse_adjacency(graph);
+  for (const bool include_reverse : {false, true}) {
+    for (const double rate : {1.0, 0.5}) {
+      EngineConfig config;
+      config.seed = 5;
+      config.include_reverse = include_reverse;
+      config.sample_rate = rate;
+      std::vector<std::uint64_t> count(kUsers, 0);
+      auto keep = [&](Tuple t) {
+        ++count[t.s];
+        if (include_reverse) ++count[t.d];
+      };
+      for (PartitionId p = 0; p < assignment.num_partitions(); ++p) {
+        partition_candidates(
+            config, 3, derive_partition_edges(graph, reverse, assignment, p),
+            keep);
+      }
+      for (VertexId s = 0; s < kUsers; ++s) {
+        restart_candidates(config, 3, kUsers, s, keep);
+      }
+      const std::vector<std::uint64_t> bound =
+          candidate_bounds(config, 3, graph);
+      ASSERT_EQ(bound.size(), kUsers);
+      for (VertexId s = 0; s < kUsers; ++s) {
+        EXPECT_LE(count[s], bound[s])
+            << "reverse=" << include_reverse << " rate=" << rate
+            << " source " << s;
       }
     }
   }

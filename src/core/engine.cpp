@@ -16,7 +16,6 @@
 #include "pigraph/heuristics.h"
 #include "pigraph/pi_graph.h"
 #include "profiles/flat_profile.h"
-#include "profiles/similarity_kernels.h"
 #include "storage/partition_store.h"
 #include "storage/shard_writer.h"
 #include "util/hash.h"
@@ -35,10 +34,6 @@ namespace {
 inline std::size_t pair_slot(PartitionId a, PartitionId b, PartitionId m) {
   return pi_pair_slot(a, b, m);
 }
-
-/// Below this many scored tuples in a spilled score file the parallel
-/// merge's shard scans cost more than they save; offer serially.
-constexpr std::size_t kParallelMergeMinTuples = 1024;
 
 /// Phase 2's pair bundles: <work_dir>/tuples_<slot>.bin.
 constexpr const char* kBundleStem = "tuples";
@@ -127,37 +122,25 @@ std::vector<std::uint64_t> bundle_candidates_threaded(
   const auto shards = static_cast<std::uint32_t>(pool.size() + 1);
   const bool reverse = config.include_reverse;
 
-  // Bucket s is dest[off[s], off[s] + fill[s]), sized by s's candidate
-  // bound (core/tuple_generation.h).
-  const std::vector<std::uint64_t> bound =
-      candidate_bounds(config, src.iteration, graph);
-  std::vector<std::uint64_t> off(static_cast<std::size_t>(n) + 1, 0);
-  for (VertexId s = 0; s < n; ++s) off[s + 1] = off[s] + bound[s];
-  const auto dest = std::make_unique_for_overwrite<VertexId[]>(off[n]);
-  std::vector<std::uint32_t> fill(n, 0);
+  // Every source's bucket, sized by its candidate bound
+  // (core/tuple_generation.h).
+  CandidateBuckets buckets(candidate_bounds(config, src.iteration, graph),
+                           [](VertexId) { return true; });
   // Shard w's stamp array: seen[w][d] == s + 1 once (s, d) is kept.
   std::vector<std::vector<VertexId>> seen(shards, std::vector<VertexId>(n, 0));
   // survivors[w * num_slots + slot]: shard w's unique tuples in that slot.
   std::vector<std::uint64_t> survivors(shards * num_slots, 0);
 
-  // Keeps the first copy of each of shard w's (s, d) in place, ascending
-  // by s, and counts the survivors per pair slot.
+  // Dedups shard w's buckets, ascending by s, and counts the survivors
+  // per pair slot.
   auto dedup = [&](std::uint32_t w) {
-    VertexId* const stamp = seen[w].data();
     std::uint64_t* const counts = survivors.data() + w * num_slots;
     for (VertexId s = 0; s < n; ++s) {
       if (source_shard(s, shards) != w) continue;
-      VertexId* const bucket = dest.get() + off[s];
       const PartitionId home = owners.owner(s);
-      std::uint32_t kept = 0;
-      for (std::uint32_t i = 0; i < fill[s]; ++i) {
-        const VertexId d = bucket[i];
-        if (stamp[d] == s + 1) continue;
-        stamp[d] = s + 1;
-        bucket[kept++] = d;
+      for (const VertexId d : buckets.dedup(s, seen[w])) {
         ++counts[pair_slot(home, owners.owner(d), m)];
       }
-      fill[s] = kept;
     }
   };
 
@@ -175,11 +158,9 @@ std::vector<std::uint64_t> bundle_candidates_threaded(
         [&](std::size_t lo, std::size_t hi) {
           for (std::size_t w = lo; w < hi; ++w) {
             auto admit = [&](Tuple t) {
-              if (source_shard(t.s, shards) == w) {
-                dest[off[t.s] + fill[t.s]++] = t.d;
-              }
+              if (source_shard(t.s, shards) == w) buckets.add(t);
               if (reverse && source_shard(t.d, shards) == w) {
-                dest[off[t.d] + fill[t.d]++] = t.s;
+                buckets.add(Tuple{t.d, t.s});
               }
             };
             // Every shard generates the same candidates; shard 0 counts.
@@ -245,13 +226,11 @@ std::vector<std::uint64_t> bundle_candidates_threaded(
             std::uint64_t* next = cursor.data() + w * run;
             for (VertexId s = 0; s < n; ++s) {
               if (source_shard(s, shards) != w) continue;
-              const VertexId* const bucket = dest.get() + off[s];
               const PartitionId home = owners.owner(s);
-              for (std::uint32_t i = 0; i < fill[s]; ++i) {
-                const std::size_t slot =
-                    pair_slot(home, owners.owner(bucket[i]), m);
+              for (const VertexId d : buckets.bucket_of(s)) {
+                const std::size_t slot = pair_slot(home, owners.owner(d), m);
                 if (slot >= first && slot < end) {
-                  staged[next[slot - first]++] = Tuple{s, bucket[i]};
+                  staged[next[slot - first]++] = Tuple{s, d};
                 }
               }
             }
@@ -402,66 +381,12 @@ IterationStats KnnEngine::run_iteration() {
   {
     ScopedAccumulator timing(&stats.timings.knn_s);
     TopKAccumulator acc(n, config_.k);
-    // Score-spilling mode: candidates go to per-partition score files
-    // instead of the live accumulator, bounding resident phase-4 state.
-    std::optional<RecordShardWriter<ScoredTuple>> score_writer;
-    if (config_.spill_scores) {
-      score_writer.emplace(impl_->work_dir, "scores", m,
-                           config_.shard_buffer_bytes, &impl_->shard_io);
-    }
-    // The spill path's parallel top-K merge: users are sharded across
-    // workers by id, so no two workers ever touch the same heap and no
-    // locks are needed. A parallel_reduce buckets candidate indices by
-    // shard first (one O(n) pass; the chunk-ordered combine keeps every
-    // bucket ascending), then each shard offers its bucket. The score
-    // files are not grouped by source, so the fused offers below cannot
-    // split them.
-    auto parallel_offers = [&](const std::vector<ScoredTuple>& spilled) {
-      const std::size_t count = spilled.size();
-      auto offer_one = [&](std::size_t i) {
-        acc.offer(spilled[i].s, spilled[i].d, spilled[i].score);
-      };
-      if (!impl_->pool || count < kParallelMergeMinTuples) {
-        for (std::size_t i = 0; i < count; ++i) offer_one(i);
-        return;
-      }
-      const std::size_t shards = impl_->pool->size() + 1;
-      using Buckets = std::vector<std::vector<std::size_t>>;
-      Buckets buckets = impl_->pool->parallel_reduce(
-          0, count, Buckets(shards),
-          [&](std::size_t lo, std::size_t hi) {
-            Buckets part(shards);
-            for (std::size_t i = lo; i < hi; ++i) {
-              part[spilled[i].s % shards].push_back(i);
-            }
-            return part;
-          },
-          [&](Buckets acc, Buckets part) {
-            for (std::size_t s = 0; s < shards; ++s) {
-              acc[s].insert(acc[s].end(), part[s].begin(), part[s].end());
-            }
-            return acc;
-          },
-          /*min_chunk=*/2048);
-      impl_->pool->parallel_for(
-          0, shards,
-          [&](std::size_t shard_lo, std::size_t shard_hi) {
-            for (std::size_t s = shard_lo; s < shard_hi; ++s) {
-              for (std::size_t i : buckets[s]) offer_one(i);
-            }
-          },
-          /*min_chunk=*/1);
-    };
     // Each resident partition holds its profiles in the flat (SoA) layout
     // of the batched kernels, decoded once per load (on the pool when
     // threaded), not once per PI pair.
     PartitionCache cache(config_.memory_slots, [&](PartitionId p) {
       return store.load_flat(p, impl_->pool.get());
     });
-    // Without a score spill, scoring offers each run's scores as it
-    // computes them (IterationStats::knn_score_s then includes the offers).
-    const bool offer = !score_writer;
-    std::vector<float> scores;
     for (PairIndex idx : schedule) {
       const PiPair& pair = pi.pair(idx);
       const std::vector<Tuple> tuples = read_record_shard<Tuple>(
@@ -471,98 +396,21 @@ IterationStats KnnEngine::run_iteration() {
       const FlatProfileSet& fa = cache.get(pair.a).flat;
       const FlatProfileSet* fb =
           pair.b == pair.a ? nullptr : &cache.get(pair.b).flat;
-      scores.assign(tuples.size(), 0.0f);
-      // Scores tuples [lo, hi) a run of equal s at a time: a run shares one
-      // source-profile lookup and one warm source row. Each (i, score)
-      // pairing depends on the tuple alone, so neither the bundle order
-      // nor the parallel split can change results.
-      auto score_runs = [&](std::size_t lo, std::size_t hi) {
-        KernelScratch scratch;
-        std::vector<VertexId> cands;
-        std::size_t i = lo;
-        while (i < hi) {
-          std::size_t run_end = i + 1;
-          while (run_end < hi && tuples[run_end].s == tuples[i].s) {
-            ++run_end;
-          }
-          cands.clear();
-          for (std::size_t t = i; t < run_end; ++t) {
-            cands.push_back(tuples[t].d);
-          }
-          score_batch(fa, fb, tuples[i].s, cands, config_.measure,
-                      scores.data() + i, scratch);
-          if (offer) {
-            for (std::size_t t = i; t < run_end; ++t) {
-              acc.offer(tuples[t].s, tuples[t].d, scores[t]);
-            }
-          }
-          i = run_end;
-        }
-      };
-      {
-        ScopedAccumulator score_timing(&stats.knn_score_s);
-        if (impl_->pool) {
-          // Threaded bundles are grouped by source, one run per source
-          // (bundle_candidates_threaded). A task given [lo, hi) owns the
-          // runs that start in it: it skips a run begun before lo and
-          // finishes its last run past hi. Tasks thus offer to disjoint
-          // users, and bundles are scored one after another.
-          impl_->pool->parallel_for(
-              0, tuples.size(),
-              [&](std::size_t lo, std::size_t hi) {
-                if (lo > 0) {
-                  const VertexId before = tuples[lo - 1].s;
-                  while (lo < hi && tuples[lo].s == before) ++lo;
-                }
-                if (lo == hi) return;
-                while (hi < tuples.size() &&
-                       tuples[hi].s == tuples[hi - 1].s) {
-                  ++hi;
-                }
-                score_runs(lo, hi);
-              },
-              /*min_chunk=*/256);
-        } else {
-          score_runs(0, tuples.size());
-        }
-      }
-      if (score_writer) {
-        for (std::size_t i = 0; i < tuples.size(); ++i) {
-          score_writer->add(assignment.owner(tuples[i].s),
-                            {tuples[i].s, tuples[i].d, scores[i]});
-        }
-      }
+      // Threaded bundles are grouped by source (bundle_candidates_threaded),
+      // as score_and_offer's pool split needs; the serial oracle's are in
+      // merge-join order.
+      ScopedAccumulator score_timing(&stats.knn_score_s);
+      score_and_offer(tuples, fa, fb, config_.measure, /*row=*/{}, acc,
+                      impl_->pool.get());
     }
     cache.flush();  // count the final unloads, as in the simulator
     stats.partition_loads = cache.loads();
     stats.partition_unloads = cache.unloads();
 
-    KnnGraph next(n, config_.k);
+    KnnGraph next;
     {
       ScopedAccumulator merge_timing(&stats.knn_merge_s);
-      if (score_writer) {
-        // Finalise one partition's users at a time from its score file.
-        score_writer->finish();
-        for (PartitionId p = 0; p < m; ++p) {
-          const auto spilled = read_record_shard<ScoredTuple>(
-              score_writer->shard_path(p), &impl_->shard_io);
-          parallel_offers(spilled);
-          const auto members = assignment.members(p);
-          auto finalise = [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              next.set_neighbors(members[i], acc.take(members[i]));
-            }
-          };
-          if (impl_->pool) {
-            impl_->pool->parallel_for(0, members.size(), finalise,
-                                      /*min_chunk=*/1024);
-          } else {
-            finalise(0, members.size());
-          }
-        }
-      } else {
-        next = acc.build_graph(impl_->pool.get());
-      }
+      next = acc.build_graph(impl_->pool.get());
     }
     // change_count is an exact integer per vertex range, so reducing it
     // over the pool reproduces the serial change rate bit-for-bit.

@@ -78,14 +78,11 @@ struct EngineConfig {
   /// Write the KNN graph to <work_dir>/checkpoint_latest.knng after every
   /// iteration (crash-resumable via graph/knn_graph_io.h).
   bool checkpoint = false;
-  /// Memory budget for the phase-2 tuple-shard buffers (and the phase-4
-  /// score spill, when enabled); buffers flush to disk beyond this.
+  /// Memory budget for phase 2's pair-bundle buffers: the serial engine
+  /// and each shard worker flush a buffer to its bundle file beyond this
+  /// (a worker's share is shard_buffer_bytes / S), and the threaded
+  /// engine stages this many bytes of bundles per write.
   std::size_t shard_buffer_bytes = 16u << 20;
-  /// Spill phase-4 candidate scores to per-partition files and finalise
-  /// top-K one partition at a time, instead of keeping every user's
-  /// accumulator live. Bounds phase-4 state to one partition's users at
-  /// the price of one extra write+read of each score.
-  bool spill_scores = false;
   /// When > 0, estimate recall@K after every iteration by exact search
   /// over this many sampled users (core/convergence.h). Costs
   /// O(samples * n) similarities per iteration — observability, not part
@@ -120,11 +117,11 @@ struct IterationStats {
   IoCounters io;
   /// Modelled device time for the iteration's I/O, microseconds.
   double modeled_io_us = 0.0;
-  /// Phase-4 sub-timings (both contained in timings.knn_s): similarity
-  /// scoring over tuple bundles vs the per-user top-K merge. KnnEngine
-  /// without spill_scores offers each score as it computes it, so
-  /// knn_score_s includes the offers and knn_merge_s covers only the
-  /// build of G(t+1).
+  /// Phase-4 sub-timings (both contained in timings.knn_s): scoring the
+  /// tuple bundles, which offers each score to the top-K as it is
+  /// computed (score_and_offer, core/topk.h), so knn_score_s includes the
+  /// offers in every mode; and the build of G(t+1) from the top-K rows
+  /// (knn_merge_s; the sharded driver adds its merge of the shards).
   double knn_score_s = 0.0;
   double knn_merge_s = 0.0;
   /// Threads the iteration actually ran with (config.threads resolved;

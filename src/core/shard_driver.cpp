@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -25,7 +24,6 @@
 #include "core/worker_agent.h"
 #include "core/topk.h"
 #include "core/tuple_generation.h"
-#include "core/tuple_table.h"
 #include "graph/digraph.h"
 #include "graph/knn_graph.h"
 #include "graph/knn_graph_delta.h"
@@ -37,7 +35,7 @@
 #include "pigraph/pi_graph.h"
 #include "profiles/flat_profile.h"
 #include "profiles/profile_delta.h"
-#include "profiles/similarity_kernels.h"
+#include "profiles/similarity.h"
 #include "storage/block_file.h"
 #include "storage/partition_store.h"
 #include "storage/shard_writer.h"
@@ -79,9 +77,9 @@ const char* worker_mode_name(ShardWorkerMode mode) noexcept {
 namespace {
 
 // ------------------------------------------------ work-directory layout --
-// Shard w's scratch files (its PI-pair bundles and score spill) live in
-// one directory under the work dir: the driver's for thread mode and local
-// workers, the agent's run directory for remote ones.
+// Shard w's scratch files (its PI-pair bundles) live in one directory
+// under the work dir: the driver's for thread mode and local workers, the
+// agent's run directory for remote ones.
 
 fs::path worker_scratch_dir(const fs::path& work_dir, std::uint32_t w) {
   return work_dir / ("worker_" + std::to_string(w));
@@ -165,7 +163,7 @@ struct ShardOutput {
 };
 
 /// Whether run_shard's phase 2 walks partitions rather than the shard's
-/// own sources, and so needs G(t)'s in-lists and a TupleTable bound:
+/// own sources, and so needs G(t)'s in-lists and the candidate bounds:
 /// sampled runs (a source-major walk cannot reproduce
 /// candidate_sample_rng, which draws one stream per partition in
 /// merge-join order) and runs with include_reverse (whose reversed
@@ -210,48 +208,30 @@ std::uint64_t shard_candidates_by_source(const ShardContext& ctx,
 /// (derive_partition_edges over `reverse`), runs the candidate rules over
 /// every one of them plus the restarts, and keeps the candidates whose
 /// source it owns (with include_reverse also each reversed candidate
-/// whose source it owns), deduplicated in a TupleTable sized
-/// `table_bound` (candidate_bounds). Counts candidate_tuples for
-/// partitions p ≡ w (mod S) and the owned users' restarts. Returns the
-/// unique count.
-std::uint64_t shard_candidates_by_partition(const ShardContext& ctx,
-                                            std::uint32_t w,
-                                            std::span<const VertexId> members,
-                                            const KnnGraph& graph,
-                                            const ReverseAdjacency& reverse,
-                                            std::uint64_t table_bound,
-                                            TupleShardWriter& pair_writer,
-                                            ShardWorkerStats& worker) {
+/// whose source it owns) in its sources' buckets, sized by `bounds`
+/// (candidate_bounds). It then dedups and emits the buckets ascending by
+/// source, so every pair bundle is grouped by source. Counts
+/// candidate_tuples for partitions p ≡ w (mod S) and the owned users'
+/// restarts. Returns the unique count.
+std::uint64_t shard_candidates_by_partition(
+    const ShardContext& ctx, std::uint32_t w,
+    std::span<const VertexId> members, const KnnGraph& graph,
+    const ReverseAdjacency& reverse, std::span<const std::uint64_t> bounds,
+    TupleShardWriter& pair_writer, ShardWorkerStats& worker) {
   const EngineConfig& config = ctx.config;
   const VertexId n = graph.num_vertices();
   const PartitionId m = ctx.assignment.num_partitions();
   IterationStats& stats = worker.stats;
-  TupleTable table(static_cast<std::size_t>(table_bound));
-  // The inserts are bound by the table's cache misses; a small window
-  // prefetches each tuple's slot before it is inserted, in order.
-  std::array<Tuple, 32> window;
-  std::size_t pending = 0;
-  auto drain = [&] {
-    for (std::size_t i = 0; i < pending; ++i) table.prefetch(window[i]);
-    for (std::size_t i = 0; i < pending; ++i) {
-      const Tuple t = window[i];
-      if (table.insert(t)) {
-        pair_writer.add(pi_pair_slot(ctx.assignment.owner(t.s),
-                                     ctx.assignment.owner(t.d), m),
-                        t);
-      }
-    }
-    pending = 0;
-  };
-  auto insert = [&](Tuple t) {
-    ++worker.spooled_tuples;
-    window[pending++] = t;
-    if (pending == window.size()) drain();
-  };
+  auto owned = [&](VertexId s) { return ctx.shard_owner.owner(s) == w; };
+  CandidateBuckets buckets(bounds, owned);
   auto keep = [&](Tuple t) {
-    if (ctx.shard_owner.owner(t.s) == w) insert(t);
-    if (config.include_reverse && ctx.shard_owner.owner(t.d) == w) {
-      insert(Tuple{t.d, t.s});
+    if (owned(t.s)) {
+      ++worker.spooled_tuples;
+      buckets.add(t);
+    }
+    if (config.include_reverse && owned(t.d)) {
+      ++worker.spooled_tuples;
+      buckets.add(Tuple{t.d, t.s});
     }
   };
   for (PartitionId p = 0; p < m; ++p) {
@@ -265,7 +245,7 @@ std::uint64_t shard_candidates_by_partition(const ShardContext& ctx,
     for (VertexId s = 0; s < n; ++s) {
       const std::uint64_t generated =
           restart_candidates(config, ctx.iteration, n, s, keep);
-      if (ctx.shard_owner.owner(s) == w) stats.candidate_tuples += generated;
+      if (owned(s)) stats.candidate_tuples += generated;
     }
   } else {
     for (const VertexId s : members) {
@@ -273,8 +253,18 @@ std::uint64_t shard_candidates_by_partition(const ShardContext& ctx,
           restart_candidates(config, ctx.iteration, n, s, keep);
     }
   }
-  drain();
-  return table.size();
+  std::vector<VertexId> seen(n, 0);
+  std::uint64_t unique = 0;
+  for (const VertexId s : members) {
+    const PartitionId home = ctx.assignment.owner(s);
+    const std::span<const VertexId> kept = buckets.dedup(s, seen);
+    unique += kept.size();
+    for (const VertexId d : kept) {
+      pair_writer.add(pi_pair_slot(home, ctx.assignment.owner(d), m),
+                      Tuple{s, d});
+    }
+  }
+  return unique;
 }
 
 /// P(t) packed for phase 4 (tuples may reference any user) by the first
@@ -305,29 +295,30 @@ class ProfilePack {
 /// Phases 2-4 for shard `w` against `graph` = G(t) and `profiles` =
 /// P(t): the driver's own in thread mode, the copy a persistent worker
 /// keeps current by KPRD deltas. `reverse` holds G(t)'s in-lists
-/// (build_reverse_adjacency; thread mode builds them once for all
-/// shards) and `table_bound` sizes the TupleTable; both are read only
-/// when shard_walks_partitions(config), and `reverse` is null otherwise.
+/// (build_reverse_adjacency) and `bounds` every user's candidate bound
+/// (candidate_bounds); thread mode computes both once for all shards.
+/// Both are read only when shard_walks_partitions(config), and `reverse`
+/// is null otherwise.
 ///
 /// Phase 2 generates exactly the serial engine's candidate multiset
 /// restricted to the sources the shard owns, and dedup and top-K depend
 /// only on the set. Runs that neither sample nor reverse walk the owned
 /// sources (shard_candidates_by_source); the others walk every partition
 /// (shard_candidates_by_partition). Either way the merged
-/// candidate_tuples is the serial engine's. Phases 3-4 then build the
-/// shard's own PI graph and schedule and keep top-K for the owned users
-/// only. Phase 4 scores every bundle from `profiles`, which it first gets
-/// at its start, so the pack is never alive beside phase 2's buffers. The
-/// shard reads no partition file: its private cache loads nothing and
-/// only counts the loads and unloads of the schedule. `fault_point`, when
-/// set, is called with "produce" after generation and with "consume" at
-/// the start of phase 4.
+/// candidate_tuples is the serial engine's, and every pair bundle is
+/// grouped by source. Phases 3-4 then build the shard's own PI graph and
+/// schedule and keep top-K for the owned users only. Phase 4 scores every
+/// bundle from `profiles`, which it first gets at its start, so the pack
+/// is never alive beside phase 2's buffers. The shard reads no partition
+/// file: its private cache loads nothing and only counts the loads and
+/// unloads of the schedule. `fault_point`, when set, is called with
+/// "produce" after generation and with "consume" at the start of phase 4.
 ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
                       std::span<const VertexId> members,
                       const KnnGraph& graph, const ReverseAdjacency* reverse,
-                      std::uint64_t table_bound, ProfilePack& profiles,
-                      ThreadPool* pool, IoAccountant* io,
-                      ShardWorkerStats& worker,
+                      std::span<const std::uint64_t> bounds,
+                      ProfilePack& profiles, ThreadPool* pool,
+                      IoAccountant* io, ShardWorkerStats& worker,
                       const std::function<void(const char*)>& fault_point) {
   const EngineConfig& config = ctx.config;
   const VertexId n = ctx.assignment.num_vertices();
@@ -349,12 +340,11 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
     // The one fork in the shard body: a source-major walk cannot
     // reproduce candidate_sample_rng, which draws one stream per
     // partition in merge-join order, so sampled runs keep the partition
-    // walk and its TupleTable, and so do runs with include_reverse
-    // (shard_walks_partitions).
+    // walk, and so do runs with include_reverse (shard_walks_partitions).
     stats.unique_tuples =
         shard_walks_partitions(config)
             ? shard_candidates_by_partition(ctx, w, members, graph, *reverse,
-                                            table_bound, pair_writer, worker)
+                                            bounds, pair_writer, worker)
             : shard_candidates_by_source(ctx, members, graph, pair_writer,
                                          worker);
     pair_writer.finish();
@@ -381,11 +371,10 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
 
   // Phase 4: stream the partitions through a private cache; top-K for
   // this shard's users only, one accumulator row each (row[s], out of
-  // range for any other user). Offers and the copy of the rows into
-  // G(t+1) are made serially — the kept set is offer-order-independent,
-  // so only scoring needs the pool. (Rows copied out on pool threads
-  // stayed in those threads' allocator arenas and raised thread mode's
-  // peak RSS.)
+  // range for any other user). Both walks group every bundle by source,
+  // so the scoring tasks offer too (score_and_offer). The rows are copied
+  // into G(t+1) serially: copied on pool threads, they stayed in those
+  // threads' allocator arenas and raised thread mode's peak RSS.
   if (fault_point) fault_point("consume");
   KnnGraph next(n, config.k);
   {
@@ -395,14 +384,6 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
       row[members[i]] = static_cast<VertexId>(i);
     }
     TopKAccumulator acc(static_cast<VertexId>(members.size()), config.k);
-    std::optional<RecordShardWriter<ScoredTuple>> score_writer;
-    if (config.spill_scores) {
-      score_writer.emplace(worker_scratch_dir(ctx.work_dir, w), "scores", m,
-                           std::max<std::size_t>(
-                               config.shard_buffer_bytes / S,
-                               sizeof(ScoredTuple)),
-                           io);
-    }
     // The cache holds no data; it counts what the paper's PC would load
     // (Table 1).
     const FlatProfileSet& flat = profiles.get();
@@ -411,56 +392,14 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
       data.id = p;
       return data;
     });
-    std::vector<float> scores;
     for (PairIndex idx : schedule) {
       const PiPair& pair = pi.pair(idx);
       const std::vector<Tuple> tuples = read_record_shard<Tuple>(
           pair_writer.shard_path(pi_pair_slot(pair.a, pair.b, m)), io);
       cache.get(pair.a);
       if (pair.b != pair.a) cache.get(pair.b);
-      scores.assign(tuples.size(), 0.0f);
-      {
-        ScopedAccumulator score_timing(&stats.knn_score_s);
-        // Same run-batched kernel dispatch as the engine: each run of
-        // equal s shares one source lookup. The source walk's bundles are
-        // grouped by source, one run per source; the partition walk's have
-        // short runs.
-        auto score_range = [&](std::size_t lo, std::size_t hi) {
-          KernelScratch scratch;
-          std::vector<VertexId> cands;
-          std::size_t i = lo;
-          while (i < hi) {
-            std::size_t run_end = i + 1;
-            while (run_end < hi && tuples[run_end].s == tuples[i].s) {
-              ++run_end;
-            }
-            cands.clear();
-            for (std::size_t t = i; t < run_end; ++t) {
-              cands.push_back(tuples[t].d);
-            }
-            score_batch(flat, nullptr, tuples[i].s, cands, config.measure,
-                        scores.data() + i, scratch);
-            i = run_end;
-          }
-        };
-        if (pool != nullptr) {
-          pool->parallel_for(0, tuples.size(), score_range,
-                             /*min_chunk=*/256);
-        } else {
-          score_range(0, tuples.size());
-        }
-      }
-      if (score_writer) {
-        for (std::size_t i = 0; i < tuples.size(); ++i) {
-          score_writer->add(ctx.assignment.owner(tuples[i].s),
-                            {tuples[i].s, tuples[i].d, scores[i]});
-        }
-      } else {
-        ScopedAccumulator merge_timing(&stats.knn_merge_s);
-        for (std::size_t i = 0; i < tuples.size(); ++i) {
-          acc.offer(row[tuples[i].s], tuples[i].d, scores[i]);
-        }
-      }
+      ScopedAccumulator score_timing(&stats.knn_score_s);
+      score_and_offer(tuples, flat, nullptr, config.measure, row, acc, pool);
     }
     cache.flush();
     stats.partition_loads = cache.loads();
@@ -468,24 +407,8 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
     worker.partitions_touched = pi.touched_partitions();
 
     ScopedAccumulator merge_timing(&stats.knn_merge_s);
-    if (score_writer) {
-      // Finalise one partition at a time, restricted to owned users.
-      score_writer->finish();
-      for (PartitionId p = 0; p < m; ++p) {
-        const auto spilled = read_record_shard<ScoredTuple>(
-            score_writer->shard_path(p), io);
-        for (const ScoredTuple& t : spilled) {
-          acc.offer(row[t.s], t.d, t.score);
-        }
-        for (VertexId member : ctx.assignment.members(p)) {
-          if (ctx.shard_owner.owner(member) != w) continue;
-          next.set_neighbors(member, acc.take(row[member]));
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        next.set_neighbors(members[i], acc.take(static_cast<VertexId>(i)));
-      }
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      next.set_neighbors(members[i], acc.take(static_cast<VertexId>(i)));
     }
   }
 
@@ -497,21 +420,6 @@ ShardOutput run_shard(const ShardContext& ctx, std::uint32_t w,
   }
   worker.consume_s = consume_wall.elapsed_seconds();
   return {std::move(next), changed};
-}
-
-/// Every shard's TupleTable size on the partition walk: the
-/// candidate_bounds of its users summed, computed on the calling thread
-/// from G(t)'s degrees.
-std::vector<std::uint64_t> shard_table_bounds(
-    const EngineConfig& config, std::uint32_t iteration,
-    const KnnGraph& graph, const PartitionAssignment& shard_owner) {
-  const std::vector<std::uint64_t> per_source =
-      candidate_bounds(config, iteration, graph);
-  std::vector<std::uint64_t> bound(shard_owner.num_partitions(), 0);
-  for (VertexId u = 0; u < per_source.size(); ++u) {
-    bound[shard_owner.owner(u)] += per_source[u];
-  }
-  return bound;
 }
 
 // ------------------------------------------------------------ the plan --
@@ -531,7 +439,9 @@ constexpr char kPlanMagic[4] = {'K', 'P', 'L', 'N'};
 // v4: drops the storage mode and the kernel backend string: no shard body
 // reads a partition file, and the SIMD merge is gone.
 // v5: drops the quantize_profiles flag: profiles are scored as f32 only.
-constexpr std::uint32_t kPlanVersion = 5;
+// v6: drops the spill_scores flag: phase 4 keeps every owned user's
+// top-K in memory.
+constexpr std::uint32_t kPlanVersion = 6;
 
 // Tripwire: the plan frame hand-serialises the subset of EngineConfig the
 // shard body reads. A field added to EngineConfig that the body reads
@@ -541,7 +451,7 @@ constexpr std::uint32_t kPlanVersion = 5;
 // platform until plan_to_bytes/plan_from_bytes (below) were reviewed and
 // this constant is bumped.
 #if defined(__GLIBCXX__) && defined(__x86_64__)
-static_assert(sizeof(EngineConfig) == 240,
+static_assert(sizeof(EngineConfig) == 232,
               "EngineConfig changed: review the worker plan "
               "serialisation (plan_to_bytes/plan_from_bytes) before "
               "bumping this size");
@@ -586,22 +496,28 @@ WorkerPlan plan_from_bytes(std::span<const std::byte> bytes) {
   read(config.num_partitions);
   std::uint32_t measure = 0;
   read(measure);
+  // A measure past the enum would score every pair 0 without an error.
+  if (measure >= kAllSimilarityMeasures.size()) {
+    throw fail("measure " + std::to_string(measure) + " out of range");
+  }
   config.measure = static_cast<SimilarityMeasure>(measure);
   std::uint64_t slots = 0;
   std::uint64_t buffer = 0;
   read(slots);
   read(buffer);
+  // Both engine constructors reject fewer than 2 slots: a PI pair needs
+  // both partitions resident.
+  if (slots < 2) {
+    throw fail("memory_slots " + std::to_string(slots) + " < 2");
+  }
   config.memory_slots = static_cast<std::size_t>(slots);
   config.shard_buffer_bytes = static_cast<std::size_t>(buffer);
   read(config.seed);
   read(config.sample_rate);
   read(config.random_candidates);
   std::uint8_t reverse = 0;
-  std::uint8_t spill = 0;
   read(reverse);
-  read(spill);
   config.include_reverse = reverse != 0;
-  config.spill_scores = spill != 0;
   read_string(config.heuristic);
   read_string(config.io_model.name);
   read(config.io_model.seek_us);
@@ -689,7 +605,6 @@ std::vector<std::byte> plan_to_bytes(const WorkerPlan& plan) {
   append_record(bytes, config.sample_rate);
   append_record(bytes, config.random_candidates);
   append_record(bytes, static_cast<std::uint8_t>(config.include_reverse));
-  append_record(bytes, static_cast<std::uint8_t>(config.spill_scores));
   append_string(bytes, config.heuristic);
   append_string(bytes, config.io_model.name);
   append_record(bytes, config.io_model.seek_us);
@@ -1347,11 +1262,10 @@ int persistent_worker_main(const fs::path& work_dir,
     worker.stats.iteration = iteration;
     worker.stats.threads_used = plan.threads_per_shard;
     IoAccountant io(config.io_model);
-    std::uint64_t table_bound = 0;
+    std::vector<std::uint64_t> bounds;
     std::optional<ReverseAdjacency> reverse;
     if (shard_walks_partitions(config)) {
-      table_bound =
-          shard_table_bounds(config, iteration, graph, *shard_owner)[shard];
+      bounds = candidate_bounds(config, iteration, graph);
       reverse = build_reverse_adjacency(graph);
     }
     ShardOutput out;
@@ -1359,7 +1273,7 @@ int persistent_worker_main(const fs::path& work_dir,
       // Freed when the body returns, before the reply is built.
       ProfilePack pack(local_profiles);
       out = run_shard(ctx, shard, members, graph,
-                      reverse ? &*reverse : nullptr, table_bound, pack,
+                      reverse ? &*reverse : nullptr, bounds, pack,
                       pool.get(), &io, worker, [&](const char* point) {
                         maybe_inject_fault(point, shard, attempt, iteration);
                       });
@@ -1747,15 +1661,14 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
   } else {
     // ---- Thread mode: one thread per shard, each with its own pool and
     // I/O accountant, reading the driver's G(t) and one shared pack of its
-    // P(t); on the partition walk the tables are sized and G(t)'s in-lists
-    // built here, on the calling thread.
+    // P(t); on the partition walk the candidate bounds and G(t)'s
+    // in-lists are computed here, once, on the calling thread.
     const ShardContext ctx{config_,    iteration_,  S,
                            assignment, shard_owner, impl_->work_dir};
-    std::vector<std::uint64_t> table_bounds(S, 0);
+    std::vector<std::uint64_t> bounds;
     std::optional<ReverseAdjacency> reverse;
     if (shard_walks_partitions(config_)) {
-      table_bounds =
-          shard_table_bounds(config_, iteration_, graph_, shard_owner);
+      bounds = candidate_bounds(config_, iteration_, graph_);
       reverse = build_reverse_adjacency(graph_);
     }
     ProfilePack pack(profiles_);
@@ -1774,7 +1687,7 @@ ShardedIterationStats ShardedKnnEngine::run_iteration() {
         try {
           ShardOutput shard_out =
               run_shard(ctx, w, shard_members[w], graph_,
-                        reverse ? &*reverse : nullptr, table_bounds[w],
+                        reverse ? &*reverse : nullptr, bounds,
                         pack, impl_->pools[w].get(),
                         worker_io[w].get(), out.workers[w],
                         /*fault_point=*/{});

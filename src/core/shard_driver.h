@@ -16,13 +16,17 @@
 //            first copy of each (s, d) by an n-entry stamp array — no
 //            hash table, no partition derived. Sampled runs and runs
 //            with include_reverse instead derive every edges-only
-//            partition from G(t), run the partition rules over all m and
-//            keep the candidates whose source it owns in a TupleTable;
+//            partition from G(t), run the partition rules over all m,
+//            keep the candidates whose source it owns in per-source
+//            buckets (core/tuple_generation.h's CandidateBuckets) and
+//            emit them deduplicated, ascending by source. Either way each
+//            source forms one run per pair bundle;
 //            phases 3-4: build its own PI graph + schedule, score its
 //            pair bundles in schedule order from one pack of the P(t) its
 //            process holds (thread-mode bodies share one; a private 2-slot
-//            cache still counts the partition loads and unloads) and keep
-//            top-K for its users only.
+//            cache still counts the partition loads and unloads) and
+//            offer each run's scores to its own users' top-K in the same
+//            task (core/topk.h's score_and_offer, the engine's loop).
 //   driver   merge the per-shard graphs (core/sharded_knn_graph.h's
 //            ShardedKnnGraph) and run phase 5 on the shared profiles.
 //
@@ -37,7 +41,7 @@
 // and worker w generates exactly the serial engine's candidates whose
 // source w owns, so all tuples of a given source user meet in one worker.
 // shard_driver_test asserts the contract for S in {1,2,3,5}, including
-// the spill-scores, sampled and reverse-candidate paths.
+// the sampled and reverse-candidate paths and shard bodies on a pool.
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "profiles/similarity_kernels.h"
 #include "util/thread_pool.h"
 
 namespace knnpc {
@@ -70,6 +71,49 @@ KnnGraph TopKAccumulator::build_graph(ThreadPool* pool) {
     emit(0, num_users());
   }
   return graph;
+}
+
+void score_and_offer(std::span<const Tuple> tuples,
+                     const FlatProfileSet& primary,
+                     const FlatProfileSet* secondary,
+                     SimilarityMeasure measure, std::span<const VertexId> row,
+                     TopKAccumulator& acc, ThreadPool* pool) {
+  auto runs = [&](std::size_t lo, std::size_t hi) {
+    KernelScratch scratch;
+    std::vector<VertexId> cands;
+    std::vector<float> scores;
+    while (lo < hi) {
+      const VertexId s = tuples[lo].s;
+      std::size_t end = lo + 1;
+      while (end < hi && tuples[end].s == s) ++end;
+      cands.clear();
+      for (std::size_t t = lo; t < end; ++t) cands.push_back(tuples[t].d);
+      scores.resize(cands.size());
+      score_batch(primary, secondary, s, cands, measure, scores.data(),
+                  scratch);
+      const VertexId r = row.empty() ? s : row[s];
+      for (std::size_t i = 0; i < cands.size(); ++i) {
+        acc.offer(r, cands[i], scores[i]);
+      }
+      lo = end;
+    }
+  };
+  if (pool == nullptr) {
+    runs(0, tuples.size());
+    return;
+  }
+  pool->parallel_for(
+      0, tuples.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        if (lo > 0) {
+          const VertexId before = tuples[lo - 1].s;
+          while (lo < hi && tuples[lo].s == before) ++lo;
+        }
+        if (lo == hi) return;
+        while (hi < tuples.size() && tuples[hi].s == tuples[hi - 1].s) ++hi;
+        runs(lo, hi);
+      },
+      /*min_chunk=*/256);
 }
 
 }  // namespace knnpc

@@ -1,4 +1,5 @@
-// Phase 4 output side: per-user bounded top-K accumulators.
+// Phase 4 output side: per-user bounded top-K accumulators, and the one
+// score loop that feeds them (score_and_offer).
 //
 // Each user's accumulator is a size-K min-heap on score; offering a
 // candidate is O(1) when it doesn't beat the current worst and O(log K)
@@ -7,9 +8,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/knn_graph.h"
+#include "profiles/flat_profile.h"
+#include "profiles/similarity.h"
 #include "util/types.h"
 
 namespace knnpc {
@@ -45,8 +49,7 @@ class TopKAccumulator {
   [[nodiscard]] KnnGraph build_graph(ThreadPool* pool = nullptr);
 
   /// Removes and returns one user's candidates (unsorted heap order).
-  /// Used by the score-spilling path, which finalises users one partition
-  /// at a time.
+  /// The shard body copies its users' rows into G(t+1) with it.
   [[nodiscard]] std::vector<Neighbor> take(VertexId s);
 
  private:
@@ -54,5 +57,22 @@ class TopKAccumulator {
   std::vector<std::uint32_t> counts_;  // per user, <= k
   std::vector<Neighbor> rows_;         // n x k, row s a min-heap on score
 };
+
+/// Phase 4 over one pair bundle, the one score loop of the engine and the
+/// shard body: scores each run of tuples with equal source s in one
+/// score_batch call (one source lookup, one warm source row), profiles
+/// looked up in `primary`, then `secondary` (may be null), and offers the
+/// run's scores to accumulator row row[s] (row s when `row` is empty) in
+/// the same task. With a `pool`, a task given [lo, hi) owns the runs that
+/// start in it: it skips a run begun before lo and finishes its last run
+/// past hi. Tasks offer to disjoint rows only when every source forms one
+/// run, so a bundle scored on a pool must be grouped by source. Each score
+/// depends on its tuple alone and the kept set on the offered set alone,
+/// so neither the bundle order nor the split changes the result.
+void score_and_offer(std::span<const Tuple> tuples,
+                     const FlatProfileSet& primary,
+                     const FlatProfileSet* secondary,
+                     SimilarityMeasure measure, std::span<const VertexId> row,
+                     TopKAccumulator& acc, ThreadPool* pool);
 
 }  // namespace knnpc

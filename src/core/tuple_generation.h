@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -195,12 +196,66 @@ std::uint64_t source_candidates(const EngineConfig& config,
 /// (w, y) of the paths y -> u -> w and of itself, counted from u's
 /// in-degree, and each restart (x, s) hands s its reverse, counted exactly
 /// by drawing every user's restarts of `iteration`. Sampled runs emit
-/// fewer. The threaded engine sizes each source's candidate bucket with
-/// its entry, and the shard driver sums the entries of each shard's users
-/// to size that shard's TupleTable on the partition walk; neither grows.
+/// fewer. CandidateBuckets sizes each source's bucket with its entry, in
+/// the threaded engine and on the shard workers' partition walk; no
+/// bucket grows.
 std::vector<std::uint64_t> candidate_bounds(const EngineConfig& config,
                                             std::uint32_t iteration,
                                             const KnnGraph& graph);
+
+/// Phase 2's per-source candidate buckets, the dedup beside the serial
+/// oracle's TupleTable. Each owned source s gets one bucket of bound[s]
+/// destinations (candidate_bounds), all in one array allocated by the
+/// constructing thread, so filling it allocates nothing. Callers that
+/// emit the deduplicated buckets one source after another group every
+/// pair bundle by source, one run per source, which phase 4's fused
+/// offers rely on (score_and_offer in core/topk.h). The threaded engine's
+/// source shards fill and dedup disjoint sources of one instance; a shard
+/// worker's partition walk holds one over its own users.
+class CandidateBuckets {
+ public:
+  /// One bucket of bound[s] entries per user s with owns(s); the other
+  /// users get none.
+  template <typename Owns>
+  CandidateBuckets(std::span<const std::uint64_t> bound, Owns&& owns)
+      : off_(bound.size() + 1, 0), fill_(bound.size(), 0) {
+    for (VertexId s = 0; s < bound.size(); ++s) {
+      off_[s + 1] = off_[s] + (owns(s) ? bound[s] : 0);
+    }
+    dest_ = std::make_unique_for_overwrite<VertexId[]>(off_.back());
+  }
+
+  /// Appends t.d to the bucket of t.s, which must be owned and hold
+  /// fewer than its bound. Distinct sources may be filled concurrently.
+  void add(Tuple t) noexcept { dest_[off_[t.s] + fill_[t.s]++] = t.d; }
+
+  /// Keeps the first copy of each destination in s's bucket, in place
+  /// and in arrival order, and returns the kept entries. `seen` is an
+  /// n-entry stamp array, zero before its first use: seen[d] == s + 1
+  /// once (s, d) is kept, so one array serves every source it dedups.
+  std::span<const VertexId> dedup(VertexId s, std::span<VertexId> seen) {
+    VertexId* const bucket = dest_.get() + off_[s];
+    std::uint32_t kept = 0;
+    for (std::uint32_t i = 0; i < fill_[s]; ++i) {
+      const VertexId d = bucket[i];
+      if (seen[d] == s + 1) continue;
+      seen[d] = s + 1;
+      bucket[kept++] = d;
+    }
+    fill_[s] = kept;
+    return bucket_of(s);
+  }
+
+  /// s's bucket as it stands.
+  [[nodiscard]] std::span<const VertexId> bucket_of(VertexId s) const {
+    return {dest_.get() + off_[s], fill_[s]};
+  }
+
+ private:
+  std::vector<std::uint64_t> off_;   // s's room is dest_[off_[s], off_[s+1])
+  std::vector<std::uint32_t> fill_;  // s's bucket is its first fill_[s]
+  std::unique_ptr<VertexId[]> dest_;
+};
 
 /// Reference tuple generator for tests: all (s, d) with d a
 /// neighbour's-neighbour of s (s -> v -> d, s != d), via plain adjacency

@@ -23,13 +23,6 @@ class TupleTable {
   /// Inserts tuple (s, d); returns true when it was new.
   bool insert(Tuple t);
 
-  /// Hints that (s, d) is about to be inserted or looked up: pulls its
-  /// home slot toward the cache, so a caller that hashes a few tuples
-  /// ahead overlaps their cache misses.
-  void prefetch(Tuple t) const noexcept {
-    __builtin_prefetch(slots_.data() + probe_start(tuple_key(t)), 1);
-  }
-
   /// True when (s, d) is present.
   [[nodiscard]] bool contains(Tuple t) const;
 

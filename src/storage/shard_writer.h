@@ -1,12 +1,13 @@
-// Bounded-memory record shard writers (phase 2's tuple spill and phase
-// 4's score spill).
+// Bounded-memory record shard writers: phase 2's pair bundles.
 //
-// H's unique tuples are bucketed by PI pair; phase 4's candidate scores
-// can be bucketed by owning partition. Holding every bucket in memory
-// until its phase ends would defeat the memory budget on large graphs, so
-// the writer keeps a small buffer per shard and appends the largest
-// buffer to its file whenever the global budget is exceeded — peak memory
-// stays at ~`buffer_budget_bytes` regardless of record volume.
+// H's unique tuples are bucketed by PI pair, one bundle file per pair,
+// which phase 4 reads back when the pair's turn comes. Holding every
+// bundle in memory until phase 2 ends would defeat the memory budget on
+// large graphs, so the writer keeps a small buffer per shard and appends
+// the largest buffer to its file whenever the global budget is exceeded —
+// peak memory stays at ~`buffer_budget_bytes` regardless of record
+// volume. The threaded engine, which stages whole bundles itself, writes
+// each with write_record_shard instead.
 #pragma once
 
 #include <algorithm>
@@ -183,14 +184,5 @@ std::vector<T> read_record_shard(const std::filesystem::path& path,
 
 /// Phase-2 specialisation: tuple shards keyed by PI pair.
 using TupleShardWriter = RecordShardWriter<Tuple>;
-
-/// Phase-4 spill record: a scored candidate pair.
-struct ScoredTuple {
-  VertexId s = kInvalidVertex;
-  VertexId d = kInvalidVertex;
-  float score = 0.0f;
-
-  friend bool operator==(const ScoredTuple&, const ScoredTuple&) = default;
-};
 
 }  // namespace knnpc

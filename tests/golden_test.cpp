@@ -99,15 +99,12 @@ std::vector<SparseProfile> golden_profiles(const GoldenRow& row) {
 }
 
 /// Per-row config tweaks keyed by name, so the table stays pure data
-/// while still covering the spill / sampling / reverse code paths.
+/// while still covering the sampling / reverse code paths.
 EngineConfig golden_config(const GoldenRow& row) {
   EngineConfig config;
   config.k = row.k;
   config.num_partitions = row.partitions;
   config.seed = row.seed;
-  if (row.name.find("spill") != std::string::npos) {
-    config.spill_scores = true;
-  }
   if (row.name.find("reverse") != std::string::npos) {
     config.include_reverse = true;
     config.sample_rate = 0.5;
@@ -296,7 +293,7 @@ TEST(GoldenTest, SerialPipelineMatchesPinnedChecksums) {
 
 TEST(GoldenTest, EveryRowReplaysThroughTheThreadedEngine) {
   // A KnnEngine with a pool runs phases 1, 2 and 4's partition decoding
-  // on it. Every row — reverse plus sampling, spill, churn and the zoo —
+  // on it. Every row — reverse plus sampling, churn and the zoo —
   // must land on the pinned checksum at 2 threads and at 3, where the
   // source-user shards are uneven and the phase-2 partition batches do not
   // divide m. And it must do exactly the serial engine's work: the same

@@ -3,17 +3,21 @@
 // merged-output container.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <numeric>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/shard_driver.h"
 #include "core/sharded_knn_graph.h"
+#include "core/tuple_generation.h"
 #include "graph/knn_graph_io.h"
 #include "profiles/generators.h"
 #include "storage/block_file.h"
+#include "storage/shard_writer.h"
 #include "util/rng.h"
 
 namespace knnpc {
@@ -80,21 +84,6 @@ TEST_P(ShardCountTest, GraphBitIdenticalToSerialAcrossIterations) {
               serial.stats[i].candidate_tuples);
     EXPECT_EQ(stats.merged.unique_tuples, serial.stats[i].unique_tuples);
     EXPECT_DOUBLE_EQ(stats.merged.change_rate, serial.stats[i].change_rate);
-  }
-}
-
-TEST_P(ShardCountTest, SpillScoresPathBitIdentical) {
-  EngineConfig config = base_config();
-  config.spill_scores = true;
-  const SerialRun serial = run_serial(config, 80, 4, 2);
-
-  ShardConfig shard_config;
-  shard_config.shards = GetParam();
-  ShardedKnnEngine sharded(config, shard_config, clustered(80, 4, 21));
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    sharded.run_iteration();
-    EXPECT_EQ(knn_graph_checksum(sharded.graph()), serial.checksums[i])
-        << "S=" << GetParam() << " iteration " << i;
   }
 }
 
@@ -215,6 +204,114 @@ TEST(ShardDriverTest, ThreadModeWritesNoPartitionFile) {
        fs::recursive_directory_iterator(dir.path())) {
     EXPECT_NE(entry.path().filename().string().rfind("part_", 0), 0u)
         << entry.path();
+  }
+}
+
+// Phase 2's three candidate rows: the source walk, and the partition
+// walk that sampled or reversed runs take.
+struct CandidateRow {
+  const char* name;
+  double sample_rate;
+  bool include_reverse;
+};
+
+TEST(ShardDriverTest, WorkerBundlesAreGroupedBySource) {
+  // Both walks emit each worker's sources one after another, so each
+  // source forms one run in every bundle a worker writes (phase 4 offers
+  // from its scoring tasks on that basis), and the workers' bundles of a
+  // slot together hold the serial engine's bundle.
+  namespace fs = std::filesystem;
+  const CandidateRow rows[] = {
+      {"default", 1.0, false}, {"sampled", 0.5, false}, {"reverse", 1.0, true}};
+  const ScratchDir scratch("shard_grouped_bundles");
+  const PartitionId m = base_config().num_partitions;
+  const std::size_t num_slots = pi_pair_slot(m - 1, m - 1, m) + 1;
+  for (const CandidateRow& row : rows) {
+    EngineConfig config = base_config();
+    config.sample_rate = row.sample_rate;
+    config.include_reverse = row.include_reverse;
+    config.threads = 1;
+    config.work_dir = (scratch.path() / (std::string(row.name) + "-serial"))
+                          .string();
+    KnnEngine serial(config, clustered(120, 4, 21));
+    serial.run_iteration();
+    std::vector<std::vector<Tuple>> expected;
+    for (std::size_t slot = 0; slot < num_slots; ++slot) {
+      expected.push_back(read_record_shard<Tuple>(
+          record_shard_path(config.work_dir, "tuples", slot)));
+      std::sort(expected.back().begin(), expected.back().end());
+    }
+    for (const std::uint32_t shards : {2u, 3u}) {
+      config.work_dir = (scratch.path() / (std::string(row.name) + "-S" +
+                                           std::to_string(shards)))
+                            .string();
+      ShardConfig shard_config;
+      shard_config.shards = shards;
+      ShardedKnnEngine sharded(config, shard_config, clustered(120, 4, 21));
+      sharded.run_iteration();
+      for (std::size_t slot = 0; slot < num_slots; ++slot) {
+        const std::string where = std::string(row.name) + " S=" +
+                                  std::to_string(shards) + " slot " +
+                                  std::to_string(slot);
+        std::vector<Tuple> merged;
+        for (std::uint32_t w = 0; w < shards; ++w) {
+          const std::vector<Tuple> bundle = read_record_shard<Tuple>(
+              record_shard_path(fs::path(config.work_dir) /
+                                    ("worker_" + std::to_string(w)),
+                                "tuples", slot));
+          std::set<VertexId> finished;
+          for (std::size_t i = 1; i <= bundle.size(); ++i) {
+            if (i < bundle.size() && bundle[i].s == bundle[i - 1].s) continue;
+            EXPECT_TRUE(finished.insert(bundle[i - 1].s).second)
+                << where << " worker " << w << ": source " << bundle[i - 1].s
+                << " forms two runs";
+          }
+          merged.insert(merged.end(), bundle.begin(), bundle.end());
+        }
+        std::sort(merged.begin(), merged.end());
+        EXPECT_EQ(merged, expected[slot]) << where;
+      }
+    }
+  }
+}
+
+TEST(ShardDriverTest, ShardBodiesOnAPoolMatchSerial) {
+  // Each shard body gets a pool of 2 or 3 threads, so phase 4's scoring
+  // tasks offer concurrently to the shard's own rows, on the source walk
+  // and on the partition walk alike.
+  const CandidateRow rows[] = {{"default", 1.0, false},
+                               {"sampled", 0.5, false},
+                               {"reversed", 1.0, true},
+                               {"sampled and reversed", 0.5, true}};
+  for (const CandidateRow& row : rows) {
+    EngineConfig config = base_config();
+    config.sample_rate = row.sample_rate;
+    config.include_reverse = row.include_reverse;
+    config.threads = 1;
+    const SerialRun serial = run_serial(config, 90, 5, 2);
+    for (const std::uint32_t shards : {2u, 3u}) {
+      for (const std::uint32_t per_shard : {2u, 3u}) {
+        config.threads = per_shard * shards;
+        ShardConfig shard_config;
+        shard_config.shards = shards;
+        ShardedKnnEngine sharded(config, shard_config, clustered(90, 5, 21));
+        ASSERT_EQ(sharded.threads_per_shard(), per_shard);
+        for (std::uint32_t i = 0; i < 2; ++i) {
+          const std::string where =
+              std::string(row.name) + " S=" + std::to_string(shards) +
+              " threads=" + std::to_string(config.threads) + " iteration " +
+              std::to_string(i);
+          const ShardedIterationStats stats = sharded.run_iteration();
+          EXPECT_EQ(knn_graph_checksum(sharded.graph()), serial.checksums[i])
+              << where;
+          EXPECT_EQ(stats.merged.candidate_tuples,
+                    serial.stats[i].candidate_tuples)
+              << where;
+          EXPECT_EQ(stats.merged.unique_tuples, serial.stats[i].unique_tuples)
+              << where;
+        }
+      }
+    }
   }
 }
 

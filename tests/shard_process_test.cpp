@@ -6,7 +6,8 @@
 // respawned with a full-snapshot resync exactly once; a second failure
 // fails the run with a per-worker diagnostic; the driver never hangs and
 // never merges a failed worker's partial output. A worker that receives a
-// hostile RUN_ITERATION refuses it before sizing anything from it.
+// hostile RUN_ITERATION refuses it before sizing anything from it, and one
+// given a plan with an out-of-range field refuses the plan.
 //
 // This binary is re-executed by the driver as its own shard workers, so
 // it carries a custom main() that dispatches the hidden --shard-worker
@@ -251,7 +252,6 @@ TEST(PersistentShardTest, OneShardSchedulesLikeTheSerialEngine) {
          c.sample_rate = 0.5;
          c.include_reverse = true;
        }},
-      {"spill_scores", [](EngineConfig& c) { c.spill_scores = true; }},
       {"m=7 high-low",
        [](EngineConfig& c) {
          c.num_partitions = 7;
@@ -282,15 +282,6 @@ TEST(PersistentShardTest, OneShardSchedulesLikeTheSerialEngine) {
       }
     }
   }
-}
-
-TEST(PersistentShardTest, SpillScoresPathBitIdentical) {
-  EngineConfig config = base_config();
-  config.spill_scores = true;
-  const std::vector<std::uint64_t> serial =
-      serial_churn_checksums(config, 80, 4, 3);
-  ShardedKnnEngine engine(config, persistent_config(3), clustered(80, 4));
-  run_persistent_churn(engine, 80, 4, serial);
 }
 
 TEST(PersistentShardTest, SamplingAndReverseCandidatesBitIdentical) {
@@ -606,7 +597,8 @@ struct WorkerVerdict {
 
 /// Runs worker 0 of `plan` against one RUN_ITERATION `command` and
 /// returns how it ended. A worker that accepts the command replies and
-/// then meets EOF, so it exits 0 instead of hanging the test.
+/// then meets EOF, so it exits 0 instead of hanging the test; one that
+/// refuses the plan is sent no command.
 WorkerVerdict run_worker_on(const WorkerPlan& plan,
                             const std::vector<std::byte>& command) {
   const ScratchDir dir("hostile_run_iteration");
@@ -624,8 +616,14 @@ WorkerVerdict run_worker_on(const WorkerPlan& plan,
     channel = std::move(pair.parent);
   }
   channel.send(shard_frame::kPlan, plan_to_bytes(plan), 30.0);
-  EXPECT_EQ(channel.recv(30.0).type, shard_frame::kReady);
-  channel.send(shard_frame::kRunIteration, command, 30.0);
+  // A worker that refuses the plan exits before READY and never gets the
+  // command.
+  try {
+    if (channel.recv(30.0).type == shard_frame::kReady) {
+      channel.send(shard_frame::kRunIteration, command, 30.0);
+    }
+  } catch (const IpcError&) {
+  }
   channel.close_write();
   for (int i = 0; i < 30000 && !worker.poll().finished(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -725,6 +723,62 @@ TEST(HostileRunIterationTest, WorkerChecksEverySizeBeforeAllocating) {
         << c.name << ": " << verdict.status.describe();
     EXPECT_NE(verdict.stderr_text.find(c.field), std::string::npos)
         << c.name << ": " << verdict.stderr_text;
+  }
+}
+
+// ------------------------------------------------------ hostile PLAN --
+// The plan's fields configure the whole shard body. A measure past the
+// enum scored every pair 0, and a single memory slot, which both engine
+// constructors reject, was taken as given: either way the worker built a
+// wrong graph and reported nothing. It must refuse such a plan, exit 13
+// and name the field on stderr.
+
+TEST(HostilePlanTest, WorkerRefusesOutOfRangeFields) {
+  const VertexId n = 20;
+  WorkerPlan valid;
+  valid.config = base_config();
+  valid.shards = 2;
+  std::vector<PartitionId> partition_owner(n);
+  std::vector<PartitionId> shard_owner(n);
+  for (VertexId v = 0; v < n; ++v) {
+    partition_owner[v] = v % valid.config.num_partitions;
+    shard_owner[v] = v % valid.shards;
+  }
+  const std::vector<std::byte> graph_delta = knn_graph_delta_to_bytes(
+      full_knn_graph_delta(KnnGraph(n, valid.config.k)));
+  const std::vector<std::byte> profile_delta = profile_delta_to_bytes(
+      full_profile_delta(InMemoryProfileStore(clustered(n, 2))));
+  RunIterationCommand c;
+  c.partition_owner = &partition_owner;
+  c.shard_owner = &shard_owner;
+  c.graph_full = true;
+  c.graph_new_version = 0;
+  c.graph_delta = graph_delta;
+  c.profile_full = true;
+  c.profile_new_version = 0;
+  c.profile_delta = profile_delta;
+  const std::vector<std::byte> command = run_iteration_to_bytes(c);
+
+  struct Case {
+    const char* name;
+    WorkerPlan plan;
+    const char* field;
+  };
+  Case measure{"measure 8", valid, "measure"};
+  measure.plan.config.measure = static_cast<SimilarityMeasure>(8);
+  Case slots{"memory_slots 1", valid, "memory_slots"};
+  slots.plan.config.memory_slots = 1;
+
+  for (const Case& bad : {measure, slots}) {
+    const WorkerVerdict verdict = run_worker_on(bad.plan, command);
+    EXPECT_EQ(verdict.status.state, SubprocessStatus::State::Exited)
+        << bad.name << ": " << verdict.status.describe();
+    EXPECT_EQ(verdict.status.exit_code, 13)
+        << bad.name << ": " << verdict.status.describe();
+    EXPECT_NE(verdict.stderr_text.find("PLAN frame: " +
+                                       std::string(bad.field)),
+              std::string::npos)
+        << bad.name << ": " << verdict.stderr_text;
   }
 }
 

@@ -1,15 +1,12 @@
-// Tests for the out-of-core streaming substrates: the record shard
-// writers (phase 2's pair bundles, phase 4's score spill) and the
-// engine's score-spilling mode.
+// Tests for the out-of-core streaming substrate: the record shard
+// writers behind phase 2's pair bundles.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <vector>
 
-#include "core/engine.h"
-#include "profiles/generators.h"
+#include "storage/block_file.h"
 #include "storage/shard_writer.h"
-#include "util/rng.h"
 
 namespace knnpc {
 namespace {
@@ -104,69 +101,6 @@ TEST(ShardWriterTest, AddAfterFinishThrows) {
   TupleShardWriter writer(dir.path(), "tuples", 1, 1 << 20);
   writer.finish();
   EXPECT_THROW(writer.add(0, {1, 2}), std::logic_error);
-}
-
-TEST(ShardWriterTest, ScoredTupleShards) {
-  ScratchDir dir("shards-scored");
-  RecordShardWriter<ScoredTuple> writer(dir.path(), "scores", 2, 1 << 20);
-  writer.add(1, {7, 9, 0.5f});
-  writer.finish();
-  const auto back = read_record_shard<ScoredTuple>(writer.shard_path(1));
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back[0], (ScoredTuple{7, 9, 0.5f}));
-}
-
-// ------------------------------------------------- engine score spilling
-
-TEST(ScoreSpillTest, SpillingMatchesInMemoryTopK) {
-  Rng rng(17);
-  ClusteredGenConfig pconfig;
-  pconfig.base.num_users = 100;
-  pconfig.base.num_items = 300;
-  pconfig.num_clusters = 5;
-  const auto profiles = clustered_profiles(pconfig, rng);
-
-  EngineConfig in_memory;
-  in_memory.k = 5;
-  in_memory.num_partitions = 4;
-  EngineConfig spilled = in_memory;
-  spilled.spill_scores = true;
-  spilled.shard_buffer_bytes = 1 << 12;  // force frequent flushes
-
-  KnnEngine a(in_memory, profiles);
-  KnnEngine b(spilled, profiles);
-  for (int iter = 0; iter < 3; ++iter) {
-    a.run_iteration();
-    b.run_iteration();
-    for (VertexId v = 0; v < 100; ++v) {
-      const auto na = a.graph().neighbors(v);
-      const auto nb = b.graph().neighbors(v);
-      ASSERT_EQ(na.size(), nb.size()) << "iter=" << iter << " v=" << v;
-      for (std::size_t i = 0; i < na.size(); ++i) {
-        EXPECT_EQ(na[i].id, nb[i].id) << "iter=" << iter << " v=" << v;
-      }
-    }
-  }
-}
-
-TEST(ScoreSpillTest, SpillingCostsExtraIo) {
-  Rng rng(19);
-  ClusteredGenConfig pconfig;
-  pconfig.base.num_users = 80;
-  pconfig.base.num_items = 200;
-  pconfig.num_clusters = 4;
-  const auto profiles = clustered_profiles(pconfig, rng);
-  EngineConfig base;
-  base.k = 5;
-  base.num_partitions = 4;
-  EngineConfig spill = base;
-  spill.spill_scores = true;
-  KnnEngine a(base, profiles);
-  KnnEngine b(spill, profiles);
-  const auto sa = a.run_iteration();
-  const auto sb = b.run_iteration();
-  EXPECT_GT(sb.io.bytes_written, sa.io.bytes_written);
-  EXPECT_GT(sb.io.bytes_read, sa.io.bytes_read);
 }
 
 }  // namespace

@@ -151,7 +151,6 @@ int main(int argc, char** argv) {
   opts.add_flag("reverse", "admit reverse candidates");
   opts.add_double("rho", "candidate sample rate", 1.0);
   opts.add_uint("repartition-every", "phase-1 period", 1);
-  opts.add_flag("spill-scores", "spill phase-4 scores to disk");
   opts.add_flag("checkpoint", "write checkpoint_latest.knng per iteration");
   opts.add_uint("recall-samples",
                 "users sampled for the final recall estimate (0 = skip)",
@@ -248,7 +247,6 @@ int main(int argc, char** argv) {
   config.sample_rate = opts.get_double("rho");
   config.repartition_every =
       static_cast<std::uint32_t>(opts.get_uint("repartition-every"));
-  config.spill_scores = opts.get_flag("spill-scores");
   config.checkpoint = opts.get_flag("checkpoint");
   config.seed = opts.get_uint("seed");
 
